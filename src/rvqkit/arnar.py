@@ -19,7 +19,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ._rng import as_generator
+from ._rng import as_generator, sample_rows
 from .errors import EmptyGenerationError
 from .rvq import TokenStream
 
@@ -67,57 +67,41 @@ class ArNarStats:
     eos_terminated: bool
 
 
-def sample_with_temperature(logits, temperature: float, rng) -> int:
-    """Draw an index from softmax(logits / temperature)."""
-    logits = np.asarray(logits, dtype=np.float64).ravel()
+def sample_with_temperature(logits, temperature: float, rng, top_k: int | None = None) -> int:
+    """Draw an index from softmax(logits / temperature).
+
+    With `top_k`, only the classes whose logit reaches the k-th largest
+    (ties included) can be drawn.
+    """
+    logits = np.array(logits, dtype=np.float64).ravel()
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
-    rng = as_generator(rng)
-    z = logits / temperature
-    z -= z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    return int(rng.choice(len(p), p=p))
-
-
-def _truncate_top_k(logits: np.ndarray, top_k: int) -> np.ndarray:
-    if top_k >= len(logits):
-        return logits
-    cut = np.sort(logits)[-top_k]
-    out = np.where(logits >= cut, logits, -np.inf)
-    return out
+    if top_k is not None and top_k < len(logits):
+        logits[logits < np.sort(logits)[-top_k]] = -np.inf
+    draws, _ = sample_rows(logits[None, :], temperature, as_generator(rng))
+    return int(draws[0])
 
 
 def generate_ar(model: ArModel, condition, prompt_codes, config: GenConfig) -> np.ndarray:
-    """Sample first-layer codes until EOS or max_frames; EOS is not returned."""
+    """Sample first-layer codes until EOS or max_frames; EOS is not returned.
+
+    At step t the model sees the t codes drawn so far as an int64 array.
+    """
     condition = np.asarray(condition)
     prompt_codes = np.asarray(prompt_codes, dtype=np.int64).ravel()
     rng = as_generator(config.rng_seed)
-    out: list[int] = []
-    for _ in range(config.max_frames):
-        logits = np.asarray(
-            model.next_logits(condition, prompt_codes, np.asarray(out, dtype=np.int64)),
-            dtype=np.float64,
-        ).ravel()
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("AR model returned non-finite logits")
-        if config.top_k is not None:
-            logits = _truncate_top_k(logits, config.top_k)
-            finite = np.isfinite(logits)
-            probs = np.zeros_like(logits)
-            z = logits[finite] / config.temperature
-            z -= z.max()
-            probs[finite] = np.exp(z)
-            probs /= probs.sum()
-            idx = int(rng.choice(len(probs), p=probs))
-        else:
-            idx = sample_with_temperature(logits, config.temperature, rng)
-        if idx == len(logits) - 1:  # EOS
+    drawn = np.empty(config.max_frames, dtype=np.int64)
+    t = 0
+    while t < config.max_frames:
+        logits = model.next_logits(condition, prompt_codes, drawn[:t])
+        idx = sample_with_temperature(logits, config.temperature, rng, config.top_k)
+        if idx == np.size(logits) - 1:  # EOS
             break
-        out.append(idx)
-    return np.asarray(out, dtype=np.int32)
+        drawn[t] = idx
+        t += 1
+    return drawn[:t].astype(np.int32)
 
 
 def generate_nar(

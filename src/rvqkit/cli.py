@@ -414,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train)
 
@@ -430,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode token streams back to vectors")
     p.add_argument("--codebook", required=True)
     p.add_argument("--tokens", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_decode)
 
@@ -438,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", nargs="+", required=True)
     p.add_argument("--layer", type=int, default=1, help="1-based layer index")
     p.add_argument("--format", choices=["text", "json-lines"], default="text")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("mlm-sim", help="masked parallel generation against a toy score model")
@@ -455,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--token-rate", type=float, default=50.0)
     p.add_argument("--margin", type=float, default=50.0)
     p.add_argument("--noise-seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", default=None, help="also dump the hidden reference grid")
     p.set_defaults(handler=cmd_mlm_sim)
@@ -475,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ngram-smoothing", type=float, default=0.1)
     p.add_argument("--train-tokens", default=None)
     p.add_argument("--support", default=None, help="token file whose layer-1 codes define support")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_arnar_sim)
 

@@ -182,6 +182,21 @@ def write_token_streams(path: str, streams: list[TokenStream]) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _frames(codes, layers: int, codebook_size: int) -> np.ndarray:
+    """A record's codes as (T, layers) int32, or ValueError if they are not
+    a list of `layers`-wide frames of integers in [0, codebook_size)."""
+    if isinstance(codes, list) and not codes:
+        return np.empty((0, layers), dtype=np.int32)
+    frames = np.asarray(codes)
+    if frames.ndim != 2 or frames.shape[1] != layers:
+        raise ValueError(f"codes must be a list of frames of {layers} codes each")
+    if frames.dtype.kind not in "iu":
+        raise ValueError("codes must be integers")
+    if frames.min() < 0 or frames.max() >= codebook_size:
+        raise ValueError(f"codes must lie in [0, {codebook_size})")
+    return frames.astype(np.int32)
+
+
 def read_token_streams(path: str) -> list[TokenStream]:
     """Parse a token stream file, validating ranges and frame widths."""
     streams = []
@@ -195,14 +210,14 @@ def read_token_streams(path: str) -> list[TokenStream]:
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                frames = np.asarray(record["codes"], dtype=np.int32).reshape(
-                    -1, int(record["layers"])
-                )
+                layers, codebook_size = record["layers"], record["codebook_size"]
+                if type(layers) is not int or type(codebook_size) is not int:
+                    raise ValueError("layers and codebook_size must be integers")
                 stream = TokenStream(
-                    frames=frames,
+                    frames=_frames(record["codes"], layers, codebook_size),
                     token_rate_hz=float(record["token_rate_hz"]),
-                    layers=int(record["layers"]),
-                    codebook_size=int(record["codebook_size"]),
+                    layers=layers,
+                    codebook_size=codebook_size,
                     source_id=str(record["id"]),
                 )
             except (KeyError, TypeError, ValueError) as exc:

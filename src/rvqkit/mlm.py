@@ -21,7 +21,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ._rng import as_generator
+from ._rng import as_generator, sample_rows
 from .errors import NumericalError
 from .rvq import TokenStream
 
@@ -83,15 +83,6 @@ class DecodeSchedule:
                 raise ValueError("unmask fractions must be positive")
             if abs(self.unmask_fractions.sum() - 1.0) > 1e-9:
                 raise ValueError("unmask fractions must sum to 1")
-
-
-@dataclass
-class MaskState:
-    """Mask bookkeeping during decoding; True means still masked."""
-
-    mask: np.ndarray  # (frames, layers) bool
-    iteration: int = 0
-    confidence: np.ndarray | None = None  # committed layer-1 confidences
 
 
 @dataclass
@@ -157,19 +148,6 @@ def confidence_select(confidences, num_to_unmask: int) -> np.ndarray:
     return np.sort(order[:num_to_unmask])
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1:]
-    u = rng.random((probs.shape[0], 1))
-    return (u > cum).sum(axis=1)
-
-
 def _commit_targets(total: int, fractions: np.ndarray) -> list[int]:
     """Cumulative commit counts per iteration: strictly growing until all done."""
     targets = []
@@ -220,8 +198,8 @@ def generate_parallel(
     if p:
         grid[:p] = prompt.frames
 
-    state = MaskState(mask=np.ones((num_frames, num_layers), dtype=bool))
-    state.mask[:p, :] = False
+    masked = np.ones(num_frames, dtype=bool)  # layer-1 positions not yet committed
+    masked[:p] = False
     confidence = np.zeros(num_frames)
 
     total = num_frames - p
@@ -230,7 +208,6 @@ def generate_parallel(
     committed = 0
 
     for target in targets:
-        state.iteration += 1
         progress = committed / total
         coeff = anneal_coeff(progress, schedule.cfg_start, schedule.cfg_end)
 
@@ -243,9 +220,8 @@ def generate_parallel(
             raise ValueError(f"model emitted {cond.shape[1]} codes, stream expects {k}")
         combined = cfg_combine(cond, uncond, coeff)
 
-        masked_pos = np.flatnonzero(state.mask[:, 0])
-        probs = _softmax_rows(combined[masked_pos] / schedule.temperature)
-        draws = _sample_rows(probs, rng)
+        masked_pos = np.flatnonzero(masked)
+        draws, probs = sample_rows(combined[masked_pos], schedule.temperature, rng)
         conf = probs[np.arange(len(masked_pos)), draws]
 
         count = target - committed
@@ -253,7 +229,7 @@ def generate_parallel(
             chosen = confidence_select(conf, count)
             pos = masked_pos[chosen]
             grid[pos, 0] = draws[chosen]
-            state.mask[pos, 0] = False
+            masked[pos] = False
             confidence[pos] = conf[chosen]
             committed = target
         commit_counts.append(count)
@@ -265,10 +241,8 @@ def generate_parallel(
             model.score(view, layer, condition, CONDITIONAL), num_frames, "conditional"
         )
         grid[p:, layer] = np.argmax(logits[p:], axis=1)
-        state.mask[p:, layer] = False
         cond_passes += 1
 
-    state.confidence = confidence
     stats = GenerationStats(
         forward_passes=cond_passes,
         unconditional_passes=schedule.iterations_layer1,

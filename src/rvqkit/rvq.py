@@ -15,19 +15,11 @@ bundle frames with their rate metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .vq import (
-    Codebook,
-    ProjectionPair,
-    VqAssignment,
-    nearest_code,
-    nearest_codes,
-    project_in,
-    project_out,
-)
+from .vq import Codebook, ProjectionPair, nearest_codes, project_in, project_out
 
 PLAIN = "plain"
 PROJECTED = "projected"
@@ -115,8 +107,8 @@ class TokenStream:
         return self.frames.shape[0]
 
     def validate(self) -> None:
-        if self.token_rate_hz <= 0:
-            raise ValueError("token_rate_hz must be positive")
+        if not 0 < self.token_rate_hz < math.inf:
+            raise ValueError("token_rate_hz must be positive and finite")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
         if self.codebook_size < 1:
@@ -131,25 +123,43 @@ class TokenStream:
 
 @dataclass
 class EncodeTrace:
-    """Residual norms after each layer plus the per-layer assignments.
+    """Residual norm after each layer of a one-frame encode.
 
     Norms are taken in latent space for the plain scheme and in quantization
     space for the projected scheme.
     """
 
     residual_norms: np.ndarray
-    assignments: list[VqAssignment] = field(default_factory=list)
 
 
-def _check_frame(frame, quantizer: RvqQuantizer) -> np.ndarray:
-    codes = np.asarray(frame, dtype=np.int64).ravel()
-    if codes.shape[0] != quantizer.num_layers:
-        raise ValueError(
-            f"frame has {codes.shape[0]} codes but the quantizer has {quantizer.num_layers} layers"
-        )
-    if np.any(codes < 0) or np.any(codes >= quantizer.codebook_size):
-        raise ValueError(f"code out of range [0, {quantizer.codebook_size})")
-    return codes
+def residual_codes(residual, layers, lookup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The residual recursion over (rows, q) residuals.
+
+    Each layer looks up one code per row with `lookup(residual, layer)` and
+    subtracts that layer's entries from the running residual. Returns the
+    (rows, N) int32 codes, the (rows, N) residual norms after each layer
+    and the final (rows, q) residual.
+    """
+    codes = np.empty((residual.shape[0], len(layers)), dtype=np.int32)
+    norms = np.empty((residual.shape[0], len(layers)))
+    for i, layer in enumerate(layers):
+        idx = lookup(residual, layer)
+        residual = residual - layer.entries[idx]
+        codes[:, i] = idx
+        # Row-wise dot products, summed as `np.linalg.norm` sums one vector.
+        norms[:, i] = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0])
+    return codes, norms, residual
+
+
+def _exact_lookup(residual, layer: Codebook) -> np.ndarray:
+    return nearest_codes(residual, layer)[0]
+
+
+def _encode_rows(latents: np.ndarray, quantizer: RvqQuantizer):
+    """Run the recursion on (T, d) latents, in quantization space when projected."""
+    if quantizer.scheme == PROJECTED:
+        latents = project_in(latents, quantizer.projections[0])
+    return residual_codes(latents, quantizer.layers, _exact_lookup)
 
 
 def rvq_encode(latent, quantizer: RvqQuantizer) -> tuple[TokenFrame, EncodeTrace]:
@@ -164,43 +174,8 @@ def rvq_encode(latent, quantizer: RvqQuantizer) -> tuple[TokenFrame, EncodeTrace
         raise ValueError(
             f"latent shape {latent.shape} does not match latent_dim {quantizer.latent_dim}"
         )
-    if quantizer.scheme == PROJECTED:
-        residual = project_in(latent, quantizer.projections[0])
-    else:
-        residual = latent.copy()
-
-    n = quantizer.num_layers
-    codes = np.empty(n, dtype=np.int32)
-    norms = np.empty(n, dtype=np.float64)
-    assignments: list[VqAssignment] = []
-    for i, layer in enumerate(quantizer.layers):
-        a = nearest_code(residual, layer)
-        residual = residual - a.quantized
-        codes[i] = a.index
-        norms[i] = np.linalg.norm(residual)
-        assignments.append(a)
-    return codes, EncodeTrace(residual_norms=norms, assignments=assignments)
-
-
-def rvq_decode(frame, quantizer: RvqQuantizer, num_layers: int | None = None) -> np.ndarray:
-    """Reconstruct a latent vector from a token frame.
-
-    With `num_layers=m`, only the first m layers contribute (coarse preview).
-    """
-    codes = _check_frame(frame, quantizer)
-    m = quantizer.num_layers if num_layers is None else num_layers
-    if not 1 <= m <= quantizer.num_layers:
-        raise ValueError(f"num_layers must lie in [1, {quantizer.num_layers}]")
-    if quantizer.scheme == PROJECTED:
-        out = np.zeros(quantizer.latent_dim)
-        for i in range(m):
-            entry = quantizer.layers[i].entries[codes[i]]
-            out += project_out(entry, quantizer.projections[i])
-        return out
-    out = np.zeros(quantizer.quant_dim)
-    for i in range(m):
-        out += quantizer.layers[i].entries[codes[i]]
-    return out
+    codes, norms, _ = _encode_rows(latent[None, :], quantizer)
+    return codes[0], EncodeTrace(residual_norms=norms[0])
 
 
 def rvq_encode_batch(latents, quantizer: RvqQuantizer) -> tuple[np.ndarray, np.ndarray]:
@@ -210,20 +185,24 @@ def rvq_encode_batch(latents, quantizer: RvqQuantizer) -> tuple[np.ndarray, np.n
         raise ValueError(
             f"latent dim {latents.shape[1]} does not match latent_dim {quantizer.latent_dim}"
         )
-    if quantizer.scheme == PROJECTED:
-        residual = project_in(latents, quantizer.projections[0])
-    else:
-        residual = latents.copy()
-    codes = np.empty((latents.shape[0], quantizer.num_layers), dtype=np.int32)
-    for i, layer in enumerate(quantizer.layers):
-        idx, _ = nearest_codes(residual, layer)
-        residual = residual - layer.entries[idx]
-        codes[:, i] = idx
+    codes, _, residual = _encode_rows(latents, quantizer)
     return codes, residual
 
 
-def rvq_decode_batch(codes, quantizer: RvqQuantizer) -> np.ndarray:
-    """Decode (T, N) code rows back to (T, d) latents."""
+def rvq_decode(frame, quantizer: RvqQuantizer, num_layers: int | None = None) -> np.ndarray:
+    """Reconstruct a latent vector from a token frame.
+
+    With `num_layers=m`, only the first m layers contribute (coarse preview).
+    """
+    codes = np.asarray(frame, dtype=np.int64).reshape(1, -1)
+    return rvq_decode_batch(codes, quantizer, num_layers)[0]
+
+
+def rvq_decode_batch(codes, quantizer: RvqQuantizer, num_layers: int | None = None) -> np.ndarray:
+    """Decode (T, N) code rows back to (T, d) latents: the sum of looked-up entries.
+
+    With `num_layers=m`, only the first m layers contribute (coarse preview).
+    """
     codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
     if codes.shape[1] != quantizer.num_layers:
         raise ValueError(
@@ -231,13 +210,16 @@ def rvq_decode_batch(codes, quantizer: RvqQuantizer) -> np.ndarray:
         )
     if codes.size and (codes.min() < 0 or codes.max() >= quantizer.codebook_size):
         raise ValueError(f"code out of range [0, {quantizer.codebook_size})")
+    m = quantizer.num_layers if num_layers is None else num_layers
+    if not 1 <= m <= quantizer.num_layers:
+        raise ValueError(f"num_layers must lie in [1, {quantizer.num_layers}]")
     if quantizer.scheme == PROJECTED:
         out = np.zeros((codes.shape[0], quantizer.latent_dim))
-        for i in range(quantizer.num_layers):
+        for i in range(m):
             out += project_out(quantizer.layers[i].entries[codes[:, i]], quantizer.projections[i])
         return out
     out = np.zeros((codes.shape[0], quantizer.quant_dim))
-    for i in range(quantizer.num_layers):
+    for i in range(m):
         out += quantizer.layers[i].entries[codes[:, i]]
     return out
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import io as rvqio
 from ._rng import as_generator
 from .errors import NumericalError
-from .rvq import PLAIN, PROJECTED, RvqQuantizer
+from .rvq import PLAIN, PROJECTED, RvqQuantizer, residual_codes
 from .vq import (
     COSINE,
     DEFAULT_DECAY,
@@ -188,13 +188,8 @@ class ProjectedParams:
 
 def projected_assign(params: ProjectedParams, batch: np.ndarray, metric: str) -> np.ndarray:
     """Residual-recursion code assignment in quantization space; returns (B, N) codes."""
-    residual = batch @ params.proj_in
-    codes = np.empty((batch.shape[0], len(params.entries)), dtype=np.int64)
-    for n, entries in enumerate(params.entries):
-        cb = Codebook.from_entries(entries, metric=metric)
-        idx = assign_batch(residual, cb)
-        residual = residual - entries[idx]
-        codes[:, n] = idx
+    layers = [Codebook.from_entries(entries, metric=metric) for entries in params.entries]
+    codes, _, _ = residual_codes(batch @ params.proj_in, layers, assign_batch)
     return codes
 
 
@@ -318,15 +313,9 @@ def _init_layer_codebooks(
 
 def _layer_utilization(corpus: np.ndarray, quantizer: RvqQuantizer) -> np.ndarray:
     if quantizer.scheme == PROJECTED:
-        residual = corpus @ quantizer.projections[0].proj_in
-    else:
-        residual = corpus.copy()
-    fractions = np.empty(quantizer.num_layers)
-    for n, layer in enumerate(quantizer.layers):
-        idx = assign_batch(residual, layer)
-        residual = residual - layer.entries[idx]
-        fractions[n] = len(np.unique(idx)) / layer.num_codes
-    return fractions
+        corpus = corpus @ quantizer.projections[0].proj_in
+    codes, _, _ = residual_codes(corpus, quantizer.layers, assign_batch)
+    return np.array([len(np.unique(column)) for column in codes.T]) / quantizer.codebook_size
 
 
 def _check_finite(value: float, step: int, what: str) -> None:

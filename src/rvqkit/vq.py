@@ -163,13 +163,16 @@ def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (indices, distances). Euclidean distances are true L2 norms
     (not squared); cosine distance is 1 - cos(query, entry). Ties break
-    toward the lowest code index.
+    toward the lowest code index. Non-finite queries are rejected with
+    ValueError, since no entry is nearest to them.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != codebook.code_dim:
         raise ValueError(
             f"query dim {queries.shape[1]} does not match codebook dim {codebook.code_dim}"
         )
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
 
     if codebook.metric == COSINE:
         qn = _normalize_rows(queries, "query")

@@ -179,7 +179,11 @@ COLLAPSE_SEEDS = (0, 1, 2, 3, 4)
 
 @pytest.fixture(scope="module")
 def collapse_runs():
-    """Train EMA / EMA+restart / projected per seed on the 512-mode corpus."""
+    """Train EMA / EMA+restart / projected per seed on the 512-mode corpus.
+
+    The first seed's entry also keeps its corpus and its EMA and projected
+    quantizers, whose rank-frequency curves criterion 6b reads.
+    """
     results = {}
     for seed in COLLAPSE_SEEDS:
         corpus = make_corpus(
@@ -189,9 +193,9 @@ def collapse_runs():
             num_layers=1, codebook_size=1024, latent_dim=32, steps=1500,
             batch_size=256, seed=seed, init="random",
         )
-        _, ema = train_quantizer(corpus, TrainConfig(scheme="ema", **base))
+        qz_ema, ema = train_quantizer(corpus, TrainConfig(scheme="ema", **base))
         _, restart = train_quantizer(corpus, TrainConfig(scheme="ema_restart", **base))
-        _, projected = train_quantizer(
+        qz_proj, projected = train_quantizer(
             corpus,
             TrainConfig(scheme="projected", quant_dim=8, metric="cosine", **base),
         )
@@ -200,6 +204,8 @@ def collapse_runs():
             "restart": int(round(restart.utilization[0] * 1024)),
             "projected": int(round(projected.utilization[0] * 1024)),
         }
+        if seed == COLLAPSE_SEEDS[0]:
+            results[seed].update(corpus=corpus, qz_ema=qz_ema, qz_proj=qz_proj)
     return results
 
 
@@ -221,18 +227,8 @@ def test_criterion_6b_rank_frequency_knee(collapse_runs):
     # Companion check on one seed: the EMA rank-frequency curve hits zero
     # before rank K, and the projected curve's zero rank is no earlier.
     with criterion(6, "rank-frequency knee: EMA curve hits zero before rank K, projected no earlier"):
-        seed = COLLAPSE_SEEDS[0]
-        corpus = make_corpus(
-            CorpusSpec(num_components=512, dims=32, separation=8.0, count=3072, seed=seed)
-        )
-        base = dict(
-            num_layers=1, codebook_size=1024, latent_dim=32, steps=1500,
-            batch_size=256, seed=seed, init="random",
-        )
-        qz_ema, _ = train_quantizer(corpus, TrainConfig(scheme="ema", **base))
-        qz_proj, _ = train_quantizer(
-            corpus, TrainConfig(scheme="projected", quant_dim=8, metric="cosine", **base)
-        )
+        run = collapse_runs[COLLAPSE_SEEDS[0]]
+        corpus, qz_ema, qz_proj = run["corpus"], run["qz_ema"], run["qz_proj"]
 
         def zero_rank(qz):
             from rvqkit import rvq_encode_batch

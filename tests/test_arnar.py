@@ -20,6 +20,7 @@ from rvqkit import (
     sequence_perplexity,
     train_ngram_ar,
 )
+from rvqkit._rng import sample_rows
 
 
 def make_stream(codes, k, layers=1, rate=50.0, source="s"):
@@ -81,6 +82,40 @@ class TestSampleWithTemperature:
             assert int(np.argmax(p)) == int(np.argmax(logits))
 
 
+class TestSampleRows:
+    @staticmethod
+    def assert_matches_choice(logits, temperature, seed):
+        """sample_rows draws what one Generator.choice(K, p=softmax) per row draws,
+        and leaves the generator in the same state."""
+        rng = np.random.default_rng(seed)
+        draws, probs = sample_rows(logits.copy(), temperature, rng)
+        reference = np.random.default_rng(seed)
+        expected = []
+        for row in logits:
+            z = row / temperature
+            z -= z.max()
+            p = np.exp(z)
+            p /= p.sum()
+            expected.append(int(reference.choice(len(p), p=p)))
+        assert draws.tolist() == expected
+        assert rng.random() == reference.random()
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+        return draws, probs
+
+    def test_draws_match_generator_choice(self):
+        logits = np.random.default_rng(84).normal(size=(300, 40)) * 3.0
+        for temperature in (0.2, 0.7, 1.0, 2.5):
+            self.assert_matches_choice(logits, temperature, 85)
+
+    def test_top_k_rows_match_generator_choice(self):
+        # Truncated rows carry -inf outside the kept classes.
+        logits = np.random.default_rng(86).normal(size=(300, 40)) * 3.0
+        logits[logits < np.sort(logits, axis=1)[:, [-5]]] = -np.inf
+        draws, probs = self.assert_matches_choice(logits, 1.3, 87)
+        assert np.all(np.isfinite(logits[np.arange(300), draws]))
+        assert np.all(probs[~np.isfinite(logits)] == 0.0)
+
+
 class TestGenerateAr:
     def test_immediate_eos(self):
         model = EosArModel(codebook_size=8)
@@ -126,6 +161,27 @@ class TestGenerateAr:
             GenConfig(temperature=2.0, max_frames=300, rng_seed=3),
         )
         assert len(set(np.unique(unrestricted)) - {1, 4, 6}) > 0
+
+    def test_model_sees_exactly_the_codes_drawn_so_far(self):
+        seen = []
+
+        class Recorder:
+            def next_logits(self, condition, prompt_codes, generated_prefix):
+                seen.append(np.array(generated_prefix))
+                logits = np.zeros(7)
+                logits[6] = -4.0  # EOS is rare, so most runs fill the budget
+                return logits
+
+        for seed in range(4):
+            seen.clear()
+            out = generate_ar(
+                Recorder(), np.arange(2), [], GenConfig(temperature=1.0, max_frames=50, rng_seed=seed)
+            )
+            assert len(out) > 1
+            assert len(seen) == len(out) + (len(out) < 50)
+            for t, prefix in enumerate(seen):
+                assert prefix.dtype == np.int64
+                assert prefix.tolist() == out[:t].tolist()
 
     def test_causality_never_sees_future(self):
         seen = []

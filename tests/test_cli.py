@@ -471,6 +471,35 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_non_finite_vectors_are_data_error(self, tmp_path, trained_codebook, capsys):
+        vectors = np.zeros((5, 8))
+        vectors[3, 2] = np.nan
+        bad = tmp_path / "nan.rvqv"
+        write_vectors(bad, vectors)
+        out = tmp_path / "t.jsonl"
+        code, _, err = run(
+            capsys, "encode", "--codebook", str(trained_codebook), "--input", str(bad),
+            "--out", str(out),
+        )
+        assert code == 3
+        assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_oversized_code_is_data_error(self, tmp_path, trained_codebook, capsys):
+        tokens = tmp_path / "big.jsonl"
+        tokens.write_text(
+            '{"id":"x","token_rate_hz":50.0,"layers":2,"codebook_size":16,'
+            '"codes":[[1,4294967297]]}\n'
+        )
+        out = tmp_path / "r.rvqv"
+        code, _, err = run(
+            capsys, "decode", "--codebook", str(trained_codebook), "--tokens", str(tokens),
+            "--out", str(out),
+        )
+        assert code == 3
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -190,19 +190,42 @@ class TestTokenStreamFile:
 
     def test_rejects_out_of_range_codes(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"id":"x","token_rate_hz":50.0,"layers":1,"codebook_size":4,"codes":[[9]]}\n'
-        )
-        with pytest.raises(FormatError):
-            read_token_streams(path)
+        for codes, rate in (
+            ("[[9]]", "50.0"),
+            ("[[4294967297]]", "50.0"),  # 2**32 + 1 must not reach an int32 cast
+            ("[[1]]", "NaN"),  # the rate is out of range too
+        ):
+            path.write_text(
+                f'{{"id":"x","token_rate_hz":{rate},"layers":1,"codebook_size":4,'
+                f'"codes":{codes}}}\n'
+            )
+            with pytest.raises(FormatError):
+                read_token_streams(path)
 
     def test_rejects_ragged_frames(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"id":"x","token_rate_hz":50.0,"layers":2,"codebook_size":4,"codes":[[1,2],[3]]}\n'
-        )
-        with pytest.raises(FormatError):
-            read_token_streams(path)
+        for codes in (
+            "[[1,2],[3]]",
+            "[[1,2,3],[3,2,1]]",  # 3-wide under "layers": 2, not to be regrouped
+            "[1,2]",  # a flat list, not a list of frames
+            "[[1.7,2]]",  # float codes are not truncated
+            "[[[1,2]]]",
+        ):
+            path.write_text(
+                f'{{"id":"x","token_rate_hz":50.0,"layers":2,"codebook_size":4,"codes":{codes}}}\n'
+            )
+            with pytest.raises(FormatError):
+                read_token_streams(path)
+
+    def test_rejects_non_integer_sizes(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        for layers, k in (("2.9", "4"), ("2", "4.5"), ("true", "4"), ('"2"', "4")):
+            path.write_text(
+                f'{{"id":"x","token_rate_hz":50.0,"layers":{layers},"codebook_size":{k},'
+                f'"codes":[[1,3]]}}\n'
+            )
+            with pytest.raises(FormatError):
+                read_token_streams(path)
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -42,6 +42,19 @@ def random_plain_quantizer(rng, num_layers=3, k=16, dim=6, scale=1.0):
     return RvqQuantizer(layers=layers, latent_dim=dim)
 
 
+def random_projected_cosine_quantizer(rng, num_layers=3, k=16, dim=6, quant_dim=3):
+    pair = ProjectionPair(
+        proj_in=rng.normal(size=(dim, quant_dim)), proj_out=rng.normal(size=(quant_dim, dim))
+    )
+    layers = [
+        Codebook.from_entries(rng.normal(size=(k, quant_dim)), metric="cosine")
+        for _ in range(num_layers)
+    ]
+    return RvqQuantizer(
+        layers=layers, latent_dim=dim, scheme="projected", projections=[pair] * num_layers
+    )
+
+
 class TestEncode:
     def test_single_layer_exact_match(self):
         entries = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
@@ -80,16 +93,18 @@ class TestEncode:
             np.testing.assert_allclose(trace.residual_norms, ref_norms, rtol=1e-9)
 
     def test_batch_matches_single(self):
+        # Both schemes: plain Euclidean and projected cosine.
         rng = np.random.default_rng(22)
-        qz = random_plain_quantizer(rng)
-        latents = rng.normal(size=(40, 6))
-        batch_codes, batch_residuals = rvq_encode_batch(latents, qz)
-        for i, latent in enumerate(latents):
-            codes, trace = rvq_encode(latent, qz)
-            assert batch_codes[i].tolist() == codes.tolist()
-            assert np.linalg.norm(batch_residuals[i]) == pytest.approx(
-                trace.residual_norms[-1], rel=1e-9, abs=1e-12
-            )
+        for make_quantizer in (random_plain_quantizer, random_projected_cosine_quantizer):
+            qz = make_quantizer(rng)
+            latents = rng.normal(size=(40, 6))
+            batch_codes, batch_residuals = rvq_encode_batch(latents, qz)
+            for i, latent in enumerate(latents):
+                codes, trace = rvq_encode(latent, qz)
+                assert batch_codes[i].tolist() == codes.tolist()
+                assert np.linalg.norm(batch_residuals[i]) == pytest.approx(
+                    trace.residual_norms[-1], rel=1e-9, abs=1e-12
+                )
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(0)

@@ -109,6 +109,15 @@ class TestNearestCode:
         with pytest.raises(ValueError):
             nearest_code([1.0, 0.0, 0.0], cb)
 
+    def test_non_finite_query_raises(self):
+        for metric in ("euclidean", "cosine"):
+            cb = Codebook.from_entries([[1, 0], [0, 1]], metric=metric)
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    nearest_codes([[1.0, 0.0], [bad, 0.0]], cb)
+                with pytest.raises(ValueError, match="finite"):
+                    nearest_code([0.0, bad], cb)
+
     def test_cosine_zero_norm_raises(self):
         cb = Codebook.from_entries([[1, 0], [0, 1]], metric="cosine")
         with pytest.raises(DegenerateInputError):
