@@ -14,6 +14,7 @@ trainable from token streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -52,8 +53,8 @@ class GenConfig:
     top_k: int | None = None  # optional truncation; off by default
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if self.max_frames < 1:
             raise ValueError("max_frames must be >= 1")
         if self.top_k is not None and self.top_k < 1:
@@ -74,8 +75,8 @@ def sample_with_temperature(logits, temperature: float, rng, top_k: int | None =
     (ties included) can be drawn.
     """
     logits = np.array(logits, dtype=np.float64).ravel()
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise ValueError("temperature must be positive and finite")
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
     if top_k is not None and top_k < len(logits):
@@ -195,8 +196,8 @@ class NgramArModel:
     def __init__(self, order: int, smoothing: float, codebook_size: int, counts: dict):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if smoothing <= 0:
-            raise ValueError("smoothing must be positive for finite logits")
+        if not 0 < smoothing < math.inf:
+            raise ValueError("smoothing must be positive and finite")
         self.order = order
         self.smoothing = smoothing
         self.codebook_size = codebook_size
@@ -269,13 +270,20 @@ def sequence_perplexity(model: ArModel, condition, codes, *, eos_index: int | No
     return float(2.0 ** (-log2_sum / steps))
 
 
+def _finite_margin(margin: float) -> float:
+    margin = float(margin)
+    if not math.isfinite(margin):
+        raise ValueError("margin must be finite")
+    return margin
+
+
 class OracleArModel:
     """Peaked at a fixed ground-truth code sequence, then at EOS."""
 
     def __init__(self, truth_codes, codebook_size: int, margin: float = 50.0):
         self.truth = np.asarray(truth_codes, dtype=np.int64).ravel()
         self.codebook_size = codebook_size
-        self.margin = float(margin)
+        self.margin = _finite_margin(margin)
 
     def next_logits(self, condition, prompt_codes, generated_prefix) -> np.ndarray:
         t = len(np.asarray(generated_prefix).ravel())
@@ -290,7 +298,7 @@ class EosArModel:
 
     def __init__(self, codebook_size: int, margin: float = 50.0):
         self.codebook_size = codebook_size
-        self.margin = float(margin)
+        self.margin = _finite_margin(margin)
 
     def next_logits(self, condition, prompt_codes, generated_prefix) -> np.ndarray:
         logits = np.zeros(self.codebook_size + 1)
@@ -303,7 +311,7 @@ class CyclingArModel:
 
     def __init__(self, codebook_size: int, margin: float = 50.0):
         self.codebook_size = codebook_size
-        self.margin = float(margin)
+        self.margin = _finite_margin(margin)
 
     def next_logits(self, condition, prompt_codes, generated_prefix) -> np.ndarray:
         t = len(np.asarray(generated_prefix).ravel())
@@ -322,7 +330,7 @@ class OracleNarModel:
         self.codebook_size = (
             int(self.truth.max()) + 1 if codebook_size is None else codebook_size
         )
-        self.margin = float(margin)
+        self.margin = _finite_margin(margin)
 
     def layer_logits(self, condition, prompt, decoded_layers, target_layer) -> np.ndarray:
         t = decoded_layers.shape[0]

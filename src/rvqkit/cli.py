@@ -330,6 +330,8 @@ def cmd_arnar_sim(args) -> int:
         raise UsageError("--prompt-frames must be non-negative")
     if args.prompt_frames >= args.max_frames:
         raise UsageError("--prompt-frames must be smaller than --max-frames")
+    if args.layers < 1:
+        raise ValueError("layers must be >= 1")
 
     rng = np.random.default_rng(args.seed)
     truth = rng.integers(0, args.codebook_size, size=(args.max_frames, args.layers), dtype=np.int32)

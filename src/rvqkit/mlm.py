@@ -71,8 +71,10 @@ class DecodeSchedule:
             raise ValueError("iterations_layer1 must be >= 1")
         if self.mask_block_size < 1:
             raise ValueError("mask_block_size must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
+        if not (math.isfinite(self.cfg_start) and math.isfinite(self.cfg_end)):
+            raise ValueError("cfg_start and cfg_end must be finite")
         if self.unmask_fractions is None:
             self.unmask_fractions = cosine_unmask_fractions(self.iterations_layer1)
         else:
@@ -279,6 +281,8 @@ class OracleScoreModel:
         if self.truth.ndim != 2:
             raise ValueError("truth grid must be (frames, layers)")
         self.margin = float(margin)
+        if not math.isfinite(self.margin):
+            raise ValueError("margin must be finite")
         inferred = int(self.truth.max()) + 1 if self.truth.size else 1
         self.codebook_size = inferred if codebook_size is None else codebook_size
         if self.codebook_size < inferred:

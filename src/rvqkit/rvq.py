@@ -132,34 +132,41 @@ class EncodeTrace:
     residual_norms: np.ndarray
 
 
-def residual_codes(residual, layers, lookup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def residual_codes(residual, entries, nearest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The residual recursion over (rows, q) residuals.
 
-    Each layer looks up one code per row with `lookup(residual, layer)` and
-    subtracts that layer's entries from the running residual. Returns the
-    (rows, N) int32 codes, the (rows, N) residual norms after each layer
-    and the final (rows, q) residual.
+    Layer n looks up one code per row with `nearest(residual, n)` and
+    subtracts those rows of `entries[n]`, its (K, q) entry matrix, from the
+    running residual. Returns the (rows, N) int32 codes, the (rows, N)
+    residual norms after each layer and the final (rows, q) residual.
     """
-    codes = np.empty((residual.shape[0], len(layers)), dtype=np.int32)
-    norms = np.empty((residual.shape[0], len(layers)))
-    for i, layer in enumerate(layers):
-        idx = lookup(residual, layer)
-        residual = residual - layer.entries[idx]
-        codes[:, i] = idx
+    codes = np.empty((residual.shape[0], len(entries)), dtype=np.int32)
+    norms = np.empty((residual.shape[0], len(entries)))
+    for n, layer_entries in enumerate(entries):
+        idx = nearest(residual, n)
+        residual = residual - layer_entries[idx]
+        codes[:, n] = idx
         # Row-wise dot products, summed as `np.linalg.norm` sums one vector.
-        norms[:, i] = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0])
+        norms[:, n] = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0])
     return codes, norms, residual
 
 
-def _exact_lookup(residual, layer: Codebook) -> np.ndarray:
-    return nearest_codes(residual, layer)[0]
+def entry_sum(entries, codes: np.ndarray) -> np.ndarray:
+    """Sum over layers of each layer's entries picked by (rows, >= N) codes."""
+    out = np.zeros((codes.shape[0], entries[0].shape[1]))
+    for n, layer_entries in enumerate(entries):
+        out += layer_entries[codes[:, n]]
+    return out
 
 
 def _encode_rows(latents: np.ndarray, quantizer: RvqQuantizer):
     """Run the recursion on (T, d) latents, in quantization space when projected."""
     if quantizer.scheme == PROJECTED:
         latents = project_in(latents, quantizer.projections[0])
-    return residual_codes(latents, quantizer.layers, _exact_lookup)
+    layers = quantizer.layers
+    return residual_codes(
+        latents, [layer.entries for layer in layers], lambda r, n: nearest_codes(r, layers[n])[0]
+    )
 
 
 def rvq_encode(latent, quantizer: RvqQuantizer) -> tuple[TokenFrame, EncodeTrace]:
@@ -218,10 +225,7 @@ def rvq_decode_batch(codes, quantizer: RvqQuantizer, num_layers: int | None = No
         for i in range(m):
             out += project_out(quantizer.layers[i].entries[codes[:, i]], quantizer.projections[i])
         return out
-    out = np.zeros((codes.shape[0], quantizer.quant_dim))
-    for i in range(m):
-        out += quantizer.layers[i].entries[codes[:, i]]
-    return out
+    return entry_sum([layer.entries for layer in quantizer.layers[:m]], codes)
 
 
 def code_bits(codebook_size: int) -> int:

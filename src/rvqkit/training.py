@@ -18,6 +18,7 @@ makes every loss term an ordinary smooth function of the parameters; see
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 from . import io as rvqio
 from ._rng import as_generator
 from .errors import NumericalError
-from .rvq import PLAIN, PROJECTED, RvqQuantizer, residual_codes
+from .rvq import PLAIN, PROJECTED, RvqQuantizer, entry_sum, residual_codes
 from .vq import (
     COSINE,
     DEFAULT_DECAY,
@@ -36,7 +37,6 @@ from .vq import (
     ProjectionPair,
     assign_batch,
     ema_update,
-    fast_euclidean_assign,
     kmeans_init,
     restart_dead_codes,
 )
@@ -119,8 +119,8 @@ class CorpusSpec:
         if self.kind == GAUSSIAN_MIXTURE:
             if self.num_components < 1:
                 raise ValueError("num_components must be >= 1")
-            if self.separation <= 0:
-                raise ValueError("separation must be positive")
+            if not 0 < self.separation < math.inf:
+                raise ValueError("separation must be positive and finite")
             if self.count < 1:
                 raise ValueError("count must be >= 1")
         elif not self.path:
@@ -186,18 +186,16 @@ class ProjectedParams:
         )
 
 
+def _assign_codes(residual: np.ndarray, entries: list[np.ndarray], metric: str) -> np.ndarray:
+    """(rows, N) codes of the residual recursion under the training lookup."""
+    return residual_codes(residual, entries, lambda r, n: assign_batch(r, entries[n], metric))[0]
+
+
 def projected_assign(params: ProjectedParams, batch: np.ndarray, metric: str) -> np.ndarray:
     """Residual-recursion code assignment in quantization space; returns (B, N) codes."""
-    layers = [Codebook.from_entries(entries, metric=metric) for entries in params.entries]
-    codes, _, _ = residual_codes(batch @ params.proj_in, layers, assign_batch)
-    return codes
-
-
-def _quantized_sum(params: ProjectedParams, codes: np.ndarray) -> np.ndarray:
-    q = np.zeros((codes.shape[0], params.proj_in.shape[1]))
-    for n, entries in enumerate(params.entries):
-        q += entries[codes[:, n]]
-    return q
+    if not all(np.isfinite(e).all() for e in params.entries):
+        raise ValueError("codebook entries must be finite")
+    return _assign_codes(batch @ params.proj_in, params.entries, metric)
 
 
 def projected_loss(
@@ -219,7 +217,7 @@ def projected_loss(
     """
     b = batch.shape[0]
     z = batch @ params.proj_in
-    q = _quantized_sum(params, codes)
+    q = entry_sum(params.entries, codes)
     recon = (z + (q_ref - z_ref)) @ params.proj_out
     l_rec = float(((recon - batch) ** 2).sum()) / b
     l_cb = float(((q - z_ref) ** 2).sum()) / b
@@ -240,7 +238,7 @@ def projected_grads(
     """Analytic gradients of `projected_loss` at the step's base point."""
     b = batch.shape[0]
     z = batch @ params.proj_in
-    q = _quantized_sum(params, codes)
+    q = entry_sum(params.entries, codes)
 
     st = z + (q_ref - z_ref)  # straight-through composite in quantization space
     resid = st @ params.proj_out - batch
@@ -277,35 +275,28 @@ def _init_layer_codebooks(
 ) -> list[Codebook]:
     """Per-layer codebook initialization over the init sample.
 
-    kmeans: residual k-means, each layer clustering what the previous left.
-    random: per-dimension moment-matched Gaussian noise; codes start with no
-    relation to individual data points, as when a codebook is trained from
-    scratch alongside an encoder.
+    Each layer is built from what the previous layers left of the sample.
+    kmeans: k-means over that residual. random: per-dimension moment-matched
+    Gaussian noise at the residual's scale; codes start with no relation to
+    individual data points, as when a codebook is trained from scratch
+    alongside an encoder.
     """
     layers = []
-    if config.init == "random":
-        mean = sample.mean(axis=0)
-        std = sample.std(axis=0) + 1e-12
-        for _ in range(config.num_layers):
-            entries = mean + std * rng.standard_normal((config.codebook_size, sample.shape[1]))
-            layers.append(Codebook.from_entries(entries, metric=metric))
-            # Deeper layers see residual scales; keep the same recipe per layer
-            # but shrink toward the residual magnitude left by a nearest-entry pass.
-            idx = fast_euclidean_assign(sample, entries)
-            sample = sample - entries[idx]
-            mean = sample.mean(axis=0)
-            std = sample.std(axis=0) + 1e-12
-        return layers
-    residual = sample.copy()
+    residual = sample
     for _ in range(config.num_layers):
-        cb = kmeans_init(
-            residual,
-            config.codebook_size,
-            iterations=config.kmeans_iterations,
-            rng=rng,
-            metric=metric,
-        )
-        idx = fast_euclidean_assign(residual, cb.entries)
+        if config.init == "random":
+            std = residual.std(axis=0) + 1e-12
+            noise = rng.standard_normal((config.codebook_size, residual.shape[1]))
+            cb = Codebook.from_entries(residual.mean(axis=0) + std * noise, metric=metric)
+        else:
+            cb = kmeans_init(
+                residual,
+                config.codebook_size,
+                iterations=config.kmeans_iterations,
+                rng=rng,
+                metric=metric,
+            )
+        idx = assign_batch(residual, cb.entries, EUCLIDEAN)
         residual = residual - cb.entries[idx]
         layers.append(cb)
     return layers
@@ -314,7 +305,7 @@ def _init_layer_codebooks(
 def _layer_utilization(corpus: np.ndarray, quantizer: RvqQuantizer) -> np.ndarray:
     if quantizer.scheme == PROJECTED:
         corpus = corpus @ quantizer.projections[0].proj_in
-    codes, _, _ = residual_codes(corpus, quantizer.layers, assign_batch)
+    codes = _assign_codes(corpus, [layer.entries for layer in quantizer.layers], quantizer.metric)
     return np.array([len(np.unique(column)) for column in codes.T]) / quantizer.codebook_size
 
 
@@ -333,16 +324,20 @@ def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator
     for step in range(config.steps):
         picks = rng.choice(len(corpus), size=config.batch_size, replace=False)
         batch = corpus[picks]
-        residual = batch
+        entries = [layer.entries for layer in layers]
         layer_inputs = []
-        for n in range(config.num_layers):
+
+        def nearest(residual, n):
             layer_inputs.append(residual)
-            idx = assign_batch(residual, layers[n])
-            quant = layers[n].entries[idx]
+            return assign_batch(residual, entries[n], metric)
+
+        # No lookup reads an updated codebook (layer n+1 never sees layer n's
+        # update), so updating every layer after the recursion is exact.
+        codes, _, residual = residual_codes(batch, entries, nearest)
+        for n in range(config.num_layers):
             layers[n] = ema_update(
-                layers[n], residual, idx, decay=config.decay, epsilon=config.epsilon
+                layers[n], layer_inputs[n], codes[:, n], decay=config.decay, epsilon=config.epsilon
             )
-            residual = residual - quant
         mse[step] = float((residual**2).sum()) / config.batch_size
         _check_finite(mse[step], step, "quantization MSE")
 
@@ -378,7 +373,7 @@ def _train_projected(corpus: np.ndarray, config: TrainConfig, rng: np.random.Gen
         batch = corpus[picks]
         codes = projected_assign(params, batch, metric)
         z = batch @ params.proj_in
-        quant = _quantized_sum(params, codes)
+        quant = entry_sum(params.entries, codes)
 
         recon = quant @ params.proj_out
         mse[step] = float(((recon - batch) ** 2).sum()) / config.batch_size

@@ -210,39 +210,34 @@ def nearest_code(query, codebook: Codebook) -> VqAssignment:
     return VqAssignment(index=i, quantized=codebook.entries[i].copy(), distance=float(dist[0]))
 
 
-def fast_euclidean_assign(queries: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Nearest-entry indices via the expanded |x|^2 - 2xc + |c|^2 form.
+def _guarded_normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(matrix, axis=1)
+    return matrix / np.maximum(norms, 1e-12)[:, None]
 
-    Much faster than the exact path (one GEMM) but may resolve exact ties
-    differently due to floating-point cancellation. Used by training loops
-    and k-means, where only self-consistency matters.
+
+def assign_batch(queries: np.ndarray, entries: np.ndarray, metric: str) -> np.ndarray:
+    """Training-path nearest-entry indices over a (K, q) entry matrix.
+
+    Euclidean uses the expanded |x|^2 - 2xc + |c|^2 form: one GEMM, much
+    faster than the exact lookup, but it may resolve exact ties differently
+    due to floating-point cancellation, so it serves training and k-means,
+    where only self-consistency matters. Unlike the public lookup, zero-norm
+    rows under the cosine metric are tolerated (normalized with an epsilon
+    guard): a fully reconstructed residual is a benign degeneracy inside a
+    training loop, not an input error.
     """
+    if metric == COSINE:
+        qn = _guarded_normalize_rows(queries)
+        en = _guarded_normalize_rows(entries)
+        return np.argmax(qn @ en.T, axis=1)
+    if metric != EUCLIDEAN:
+        raise ValueError(f"unknown metric {metric!r}")
     d2 = (
         (queries * queries).sum(axis=1)[:, None]
         - 2.0 * (queries @ entries.T)
         + (entries * entries).sum(axis=1)[None, :]
     )
     return np.argmin(d2, axis=1)
-
-
-def _guarded_normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
-    return matrix / np.maximum(norms, 1e-12)[:, None]
-
-
-def assign_batch(queries: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Training-path assignment under the codebook metric (indices only).
-
-    Unlike the public lookup, zero-norm rows under the cosine metric are
-    tolerated here (normalized with an epsilon guard): a fully reconstructed
-    residual is a benign degeneracy inside a training loop, not an input
-    error.
-    """
-    if codebook.metric == COSINE:
-        qn = _guarded_normalize_rows(queries)
-        en = _guarded_normalize_rows(codebook.entries)
-        return np.argmax(qn @ en.T, axis=1)
-    return fast_euclidean_assign(queries, codebook.entries)
 
 
 def ema_update(
@@ -429,18 +424,16 @@ def kmeans_init(
 
     rng = as_generator(rng)
     centers = _kmeans_plus_plus(data, num_codes, rng)
-    for _ in range(iterations):
-        idx = fast_euclidean_assign(data, centers)
+    # Lloyd iterations, then one last pass that primes the EMA statistics.
+    for i in range(iterations + 1):
+        idx = assign_batch(data, centers, EUCLIDEAN)
         counts = np.bincount(idx, minlength=num_codes).astype(np.float64)
         sums = np.zeros_like(centers)
         np.add.at(sums, idx, data)
+        if i == iterations:
+            break
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-
-    idx = fast_euclidean_assign(data, centers)
-    counts = np.bincount(idx, minlength=num_codes).astype(np.float64)
-    sums = np.zeros_like(centers)
-    np.add.at(sums, idx, data)
 
     return Codebook(
         entries=centers,

@@ -59,6 +59,11 @@ class TestSampleWithTemperature:
             sample_with_temperature(np.array([0.0, np.inf]), 1.0, 0)
         with pytest.raises(ValueError):
             sample_with_temperature(np.zeros(3), 0.0, 0)
+        for temperature in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                sample_with_temperature(np.zeros(3), temperature, 0)
+            with pytest.raises(ValueError):
+                GenConfig(temperature=temperature)
 
     def test_temperature_entropy_monotonicity(self):
         logits = np.array([2.0, 0.0, -1.0])
@@ -373,6 +378,21 @@ class TestNgram:
             train_ngram_ar([], order=2)
         with pytest.raises(ValueError):
             NgramArModel(order=2, smoothing=0.0, codebook_size=4, counts={})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                NgramArModel(order=2, smoothing=bad, codebook_size=4, counts={})
+
+    def test_toy_models_reject_non_finite_margin(self):
+        truth = np.zeros((3, 2), dtype=np.int64)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                OracleArModel(truth[:, 0], 4, margin=bad)
+            with pytest.raises(ValueError):
+                EosArModel(4, margin=bad)
+            with pytest.raises(ValueError):
+                CyclingArModel(4, margin=bad)
+            with pytest.raises(ValueError):
+                OracleNarModel(truth, 4, margin=bad)
 
 
 class TestHallucinationAnalog:

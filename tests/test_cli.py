@@ -500,6 +500,41 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mlm-sim", "--frames", "20", "--temperature", "nan"],
+            ["mlm-sim", "--frames", "20", "--temperature", "inf"],
+            ["mlm-sim", "--frames", "20", "--cfg", "nan:1"],
+            ["mlm-sim", "--frames", "20", "--cfg", "inf:1"],
+            ["mlm-sim", "--frames", "20", "--margin", "inf"],
+            ["mlm-sim", "--frames", "20", "--margin", "nan"],
+            ["arnar-sim", "--max-frames", "20", "--temperature", "nan"],
+            ["arnar-sim", "--max-frames", "20", "--temperature", "inf"],
+            ["arnar-sim", "--max-frames", "20", "--margin", "inf"],
+            ["arnar-sim", "--max-frames", "20", "--margin", "nan"],
+            ["arnar-sim", "--max-frames", "20", "--layers", "0"],
+            ["arnar-sim", "--max-frames", "20", "--ar", "ngram", "--train-tokens", "{train}",
+             "--ngram-smoothing", "nan"],
+            ["train", "--synth", "modes=4,count=256,sep=nan", "--codebook-size", "16",
+             "--steps", "5"],
+            ["train", "--synth", "modes=4,count=256,sep=inf", "--codebook-size", "16",
+             "--steps", "5"],
+        ],
+    )
+    def test_bad_parameters_are_data_errors(self, tmp_path, capsys, argv):
+        train = tmp_path / "train.jsonl"
+        train.write_text(
+            '{"id":"t","token_rate_hz":50.0,"layers":1,"codebook_size":1024,"codes":[[1],[2],[1]]}\n'
+        )
+        out = tmp_path / "out.bin"
+        argv = [arg.replace("{train}", str(train)) for arg in argv]
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 3, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 

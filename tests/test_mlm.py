@@ -150,6 +150,13 @@ class TestUnmaskFractions:
             DecodeSchedule(iterations_layer1=0)
         with pytest.raises(ValueError):
             DecodeSchedule(temperature=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                DecodeSchedule(temperature=bad)
+            with pytest.raises(ValueError):
+                DecodeSchedule(cfg_start=bad)
+            with pytest.raises(ValueError):
+                DecodeSchedule(cfg_end=bad)
         with pytest.raises(ValueError):
             DecodeSchedule(iterations_layer1=2, unmask_fractions=[0.5, 0.4])
         with pytest.raises(ValueError):
@@ -292,6 +299,13 @@ class TestGenerateParallel:
 
         with pytest.raises(NumericalError):
             generate_parallel(BadModel(), np.arange(12), empty_prompt(2, 5), 12, DecodeSchedule())
+
+    def test_non_finite_margin_rejected(self):
+        # A non-finite margin is bad input (ValueError), unlike logits a
+        # model computes as NaN (NumericalError above).
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                OracleScoreModel(np.zeros((3, 2), dtype=np.int32), margin=bad)
 
     def test_short_grid_commits_everything(self):
         # Fewer maskable frames than iterations: later rounds may commit zero.

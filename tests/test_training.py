@@ -48,6 +48,9 @@ class TestMakeCorpus:
             CorpusSpec(num_components=0)
         with pytest.raises(ValueError):
             CorpusSpec(separation=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                CorpusSpec(separation=bad)
         with pytest.raises(ValueError):
             CorpusSpec(kind="file", path=None)
 
@@ -128,6 +131,24 @@ class TestProjectedTraining:
         )
         batch_x = rng.normal(size=(batch, d)) * 2.0
         return params, batch_x
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_assign_matches_per_layer_brute_force(self, metric):
+        rng = np.random.default_rng(52)
+        for _ in range(5):
+            params, batch = self._random_instance(rng, batch=40)
+            codes = projected_assign(params, batch, metric)
+            residual = batch @ params.proj_in
+            for n, entries in enumerate(params.entries):
+                if metric == "euclidean":
+                    diff = residual[:, None, :] - entries[None, :, :]
+                    expected = np.argmin((diff**2).sum(axis=2), axis=1)
+                else:
+                    rn = residual / np.linalg.norm(residual, axis=1, keepdims=True)
+                    en = entries / np.linalg.norm(entries, axis=1, keepdims=True)
+                    expected = np.argmax(rn @ en.T, axis=1)
+                np.testing.assert_array_equal(codes[:, n], expected)
+                residual = residual - entries[expected]
 
     def test_gradients_match_central_differences(self):
         # Finite-difference oracle over every parameter coordinate, with the
