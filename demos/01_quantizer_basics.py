@@ -1,8 +1,8 @@
 """Single-layer vector quantization, step by step.
 
 Walks through nearest-code lookup under both distance metrics, watches the
-EMA update pull a code vector toward the data assigned to it, revives dead
-codes from a batch, and plots a few values of the snake activation.
+EMA update pull a code vector toward the data assigned to it, and revives
+dead codes from a batch.
 
 Run:  python3 demos/01_quantizer_basics.py
 """
@@ -12,9 +12,8 @@ import numpy as np
 from rvqkit import (
     Codebook,
     ema_update,
-    nearest_code,
+    nearest_codes,
     restart_dead_codes,
-    snake,
 )
 
 rng = np.random.default_rng(0)
@@ -23,13 +22,13 @@ rng = np.random.default_rng(0)
 entries = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 cb = Codebook.from_entries(entries)
 query = np.array([0.9, 0.1])
-hit = nearest_code(query, cb)
-print(f"euclidean lookup: query {query} -> code {hit.index}, distance {hit.distance:.4f}")
+idx, dist = nearest_codes(query, cb)
+print(f"euclidean lookup: query {query} -> code {idx[0]}, distance {dist[0]:.4f}")
 
 cb_cos = Codebook.from_entries(np.array([[1.0, 0.0], [0.0, 1.0]]), metric="cosine")
 for scale in (1.0, 5.0, 0.01):
-    hit = nearest_code(scale * np.array([2.0, 0.3]), cb_cos)
-    print(f"cosine lookup at scale {scale:>5}: code {hit.index}, distance {hit.distance:.6f}")
+    idx, dist = nearest_codes(scale * np.array([2.0, 0.3]), cb_cos)
+    print(f"cosine lookup at scale {scale:>5}: code {idx[0]}, distance {dist[0]:.6f}")
 print("cosine distance ignores vector length; only the direction matters.\n")
 
 # --- EMA codebook updates ---------------------------------------------------
@@ -56,11 +55,3 @@ cb2, revived = restart_dead_codes(cb, batch, threshold=1, rng=7)
 print(f"restart revived {revived} dead codes; their entries are now batch members:")
 for i in (1, 2, 3):
     print(f"  code {i}: {np.round(cb2.entries[i], 4)}")
-print()
-
-# --- Snake activation --------------------------------------------------------
-xs = np.array([0.0, np.pi / 4, np.pi / 2, np.pi, 2.0])
-print("snake(x) = x + sin^2(alpha x) / alpha")
-for alpha in (1.0, 2.0):
-    print(f"  alpha={alpha}: {np.round(snake(xs, alpha), 4)}")
-print("the nonlinear part repeats with period pi/alpha, which suits periodic signals.")

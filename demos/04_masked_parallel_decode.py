@@ -17,7 +17,6 @@ from rvqkit import (
     anneal_coeff,
     cosine_unmask_fractions,
     generate_parallel,
-    span_mask,
 )
 
 T, N, K = 50, 8, 64
@@ -31,11 +30,6 @@ prompt = TokenStream(
     source_id="demo",
 )
 schedule = DecodeSchedule(iterations_layer1=5, cfg_start=0.0, cfg_end=2.0, rng_seed=3)
-
-print("span masking (training-style corruption): blocks of 5, rate 0.4, 40 frames")
-mask = span_mask(40, block_size=5, mask_rate=0.4, rng=3)
-print("  " + "".join("#" if m else "." for m in mask))
-print()
 
 fractions = cosine_unmask_fractions(schedule.iterations_layer1)
 print("cosine commit schedule (fraction of masked tokens per iteration):")

@@ -203,10 +203,6 @@ class NgramArModel:
         self.codebook_size = codebook_size
         self._counts = counts
 
-    @property
-    def eos_index(self) -> int:
-        return self.codebook_size
-
     def _context(self, prompt_codes: np.ndarray, generated_prefix: np.ndarray) -> tuple:
         seq = np.concatenate([prompt_codes, generated_prefix]) if len(prompt_codes) else generated_prefix
         width = self.order - 1

@@ -294,7 +294,6 @@ def cmd_mlm_sim(args) -> int:
     )
     schedule = DecodeSchedule(
         iterations_layer1=args.iterations,
-        mask_block_size=args.block_size,
         cfg_start=cfg_start,
         cfg_end=cfg_end,
         temperature=args.temperature,
@@ -446,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, default=8)
     p.add_argument("--codebook-size", type=int, default=1024)
     p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--block-size", type=int, default=5)
     p.add_argument("--cfg", default="0:2", help="guidance coefficients START:END")
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)

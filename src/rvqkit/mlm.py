@@ -59,7 +59,6 @@ class DecodeSchedule:
     """
 
     iterations_layer1: int = 5
-    mask_block_size: int = 5
     cfg_start: float = 0.0
     cfg_end: float = 2.0
     temperature: float = 1.0
@@ -69,8 +68,6 @@ class DecodeSchedule:
     def __post_init__(self):
         if self.iterations_layer1 < 1:
             raise ValueError("iterations_layer1 must be >= 1")
-        if self.mask_block_size < 1:
-            raise ValueError("mask_block_size must be >= 1")
         if not 0 < self.temperature < math.inf:
             raise ValueError("temperature must be positive and finite")
         if not (math.isfinite(self.cfg_start) and math.isfinite(self.cfg_end)):
@@ -93,35 +90,6 @@ class GenerationStats:
     unconditional_passes: int
     commit_counts: list[int] = field(default_factory=list)
     layer1_confidence: np.ndarray | None = None
-
-
-def span_mask(num_frames: int, block_size: int, mask_rate: float, rng=0) -> np.ndarray:
-    """Union of aligned blocks covering the smallest fraction >= mask_rate.
-
-    Blocks of `block_size` positions (the last one may be shorter) are chosen
-    uniformly without replacement until the masked fraction first reaches
-    mask_rate; mask_rate 1 masks everything, mask_rate 0 nothing.
-    """
-    if num_frames < 1:
-        raise ValueError("num_frames must be >= 1")
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    if not 0.0 <= mask_rate <= 1.0:
-        raise ValueError("mask_rate must lie in [0, 1]")
-    mask = np.zeros(num_frames, dtype=bool)
-    if mask_rate <= 0.0:
-        return mask
-    rng = as_generator(rng)
-    num_blocks = math.ceil(num_frames / block_size)
-    masked = 0
-    for b in rng.permutation(num_blocks):
-        if masked >= mask_rate * num_frames:
-            break
-        lo = int(b) * block_size
-        hi = min(lo + block_size, num_frames)
-        mask[lo:hi] = True
-        masked += hi - lo
-    return mask
 
 
 def anneal_coeff(progress: float, cfg_start: float, cfg_end: float) -> float:

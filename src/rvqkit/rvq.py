@@ -98,8 +98,6 @@ class TokenStream:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.int32)
-        if self.frames.ndim != 2:
-            self.frames = self.frames.reshape(-1, self.layers)
         self.validate()
 
     @property
@@ -113,6 +111,8 @@ class TokenStream:
             raise ValueError("layers must be >= 1")
         if self.codebook_size < 1:
             raise ValueError("codebook_size must be >= 1")
+        if self.frames.ndim != 2:
+            raise ValueError(f"frames must be a (T, layers) matrix, got shape {self.frames.shape}")
         if self.frames.shape[1] != self.layers:
             raise ValueError(
                 f"frame width {self.frames.shape[1]} does not match layers={self.layers}"

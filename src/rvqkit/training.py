@@ -31,7 +31,6 @@ from .rvq import PLAIN, PROJECTED, RvqQuantizer, entry_sum, residual_codes
 from .vq import (
     COSINE,
     DEFAULT_DECAY,
-    DEFAULT_EPSILON,
     EUCLIDEAN,
     Codebook,
     ProjectionPair,
@@ -59,7 +58,6 @@ class TrainConfig:
     quant_dim: int | None = None  # projected scheme only; defaults to latent_dim otherwise
     metric: str | None = None  # defaults: euclidean for EMA schemes, cosine for projected
     decay: float = DEFAULT_DECAY
-    epsilon: float = DEFAULT_EPSILON
     commitment_weight: float = 0.25
     codebook_weight: float = 1.0
     learning_rate: float = 1e-3
@@ -67,8 +65,6 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     restart_period: int = 100
-    restart_threshold: int = 1
-    kmeans_iterations: int = 10
     init: str = "kmeans"  # or "random": moment-matched noise, no data placement
 
     def __post_init__(self):
@@ -80,8 +76,10 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.commitment_weight < 0 or self.codebook_weight < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not (0 <= self.commitment_weight < math.inf and 0 <= self.codebook_weight < math.inf):
+            raise ValueError("loss weights must be non-negative and finite")
         if self.scheme == SCHEME_PROJECTED:
             if self.quant_dim is None:
                 raise ValueError("projected scheme requires quant_dim")
@@ -152,22 +150,6 @@ def make_corpus(spec: CorpusSpec) -> np.ndarray:
     means = rng.uniform(-half, half, size=(spec.num_components, spec.dims))
     which = rng.integers(0, spec.num_components, size=spec.count)
     return means[which] + rng.standard_normal((spec.count, spec.dims))
-
-
-def straight_through(latent, quantized) -> np.ndarray:
-    """Training-time composite: the value is `quantized`, exactly.
-
-    By convention the quantization step is transparent to sensitivities, so
-    any downstream gradient taken with respect to this composite applies to
-    `latent` unchanged (identity Jacobian). The gradient side of the contract
-    lives in `projected_grads`, which snapshots `quantized - latent` as a
-    constant of the step.
-    """
-    latent = np.asarray(latent, dtype=np.float64)
-    quantized = np.asarray(quantized, dtype=np.float64)
-    if latent.shape != quantized.shape:
-        raise ValueError(f"shape mismatch {latent.shape} vs {quantized.shape}")
-    return quantized.copy()
 
 
 @dataclass
@@ -289,13 +271,7 @@ def _init_layer_codebooks(
             noise = rng.standard_normal((config.codebook_size, residual.shape[1]))
             cb = Codebook.from_entries(residual.mean(axis=0) + std * noise, metric=metric)
         else:
-            cb = kmeans_init(
-                residual,
-                config.codebook_size,
-                iterations=config.kmeans_iterations,
-                rng=rng,
-                metric=metric,
-            )
+            cb = kmeans_init(residual, config.codebook_size, rng=rng, metric=metric)
         idx = assign_batch(residual, cb.entries, EUCLIDEAN)
         residual = residual - cb.entries[idx]
         layers.append(cb)
@@ -335,17 +311,13 @@ def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator
         # update), so updating every layer after the recursion is exact.
         codes, _, residual = residual_codes(batch, entries, nearest)
         for n in range(config.num_layers):
-            layers[n] = ema_update(
-                layers[n], layer_inputs[n], codes[:, n], decay=config.decay, epsilon=config.epsilon
-            )
+            layers[n] = ema_update(layers[n], layer_inputs[n], codes[:, n], decay=config.decay)
         mse[step] = float((residual**2).sum()) / config.batch_size
         _check_finite(mse[step], step, "quantization MSE")
 
         if with_restart and (step + 1) % config.restart_period == 0:
             for n in range(config.num_layers):
-                layers[n], _ = restart_dead_codes(
-                    layers[n], layer_inputs[n], threshold=config.restart_threshold, rng=rng
-                )
+                layers[n], _ = restart_dead_codes(layers[n], layer_inputs[n], rng=rng)
 
     quantizer = RvqQuantizer(layers=layers, latent_dim=config.latent_dim, scheme=PLAIN)
     # For the plain scheme the codebook/commitment values coincide with the MSE.
@@ -414,9 +386,9 @@ def _train_projected(corpus: np.ndarray, config: TrainConfig, rng: np.random.Gen
 def train_quantizer(corpus, config: TrainConfig) -> tuple[RvqQuantizer, TrainReport]:
     """Train a residual quantizer on a corpus under the configured scheme.
 
-    Codebooks are initialized by residual k-means on the leading
-    max(codebook_size, batch_size) corpus vectors. Identical corpus, config
-    and seed reproduce bit-identical quantizers.
+    Codebooks are initialized (`config.init`) layer by layer on the residuals
+    of the leading max(2 * codebook_size, batch_size) corpus vectors.
+    Identical corpus, config and seed reproduce bit-identical quantizers.
     """
     corpus = np.atleast_2d(np.asarray(corpus, dtype=np.float64))
     if corpus.shape[1] != config.latent_dim:

@@ -102,15 +102,6 @@ class Codebook:
 
 
 @dataclass
-class VqAssignment:
-    """Result of one nearest-code lookup."""
-
-    index: int
-    quantized: np.ndarray
-    distance: float
-
-
-@dataclass
 class ProjectionPair:
     """Linear maps between the latent space (d) and the quantization space (q).
 
@@ -198,16 +189,6 @@ def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
         idx[lo:hi] = best
         dist[lo:hi] = np.sqrt(d2[np.arange(hi - lo), best])
     return idx, dist
-
-
-def nearest_code(query, codebook: Codebook) -> VqAssignment:
-    """Find the codebook entry closest to a single query vector."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1:
-        raise ValueError("nearest_code expects a 1-D query; use nearest_codes for batches")
-    idx, dist = nearest_codes(query[None, :], codebook)
-    i = int(idx[0])
-    return VqAssignment(index=i, quantized=codebook.entries[i].copy(), distance=float(dist[0]))
 
 
 def _guarded_normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -356,33 +337,6 @@ def project_out(y, pair: ProjectionPair) -> np.ndarray:
     if y.shape[-1] != pair.quant_dim:
         raise ValueError(f"input dim {y.shape[-1]} does not match proj_out dim {pair.quant_dim}")
     return y @ pair.proj_out
-
-
-def codebook_loss(z, q) -> float:
-    """Squared Euclidean distance ||q - z||^2, attributed to the codebook side."""
-    z = np.asarray(z, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if z.shape != q.shape:
-        raise ValueError(f"shape mismatch {z.shape} vs {q.shape}")
-    diff = q - z
-    return float((diff * diff).sum())
-
-
-def commitment_loss(z, q) -> float:
-    """Same value as `codebook_loss`; the encoder-side attribution differs only in gradient routing."""
-    return codebook_loss(z, q)
-
-
-def snake(x, alpha: float = 1.0):
-    """Snake activation x + sin^2(alpha * x) / alpha, elementwise."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    arr = np.asarray(x, dtype=np.float64)
-    s = np.sin(alpha * arr)
-    out = arr + s * s / alpha
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,5 +1,9 @@
 """CLI surface: command behavior, exit codes, determinism of files and stdout."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,9 @@ from rvqkit import (
     read_vectors,
     write_vectors,
 )
-from rvqkit.cli import main
+from rvqkit.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -520,6 +526,14 @@ class TestExitCodes:
              "--steps", "5"],
             ["train", "--synth", "modes=4,count=256,sep=inf", "--codebook-size", "16",
              "--steps", "5"],
+            ["train", "--synth", "modes=4,count=256", "--scheme", "projected", "--latent-dim", "16",
+             "--quant-dim", "4", "--codebook-size", "16", "--steps", "20", "--learning-rate", "0"],
+            ["train", "--synth", "modes=4,count=256", "--scheme", "projected", "--latent-dim", "16",
+             "--quant-dim", "4", "--codebook-size", "16", "--steps", "20", "--learning-rate", "-1"],
+            ["train", "--synth", "modes=4,count=256", "--scheme", "projected", "--latent-dim", "16",
+             "--quant-dim", "4", "--codebook-size", "16", "--steps", "20", "--commitment-weight", "nan"],
+            ["train", "--synth", "modes=4,count=256", "--scheme", "projected", "--latent-dim", "16",
+             "--quant-dim", "4", "--codebook-size", "16", "--steps", "20", "--codebook-weight", "inf"],
         ],
     )
     def test_bad_parameters_are_data_errors(self, tmp_path, capsys, argv):
@@ -540,3 +554,18 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+def test_readme_cli_examples_parse():
+    # Every `rvqkit ...` command in the README's sh blocks, continuations joined.
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("rvqkit "):
+                commands.append(shlex.split(line)[1:])
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in commands} == {
+        "train", "encode", "decode", "analyze", "mlm-sim", "arnar-sim"
+    }

@@ -1,9 +1,7 @@
-"""Masked parallel decoding: masking, guidance, confidence commits, oracle recovery."""
+"""Masked parallel decoding: schedules, guidance, confidence commits, oracle recovery."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rvqkit import (
     MASKED,
@@ -17,7 +15,6 @@ from rvqkit import (
     confidence_select,
     cosine_unmask_fractions,
     generate_parallel,
-    span_mask,
 )
 
 
@@ -29,57 +26,6 @@ def empty_prompt(layers, k, rate=50.0):
         codebook_size=k,
         source_id="test",
     )
-
-
-class TestSpanMask:
-    def test_full_rate(self):
-        mask = span_mask(17, block_size=5, mask_rate=1.0, rng=0)
-        assert mask.all()
-
-    def test_zero_rate(self):
-        mask = span_mask(17, block_size=5, mask_rate=0.0, rng=0)
-        assert not mask.any()
-
-    def test_half_rate_two_blocks(self):
-        # 20 frames, 4 blocks of 5: exactly two blocks must be chosen.
-        mask = span_mask(20, block_size=5, mask_rate=0.5, rng=0)
-        assert mask.sum() == 10
-        blocks = mask.reshape(4, 5)
-        per_block = blocks.sum(axis=1)
-        assert sorted(per_block.tolist()) == [0, 0, 5, 5]
-        # With this seed the chosen blocks are non-adjacent: two runs of 5.
-        runs = np.diff(np.flatnonzero(np.diff(np.concatenate([[0], mask.view(np.int8), [0]]))))
-        assert runs[::2].tolist() == [5, 5]
-
-    def test_deterministic(self):
-        a = span_mask(33, 4, 0.4, rng=11)
-        b = span_mask(33, 4, 0.4, rng=11)
-        np.testing.assert_array_equal(a, b)
-
-    @given(
-        st.integers(1, 80),
-        st.integers(1, 9),
-        st.floats(0.0, 1.0),
-        st.integers(0, 1000),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_block_structure_property(self, t, b, rate, seed):
-        mask = span_mask(t, b, rate, rng=seed)
-        masked = int(mask.sum())
-        assert masked >= rate * t or masked == t
-        # Every masked position belongs to a fully masked aligned block.
-        for start in range(0, t, b):
-            block = mask[start : min(start + b, t)]
-            assert block.all() or not block.any()
-        # Minimality: the last-added block crossed the threshold, so removing
-        # the largest chosen block must fall below the rate again.
-        if masked > 0:
-            sizes = [
-                mask[s : min(s + b, t)].sum()
-                for s in range(0, t, b)
-                if mask[s : min(s + b, t)].any()
-            ]
-            assert masked - max(sizes) < rate * t
 
 
 class TestAnnealCoeff:

@@ -276,3 +276,9 @@ class TestTokenStream:
             codebook_size=16,
         )
         assert s.num_frames == 0
+
+    def test_frames_must_be_two_dimensional(self):
+        # No regrouping: flat or 3-D frames are rejected, not reshaped.
+        for frames in ([0, 1, 2, 3], [[[0, 1]], [[2, 3]]], 5):
+            with pytest.raises(ValueError, match="frames must be"):
+                TokenStream(frames=frames, token_rate_hz=50.0, layers=2, codebook_size=8)

@@ -12,7 +12,6 @@ from rvqkit import (
     projected_assign,
     projected_grads,
     projected_loss,
-    straight_through,
     train_quantizer,
     write_vectors,
 )
@@ -242,57 +241,11 @@ class TestProjectedTraining:
             TrainConfig(scheme="ema", latent_dim=8, quant_dim=4)
         with pytest.raises(ValueError):
             TrainConfig(steps=0)
-
-
-class TestStraightThrough:
-    def test_value_equals_quantized(self):
-        rng = np.random.default_rng(54)
-        latent = rng.normal(size=6)
-        quantized = rng.normal(size=6)
-        out = straight_through(latent, quantized)
-        np.testing.assert_array_equal(out, quantized)
-
-    def test_identity_jacobian_via_linear_head(self):
-        # Downstream value: f(latent) = ||st(latent, q0) @ W - y||^2 with the
-        # straight-through offset (q0 - latent0) frozen at the base point.
-        # The identity-Jacobian contract says df/dlatent equals the gradient
-        # of the same expression taken with respect to the quantized input.
-        rng = np.random.default_rng(55)
-        dim, out_dim = 5, 3
-        w = rng.normal(size=(dim, out_dim))
-        y = rng.normal(size=out_dim)
-        latent0 = rng.normal(size=dim)
-        q0 = rng.normal(size=dim)
-        offset = q0 - latent0
-
-        def value(latent):
-            composite = latent + offset  # straight-through composite value
-            r = composite @ w - y
-            return float(r @ r)
-
-        analytic = 2.0 * w @ ((latent0 + offset) @ w - y)
-        step = 1e-4
-        fd = np.zeros(dim)
-        for j in range(dim):
-            up = latent0.copy()
-            up[j] += step
-            down = latent0.copy()
-            down[j] -= step
-            fd[j] = (value(up) - value(down)) / (2 * step)
-        np.testing.assert_allclose(analytic, fd, rtol=1e-3)
-
-    def test_downstream_gradient_transfers(self):
-        # MSE gradient with respect to the composite equals the gradient with
-        # respect to the raw quantized value at the same point.
-        rng = np.random.default_rng(56)
-        latent = rng.normal(size=4)
-        quantized = rng.normal(size=4)
-        target = rng.normal(size=4)
-        st = straight_through(latent, quantized)
-        grad_st = 2.0 * (st - target)
-        grad_q = 2.0 * (quantized - target)
-        np.testing.assert_array_equal(grad_st, grad_q)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            straight_through(np.ones(3), np.ones(4))
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=bad)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="loss weights"):
+                TrainConfig(commitment_weight=bad)
+            with pytest.raises(ValueError, match="loss weights"):
+                TrainConfig(codebook_weight=bad)

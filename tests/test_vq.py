@@ -1,4 +1,4 @@
-"""Single-layer quantization: lookups, EMA updates, restarts, projections, snake."""
+"""Single-layer quantization: lookups, EMA updates, restarts, projections, k-means."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,12 @@ from rvqkit import (
     Codebook,
     DegenerateInputError,
     ProjectionPair,
-    codebook_loss,
-    commitment_loss,
     ema_update,
     kmeans_init,
-    nearest_code,
     nearest_codes,
     project_in,
     project_out,
     restart_dead_codes,
-    snake,
 )
 
 
@@ -40,34 +36,36 @@ def brute_force_nearest(query, entries, metric="euclidean"):
 class TestNearestCode:
     def test_three_entry_example(self):
         cb = Codebook.from_entries([[0, 0], [1, 0], [0, 1]])
-        a = nearest_code([0.9, 0.1], cb)
-        assert a.index == 1
-        assert a.distance == pytest.approx(np.sqrt(0.01 + 0.01), abs=1e-12)
+        idx, dist = nearest_codes([0.9, 0.1], cb)
+        assert idx[0] == 1
+        assert dist[0] == pytest.approx(np.sqrt(0.01 + 0.01), abs=1e-12)
         oracle_i, oracle_d = brute_force_nearest([0.9, 0.1], cb.entries)
-        assert a.index == oracle_i
-        assert a.distance == pytest.approx(oracle_d)
+        assert idx[0] == oracle_i
+        assert dist[0] == pytest.approx(oracle_d)
 
     def test_exact_match_zero_distance(self):
         cb = Codebook.from_entries([[1, 0], [0, 1]])
-        a = nearest_code([1.0, 0.0], cb)
-        assert a.index == 0
-        assert a.distance == 0.0
+        idx, dist = nearest_codes([1.0, 0.0], cb)
+        assert idx[0] == 0
+        assert dist[0] == 0.0
 
     def test_cosine_scale_invariance_example(self):
         cb = Codebook.from_entries([[1, 0], [0, 1]], metric="cosine")
-        a = nearest_code([5.0, 0.0], cb)
-        assert a.index == 0
-        assert a.distance == pytest.approx(0.0, abs=1e-12)
+        idx, dist = nearest_codes([5.0, 0.0], cb)
+        assert idx[0] == 0
+        assert dist[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_quantized_is_exact_entry(self):
+        # The reported distance is the distance to the returned entry itself.
         cb = Codebook.from_entries([[0.3, -0.7], [2.2, 0.1]])
-        a = nearest_code([2.0, 0.0], cb)
-        assert np.array_equal(a.quantized, cb.entries[a.index])
+        q = np.array([2.0, 0.0])
+        idx, dist = nearest_codes(q, cb)
+        assert dist[0] == np.sqrt(((q - cb.entries[idx[0]]) ** 2).sum())
 
     def test_tie_breaks_to_lowest_index(self):
         cb = Codebook.from_entries([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        assert nearest_code([1.0, 0.0], cb).index == 0
-        assert nearest_code([0.5, 0.0], cb).index == 0
+        idx, _ = nearest_codes([[1.0, 0.0], [0.5, 0.0]], cb)
+        assert idx.tolist() == [0, 0]
 
     def test_lookup_optimality_exhaustive(self):
         rng = np.random.default_rng(7)
@@ -89,10 +87,10 @@ class TestNearestCode:
         entries = rng.normal(size=(4096, 4))
         cb = Codebook.from_entries(entries)
         q = rng.normal(size=4)
-        a = nearest_code(q, cb)
+        idx, dist = nearest_codes(q, cb)
         all_d = np.sqrt(((entries - q) ** 2).sum(axis=1))
-        assert a.distance <= all_d.min() + 1e-12
-        assert a.index == int(np.argmin(all_d))
+        assert dist[0] <= all_d.min() + 1e-12
+        assert idx[0] == int(np.argmin(all_d))
 
     def test_cosine_scale_invariance_random(self):
         rng = np.random.default_rng(3)
@@ -100,14 +98,14 @@ class TestNearestCode:
         cb = Codebook.from_entries(entries, metric="cosine")
         for _ in range(50):
             q = rng.normal(size=8)
-            base = nearest_code(q, cb).index
+            base = nearest_codes(q, cb)[0]
             for scale in (0.01, 3.0, 1e4):
-                assert nearest_code(scale * q, cb).index == base
+                assert nearest_codes(scale * q, cb)[0] == base
 
     def test_dimension_mismatch_raises(self):
         cb = Codebook.from_entries([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
-            nearest_code([1.0, 0.0, 0.0], cb)
+            nearest_codes([1.0, 0.0, 0.0], cb)
 
     def test_non_finite_query_raises(self):
         for metric in ("euclidean", "cosine"):
@@ -116,15 +114,53 @@ class TestNearestCode:
                 with pytest.raises(ValueError, match="finite"):
                     nearest_codes([[1.0, 0.0], [bad, 0.0]], cb)
                 with pytest.raises(ValueError, match="finite"):
-                    nearest_code([0.0, bad], cb)
+                    nearest_codes([0.0, bad], cb)
 
     def test_cosine_zero_norm_raises(self):
         cb = Codebook.from_entries([[1, 0], [0, 1]], metric="cosine")
         with pytest.raises(DegenerateInputError):
-            nearest_code([0.0, 0.0], cb)
+            nearest_codes([0.0, 0.0], cb)
         bad = Codebook.from_entries([[1, 0], [0, 0]], metric="cosine")
         with pytest.raises(DegenerateInputError):
-            nearest_code([1.0, 1.0], bad)
+            nearest_codes([1.0, 1.0], bad)
+
+    @given(st.data(), st.sampled_from(["euclidean", "cosine"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_with_duplicates(self, data, metric):
+        # A coarse grid makes duplicate entries common; inserted copies make
+        # them certain. Half the queries are exact copies of an entry.
+        dim = data.draw(st.integers(1, 4))
+        row = st.lists(st.integers(-2, 2).map(float), min_size=dim, max_size=dim)
+        if metric == "cosine":
+            row = row.filter(any)
+        rows = data.draw(st.lists(row, min_size=1, max_size=10))
+        for _ in range(data.draw(st.integers(1, 4))):
+            copy = rows[data.draw(st.integers(0, len(rows) - 1))]
+            rows.insert(data.draw(st.integers(0, len(rows))), copy)
+        entries = np.array(rows)
+        cb = Codebook.from_entries(entries, metric=metric)
+
+        exact = data.draw(st.booleans())
+        if exact:
+            query = entries[data.draw(st.integers(0, len(rows) - 1))]
+        else:
+            # Tiny components are zeroed: their squares underflow the norm.
+            coord = st.floats(-3, 3).map(lambda x: x if abs(x) > 1e-3 else 0.0)
+            query = np.array(data.draw(st.lists(coord, min_size=dim, max_size=dim)))
+            if metric == "cosine" and not query.any():
+                query[0] = 1.0
+
+        idx, dist = nearest_codes(query, cb)
+        i, d = int(idx[0]), float(dist[0])
+        _, oracle_d = brute_force_nearest(query, entries, metric)
+        # Ties go to the lowest index among identical entries.
+        assert i == next(j for j, e in enumerate(entries) if np.array_equal(e, entries[i]))
+        assert d == pytest.approx(oracle_d, rel=1e-12, abs=1e-12)
+        if exact and metric == "euclidean":
+            assert d == 0.0
+            assert i == next(j for j, e in enumerate(entries) if np.array_equal(e, query))
+        elif exact:
+            assert d == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEmaUpdate:
@@ -291,57 +327,6 @@ class TestProjections:
             project_out(np.ones(4), pair)
         with pytest.raises(ValueError):
             ProjectionPair(proj_in=np.ones((2, 4)), proj_out=np.ones((4, 2)))  # d < q
-
-
-class TestLosses:
-    def test_zero_on_equal(self):
-        assert codebook_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_three_four_five(self):
-        assert codebook_loss([0.0, 0.0], [3.0, 4.0]) == pytest.approx(25.0)
-
-    def test_symmetric_value(self):
-        rng = np.random.default_rng(8)
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        assert codebook_loss(a, b) == pytest.approx(codebook_loss(b, a))
-        assert commitment_loss(a, b) == pytest.approx(codebook_loss(a, b))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            codebook_loss(np.ones(2), np.ones(3))
-
-
-class TestSnake:
-    def test_zero(self):
-        for alpha in (0.5, 1.0, 7.0):
-            assert snake(0.0, alpha) == 0.0
-
-    def test_half_pi(self):
-        assert snake(np.pi / 2, 1.0) == pytest.approx(np.pi / 2 + 1.0, abs=1e-12)
-
-    def test_periodic_offset_alpha_two(self):
-        alpha = 2.0
-        x = 0.813
-        lhs = snake(x + np.pi / alpha, alpha) - (x + np.pi / alpha)
-        rhs = snake(x, alpha) - x
-        assert lhs == pytest.approx(rhs, abs=1e-9)
-
-    @given(st.floats(-50, 50), st.floats(0.1, 10))
-    @settings(max_examples=200, deadline=None)
-    def test_periodicity_property(self, x, alpha):
-        lhs = snake(x + np.pi / alpha, alpha) - (x + np.pi / alpha)
-        rhs = snake(x, alpha) - x
-        assert abs(lhs - rhs) < 1e-9
-
-    def test_elementwise_shape(self):
-        out = snake(np.linspace(-1, 1, 7), alpha=3.0)
-        assert out.shape == (7,)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            snake(1.0, alpha=0.0)
-        with pytest.raises(ValueError):
-            snake(1.0, alpha=-2.0)
 
 
 class TestKmeansInit:
