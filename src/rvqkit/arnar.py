@@ -20,7 +20,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ._rng import as_generator, sample_rows
+from ._rng import as_generator, checked_logits, sample_rows
 from .errors import EmptyGenerationError
 from .rvq import TokenStream
 
@@ -97,8 +97,9 @@ def generate_ar(model: ArModel, condition, prompt_codes, config: GenConfig) -> n
     t = 0
     while t < config.max_frames:
         logits = model.next_logits(condition, prompt_codes, drawn[:t])
+        logits = checked_logits(logits, (None,), "AR")
         idx = sample_with_temperature(logits, config.temperature, rng, config.top_k)
-        if idx == np.size(logits) - 1:  # EOS
+        if idx == len(logits) - 1:  # EOS
             break
         drawn[t] = idx
         t += 1
@@ -134,16 +135,11 @@ def generate_nar(
     grid = np.zeros((t, num_layers), dtype=np.int32)
     grid[:, 0] = layer1
     for layer in range(1, num_layers):
-        logits = np.asarray(
+        logits = checked_logits(
             model.layer_logits(condition, prompt, grid[:, :layer].copy(), layer),
-            dtype=np.float64,
+            (t, codebook_size),
+            f"NAR layer-{layer}",
         )
-        if logits.shape != (t, codebook_size):
-            raise ValueError(
-                f"NAR logits shape {logits.shape} != {(t, codebook_size)} for layer {layer}"
-            )
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("NAR model returned non-finite logits")
         grid[:, layer] = np.argmax(logits, axis=1)
 
     return TokenStream(

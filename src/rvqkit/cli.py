@@ -47,6 +47,18 @@ class UsageError(Exception):
     pass
 
 
+# What each error a command raises exits with; any other exception is a bug
+# and keeps its traceback. A FormatError or FileNotFoundError is a ValueError
+# or OSError, so bad files exit 3.
+_EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    NumericalError: EXIT_NUMERIC,
+    EmptyGenerationError: EXIT_NUMERIC,
+    ValueError: EXIT_DATA,
+    OSError: EXIT_DATA,
+}
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -73,7 +85,6 @@ def _parse_synth_spec(text: str, seed: int, latent_dim: int) -> CorpusSpec:
     if fields["dims"] != latent_dim:
         raise UsageError(f"--synth dims={fields['dims']} conflicts with --latent-dim {latent_dim}")
     return CorpusSpec(
-        kind="gaussian_mixture",
         num_components=fields["modes"],
         dims=fields["dims"],
         separation=fields["sep"],
@@ -102,13 +113,9 @@ def cmd_train(args) -> int:
         raise UsageError("--steps must be >= 1")
 
     if args.corpus is not None:
-        corpus = make_corpus(CorpusSpec(kind="file", path=args.corpus))
+        corpus = rvqio.read_vectors(args.corpus)
     else:
         corpus = make_corpus(_parse_synth_spec(args.synth, args.seed, args.latent_dim))
-    if corpus.shape[1] != args.latent_dim:
-        raise FormatError(
-            f"corpus dim {corpus.shape[1]} does not match --latent-dim {args.latent_dim}"
-        )
 
     config = TrainConfig(
         scheme=scheme,
@@ -127,10 +134,7 @@ def cmd_train(args) -> int:
         restart_period=args.restart_period,
         init=args.init,
     )
-    try:
-        quantizer, report = train_quantizer(corpus, config)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    quantizer, report = train_quantizer(corpus, config)
     rvqio.save_quantizer(args.out, quantizer)
 
     _emit("scheme", scheme)
@@ -164,11 +168,6 @@ def _encode_frames(quantizer, vectors: np.ndarray, threads: int) -> np.ndarray:
 def cmd_encode(args) -> int:
     quantizer = rvqio.load_quantizer(args.codebook)
     vectors = rvqio.read_vectors(args.input).astype(np.float64)
-    if vectors.shape[0] and vectors.shape[1] != quantizer.latent_dim:
-        raise FormatError(
-            f"input dim {vectors.shape[1]} does not match codebook latent dim "
-            f"{quantizer.latent_dim}"
-        )
     if args.token_rate <= 0:
         raise UsageError("--token-rate must be positive")
 
@@ -229,14 +228,9 @@ def cmd_analyze(args) -> int:
     streams = []
     for path in args.tokens:
         streams.extend(rvqio.read_token_streams(path))
-    if not streams:
-        raise FormatError("no token streams found in the given files")
     if args.layer < 1:
         raise UsageError("--layer is 1-based and must be >= 1")
-    try:
-        report = utilization(streams, args.layer - 1)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    report = utilization(streams, args.layer - 1)
     table = rank_frequency(report)
 
     if args.format == "json-lines":
@@ -331,6 +325,7 @@ def cmd_arnar_sim(args) -> int:
         raise UsageError("--prompt-frames must be smaller than --max-frames")
     if args.layers < 1:
         raise ValueError("layers must be >= 1")
+    support_streams = rvqio.read_token_streams(args.support) if args.support else None
 
     rng = np.random.default_rng(args.seed)
     truth = rng.integers(0, args.codebook_size, size=(args.max_frames, args.layers), dtype=np.int32)
@@ -342,14 +337,12 @@ def cmd_arnar_sim(args) -> int:
         ar = CyclingArModel(args.codebook_size, margin=args.margin)
     else:
         train_streams = rvqio.read_token_streams(args.train_tokens)
-        if not train_streams:
-            raise FormatError(f"{args.train_tokens}: no streams to train the n-gram model on")
-        if train_streams[0].codebook_size != args.codebook_size:
+        ar = train_ngram_ar(train_streams, order=args.ngram_order, smoothing=args.ngram_smoothing)
+        if ar.codebook_size != args.codebook_size:
             raise FormatError(
                 f"--codebook-size {args.codebook_size} does not match training streams "
-                f"({train_streams[0].codebook_size})"
+                f"({ar.codebook_size})"
             )
-        ar = train_ngram_ar(train_streams, order=args.ngram_order, smoothing=args.ngram_smoothing)
 
     # NAR ground truth is aligned with the generated span (post-prompt frames).
     nar = OracleNarModel(
@@ -376,8 +369,7 @@ def cmd_arnar_sim(args) -> int:
     _emit("frames", stream.num_frames)
     _emit("ar_steps", stats.ar_steps)
     _emit("nar_passes", stats.nar_passes)
-    if args.support:
-        support_streams = rvqio.read_token_streams(args.support)
+    if support_streams is not None:
         support = set()
         for s in support_streams:
             support.update(int(c) for c in s.frames[:, 0])
@@ -485,21 +477,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericalError, EmptyGenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -182,19 +182,12 @@ def write_token_streams(path: str, streams: list[TokenStream]) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _frames(codes, layers: int, codebook_size: int) -> np.ndarray:
-    """A record's codes as (T, layers) int32, or ValueError if they are not
-    a list of `layers`-wide frames of integers in [0, codebook_size)."""
+def _frames(codes, layers: int) -> np.ndarray:
+    """A record's codes as an array; an empty JSON list is zero `layers`-wide
+    frames. `TokenStream` checks the shape, the dtype and the range."""
     if isinstance(codes, list) and not codes:
         return np.empty((0, layers), dtype=np.int32)
-    frames = np.asarray(codes)
-    if frames.ndim != 2 or frames.shape[1] != layers:
-        raise ValueError(f"codes must be a list of frames of {layers} codes each")
-    if frames.dtype.kind not in "iu":
-        raise ValueError("codes must be integers")
-    if frames.min() < 0 or frames.max() >= codebook_size:
-        raise ValueError(f"codes must lie in [0, {codebook_size})")
-    return frames.astype(np.int32)
+    return np.asarray(codes)
 
 
 def read_token_streams(path: str) -> list[TokenStream]:
@@ -211,16 +204,21 @@ def read_token_streams(path: str) -> list[TokenStream]:
                 raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
                 layers, codebook_size = record["layers"], record["codebook_size"]
+                rate, source_id = record["token_rate_hz"], record["id"]
                 if type(layers) is not int or type(codebook_size) is not int:
                     raise ValueError("layers and codebook_size must be integers")
+                if type(rate) not in (int, float):
+                    raise ValueError("token_rate_hz must be a number")
+                if type(source_id) is not str:
+                    raise ValueError("id must be a string")
                 stream = TokenStream(
-                    frames=_frames(record["codes"], layers, codebook_size),
-                    token_rate_hz=float(record["token_rate_hz"]),
+                    frames=_frames(record["codes"], layers),
+                    token_rate_hz=float(rate),
                     layers=layers,
                     codebook_size=codebook_size,
-                    source_id=str(record["id"]),
+                    source_id=source_id,
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
             streams.append(stream)
     return streams

@@ -21,8 +21,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ._rng import as_generator, sample_rows
-from .errors import NumericalError
+from ._rng import as_generator, checked_logits, sample_rows
 from .rvq import TokenStream
 
 MASKED = -1
@@ -135,15 +134,6 @@ def _scoring_view(grid: np.ndarray, target_layer: int) -> np.ndarray:
     return view
 
 
-def _checked_logits(raw, num_frames: int, what: str) -> np.ndarray:
-    logits = np.asarray(raw, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] != num_frames:
-        raise ValueError(f"{what} logits must be (frames, codes), got {logits.shape}")
-    if not np.all(np.isfinite(logits)):
-        raise NumericalError(f"{what} logits contain non-finite values")
-    return logits
-
-
 def generate_parallel(
     model: ScoreModel,
     condition,
@@ -163,6 +153,7 @@ def generate_parallel(
     if p >= num_frames:
         raise ValueError(f"prompt length {p} must be shorter than num_frames {num_frames}")
 
+    shape = (num_frames, k)
     rng = as_generator(schedule.rng_seed)
     grid = np.full((num_frames, num_layers), MASKED, dtype=np.int32)
     if p:
@@ -182,12 +173,10 @@ def generate_parallel(
         coeff = anneal_coeff(progress, schedule.cfg_start, schedule.cfg_end)
 
         view = _scoring_view(grid, 0)
-        cond = _checked_logits(model.score(view, 0, condition, CONDITIONAL), num_frames, "conditional")
-        uncond = _checked_logits(
-            model.score(view, 0, condition, UNCONDITIONAL), num_frames, "unconditional"
+        cond = checked_logits(model.score(view, 0, condition, CONDITIONAL), shape, "conditional")
+        uncond = checked_logits(
+            model.score(view, 0, condition, UNCONDITIONAL), shape, "unconditional"
         )
-        if cond.shape[1] != k or uncond.shape[1] != k:
-            raise ValueError(f"model emitted {cond.shape[1]} codes, stream expects {k}")
         combined = cfg_combine(cond, uncond, coeff)
 
         masked_pos = np.flatnonzero(masked)
@@ -207,9 +196,8 @@ def generate_parallel(
     cond_passes = schedule.iterations_layer1
     for layer in range(1, num_layers):
         view = _scoring_view(grid, layer)
-        logits = _checked_logits(
-            model.score(view, layer, condition, CONDITIONAL), num_frames, "conditional"
-        )
+        logits = model.score(view, layer, condition, CONDITIONAL)
+        logits = checked_logits(logits, shape, "conditional")
         grid[p:, layer] = np.argmax(logits[p:], axis=1)
         cond_passes += 1
 

@@ -87,7 +87,8 @@ class RvqQuantizer:
 class TokenStream:
     """Per-utterance token frames plus rate metadata.
 
-    frames is a (T, num_layers) int32 array; T may be zero.
+    frames is a (T, num_layers) int32 array; T may be zero. It is given as
+    any integer array, checked against [0, codebook_size) before the cast.
     """
 
     frames: np.ndarray
@@ -97,8 +98,9 @@ class TokenStream:
     source_id: str = ""
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.int32)
+        self.frames = np.asarray(self.frames)
         self.validate()
+        self.frames = self.frames.astype(np.int32, copy=False)
 
     @property
     def num_frames(self) -> int:
@@ -117,6 +119,8 @@ class TokenStream:
             raise ValueError(
                 f"frame width {self.frames.shape[1]} does not match layers={self.layers}"
             )
+        if self.frames.dtype.kind not in "iu":
+            raise ValueError(f"codes must be integers, got {self.frames.dtype}")
         if self.frames.size and (self.frames.min() < 0 or self.frames.max() >= self.codebook_size):
             raise ValueError("codes must lie in [0, codebook_size)")
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import io as rvqio
 from ._rng import as_generator
 from .errors import NumericalError
 from .rvq import PLAIN, PROJECTED, RvqQuantizer, entry_sum, residual_codes
@@ -44,9 +43,6 @@ SCHEME_EMA = "ema"
 SCHEME_EMA_RESTART = "ema_restart"
 SCHEME_PROJECTED = "projected"
 TRAIN_SCHEMES = (SCHEME_EMA, SCHEME_EMA_RESTART, SCHEME_PROJECTED)
-
-GAUSSIAN_MIXTURE = "gaussian_mixture"
-FILE = "file"
 
 
 @dataclass
@@ -103,26 +99,21 @@ class TrainConfig:
 
 @dataclass
 class CorpusSpec:
-    kind: str = GAUSSIAN_MIXTURE
+    """A synthetic Gaussian-mixture corpus; see `make_corpus`."""
+
     num_components: int = 8
     dims: int = 16
     separation: float = 4.0
     count: int = 1024
     seed: int = 0
-    path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in (GAUSSIAN_MIXTURE, FILE):
-            raise ValueError(f"unknown corpus kind {self.kind!r}")
-        if self.kind == GAUSSIAN_MIXTURE:
-            if self.num_components < 1:
-                raise ValueError("num_components must be >= 1")
-            if not 0 < self.separation < math.inf:
-                raise ValueError("separation must be positive and finite")
-            if self.count < 1:
-                raise ValueError("count must be >= 1")
-        elif not self.path:
-            raise ValueError("file corpus requires a path")
+        if self.num_components < 1:
+            raise ValueError("num_components must be >= 1")
+        if not 0 < self.separation < math.inf:
+            raise ValueError("separation must be positive and finite")
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
 
 
 @dataclass
@@ -139,12 +130,10 @@ class TrainReport:
 def make_corpus(spec: CorpusSpec) -> np.ndarray:
     """Materialize a corpus as a (count, dims) float64 array.
 
-    Gaussian mixtures draw component means uniformly in the centered
-    hypercube [-separation/2, separation/2]^dims, with unit-variance isotropic
+    Component means are drawn uniformly in the centered hypercube
+    [-separation/2, separation/2]^dims, with unit-variance isotropic
     components and i.i.d. uniform component choice per vector.
     """
-    if spec.kind == FILE:
-        return rvqio.read_vectors(spec.path).astype(np.float64)
     rng = as_generator(spec.seed)
     half = spec.separation / 2.0
     means = rng.uniform(-half, half, size=(spec.num_components, spec.dims))
@@ -395,6 +384,8 @@ def train_quantizer(corpus, config: TrainConfig) -> tuple[RvqQuantizer, TrainRep
         raise ValueError(
             f"corpus dim {corpus.shape[1]} does not match latent_dim {config.latent_dim}"
         )
+    if not np.isfinite(corpus).all():
+        raise ValueError("corpus vectors must be finite")
     if len(corpus) < config.codebook_size:
         raise ValueError(
             f"corpus has {len(corpus)} vectors but initialization needs at least "

@@ -10,6 +10,7 @@ from rvqkit import (
     EosArModel,
     GenConfig,
     NgramArModel,
+    NumericalError,
     OracleArModel,
     OracleNarModel,
     TokenStream,
@@ -120,6 +121,17 @@ class TestSampleRows:
         assert np.all(np.isfinite(logits[np.arange(300), draws]))
         assert np.all(probs[~np.isfinite(logits)] == 0.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_rows_raise(self):
+        # 1e308 / 0.5 is inf: without the check, inf - inf gives NaN and
+        # every row draws code 0.
+        logits = np.zeros((3, 4))
+        logits[1, 2] = 1e308
+        with pytest.raises(NumericalError):
+            sample_rows(logits, 0.5, np.random.default_rng(0))
+        with pytest.raises(NumericalError):
+            sample_rows(np.full((2, 3), -np.inf), 1.0, np.random.default_rng(0))
+
 
 class TestGenerateAr:
     def test_immediate_eos(self):
@@ -201,6 +213,25 @@ class TestGenerateAr:
         generate_ar(Spy(), np.arange(2), [], GenConfig(temperature=1e-4, max_frames=6, rng_seed=0))
         assert seen == list(range(6))
 
+    def test_non_finite_logits_are_numerical_errors(self):
+        # A NaN the model computes is a numerical failure, unlike bad input.
+        for bad in (np.nan, np.inf):
+
+            class Broken:
+                def next_logits(self, condition, prompt_codes, generated_prefix):
+                    logits = np.zeros(5)
+                    logits[2 if len(generated_prefix) == 3 else 0] = bad
+                    return logits
+
+            with pytest.raises(NumericalError):
+                generate_ar(Broken(), np.arange(2), [], GenConfig(max_frames=6, rng_seed=0))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_scaled_logits_are_numerical_errors(self):
+        model = CyclingArModel(codebook_size=4, margin=1e308)
+        with pytest.raises(NumericalError):
+            generate_ar(model, np.arange(2), [], GenConfig(temperature=0.5, max_frames=6))
+
 
 class TestGenerateNar:
     def test_oracle_recovery(self):
@@ -255,6 +286,24 @@ class TestGenerateNar:
 
         stream = generate_nar(Tied(), np.arange(1), None, [5, 6], 2, codebook_size=7)
         assert stream.frames[:, 1].tolist() == [0, 0]
+
+    def test_non_finite_logits_are_numerical_errors(self):
+        class Broken:
+            def layer_logits(self, condition, prompt, decoded, target_layer):
+                logits = np.zeros((decoded.shape[0], 7))
+                logits[1, 3] = np.nan if target_layer == 2 else 0.0
+                return logits
+
+        with pytest.raises(NumericalError):
+            generate_nar(Broken(), np.arange(1), None, [5, 6], 3, codebook_size=7)
+
+    def test_wrong_logits_shape_is_a_value_error(self):
+        class Narrow:
+            def layer_logits(self, condition, prompt, decoded, target_layer):
+                return np.zeros((decoded.shape[0], 6))
+
+        with pytest.raises(ValueError, match="shape"):
+            generate_nar(Narrow(), np.arange(1), None, [5, 6], 2, codebook_size=7)
 
 
 class TestComposition:

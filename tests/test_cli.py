@@ -534,6 +534,19 @@ class TestExitCodes:
              "--quant-dim", "4", "--codebook-size", "16", "--steps", "20", "--commitment-weight", "nan"],
             ["train", "--synth", "modes=4,count=256", "--scheme", "projected", "--latent-dim", "16",
              "--quant-dim", "4", "--codebook-size", "16", "--steps", "20", "--codebook-weight", "inf"],
+            # A corpus with one NaN is rejected before any scheme or init runs.
+            *(
+                ["train", "--corpus", "{nan}", "--scheme", scheme, "--init", init, "--latent-dim",
+                 "8", "--codebook-size", "16", "--steps", "30", *quant]
+                for scheme, quant in (("ema", []), ("ema-restart", []), ("projected", ["--quant-dim", "4"]))
+                for init in ("kmeans", "random")
+            ),
+            # A directory where a file belongs.
+            ["train", "--corpus", "{dir}", "--latent-dim", "8"],
+            ["encode", "--codebook", "{dir}", "--input", "{nan}"],
+            ["decode", "--codebook", "{dir}", "--tokens", "{train}"],
+            ["arnar-sim", "--max-frames", "20", "--ar", "ngram", "--train-tokens", "{dir}"],
+            ["arnar-sim", "--max-frames", "20", "--support", "{dir}"],
         ],
     )
     def test_bad_parameters_are_data_errors(self, tmp_path, capsys, argv):
@@ -541,12 +554,52 @@ class TestExitCodes:
         train.write_text(
             '{"id":"t","token_rate_hz":50.0,"layers":1,"codebook_size":1024,"codes":[[1],[2],[1]]}\n'
         )
+        corpus = np.random.default_rng(3).normal(size=(300, 8))
+        corpus[299, 3] = np.nan
+        write_vectors(tmp_path / "nan.rvqv", corpus)
+        (tmp_path / "dir").mkdir()
         out = tmp_path / "out.bin"
-        argv = [arg.replace("{train}", str(train)) for arg in argv]
+        argv = [arg.format(train=train, nan=tmp_path / "nan.rvqv", dir=tmp_path / "dir") for arg in argv]
         code, _, err = run(capsys, *argv, "--out", str(out))
         assert code == 3, err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tokens", [["{dir}"], ["{good}", "{dir}"]])
+    def test_analyze_directory_is_data_error(self, tmp_path, capsys, tokens):
+        good = tmp_path / "good.jsonl"
+        good.write_text('{"id":"t","token_rate_hz":50.0,"layers":1,"codebook_size":4,"codes":[[1]]}\n')
+        (tmp_path / "dir").mkdir()
+        tokens = [arg.format(good=good, dir=tmp_path / "dir") for arg in tokens]
+        code, out, err = run(capsys, "analyze", "--tokens", *tokens)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_output_path_that_is_a_directory_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        code, _, err = run(capsys, "mlm-sim", "--frames", "20", "--out", str(tmp_path / "dir"))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mlm-sim", "--frames", "20", "--margin", "1e308", "--temperature", "0.5"],
+            ["arnar-sim", "--max-frames", "20", "--margin", "1e308", "--temperature", "0.5"],
+        ],
+    )
+    def test_overflowing_logits_are_numerical_errors(self, tmp_path, capsys, argv):
+        # Dividing a finite 1e308 logit by 0.5 overflows to inf; the sampler
+        # must fail rather than draw code 0 for every row.
+        out = tmp_path / "out.jsonl"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 4, err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_unknown_command_is_usage_error(self, capsys):

@@ -1,7 +1,11 @@
 """File formats: headers, exact round-trips, corruption handling."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqkit import (
     Codebook,
@@ -227,6 +231,17 @@ class TestTokenStreamFile:
             with pytest.raises(FormatError):
                 read_token_streams(path)
 
+    def test_rejects_wrong_typed_rate_and_id(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        for rate, source_id in (("true", '"x"'), ('"50"', '"x"'), ("null", '"x"'), ("50", "7"),
+                                ("50", "null"), ("50", '["x"]')):
+            path.write_text(
+                f'{{"id":{source_id},"token_rate_hz":{rate},"layers":1,"codebook_size":4,'
+                f'"codes":[[1]]}}\n'
+            )
+            with pytest.raises(FormatError):
+                read_token_streams(path)
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
@@ -245,6 +260,50 @@ class TestTokenStreamFile:
             '\n{"id":"x","token_rate_hz":50.0,"layers":1,"codebook_size":4,"codes":[[1]]}\n\n'
         )
         assert len(read_token_streams(path)) == 1
+
+
+VALID_RECORD = {"id": "u", "token_rate_hz": 50.0, "layers": 2, "codebook_size": 4,
+                "codes": [[1, 3], [0, 2]]}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+# Grids of codes near the valid ones, so the range and width checks get hit.
+CODE_GRIDS = st.lists(
+    st.lists(st.integers(-2, 5) | st.sampled_from([2**31, 2**32 + 1, 2**63, 2**64]) | JSON_VALUES,
+             min_size=1, max_size=3),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from([*VALID_RECORD, "one code"]),
+    value=JSON_VALUES | CODE_GRIDS,
+    where=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+)
+def test_token_reader_rejects_or_keeps_any_field_value(tmp_path_factory, field, value, where):
+    """One field of a valid record replaced by any JSON value: the reader
+    raises FormatError or returns exactly what the record says."""
+    record = json.loads(json.dumps(VALID_RECORD))
+    if field == "one code":
+        record["codes"][where[0]][where[1]] = value
+    else:
+        record[field] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    try:
+        [stream] = read_token_streams(path)
+    except FormatError:
+        return
+    assert stream.frames.dtype == np.int32
+    assert stream.frames.shape == (len(record["codes"]), record["layers"])
+    assert stream.frames.tolist() == record["codes"]
+    assert stream.source_id == record["id"]
+    assert stream.token_rate_hz == record["token_rate_hz"]
+    assert (stream.layers, stream.codebook_size) == (record["layers"], record["codebook_size"])
 
 
 class TestAtomicity:

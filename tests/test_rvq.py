@@ -265,8 +265,17 @@ class TestQuantizerValidation:
 
 class TestTokenStream:
     def test_validates_ranges(self):
-        with pytest.raises(ValueError):
-            TokenStream(frames=np.array([[0, 9]]), token_rate_hz=50.0, layers=2, codebook_size=8)
+        # 2**32 + 1 would wrap to 1 and 1.9 truncate to 1 in an int32 cast.
+        for frames in ([[0, 9]], [[2**32 + 1, 3]], [[-1, 3]], [[1.9, 3.2]], [[True, False]]):
+            with pytest.raises(ValueError, match="codes must"):
+                TokenStream(frames=np.array(frames), token_rate_hz=50.0, layers=2, codebook_size=8)
+
+    def test_frames_are_int32(self):
+        for dtype in (np.uint8, np.int32, np.int64, np.uint64):
+            s = TokenStream(
+                frames=np.array([[0, 7]], dtype=dtype), token_rate_hz=50.0, layers=2, codebook_size=8
+            )
+            assert s.frames.dtype == np.int32 and s.frames.tolist() == [[0, 7]]
 
     def test_empty_stream_allowed(self):
         s = TokenStream(

@@ -13,7 +13,6 @@ from rvqkit import (
     projected_grads,
     projected_loss,
     train_quantizer,
-    write_vectors,
 )
 
 
@@ -34,14 +33,6 @@ class TestMakeCorpus:
         bound = 4.0 / np.sqrt(1000)
         assert np.abs(corpus.mean(axis=0) - mean).max() < bound
 
-    def test_file_round_trip(self, tmp_path):
-        spec = CorpusSpec(num_components=3, dims=5, count=64, seed=11)
-        corpus = make_corpus(spec).astype(np.float32)
-        path = tmp_path / "corpus.rvqv"
-        write_vectors(path, corpus)
-        loaded = make_corpus(CorpusSpec(kind="file", path=str(path)))
-        np.testing.assert_array_equal(loaded.astype(np.float32), corpus)
-
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             CorpusSpec(num_components=0)
@@ -50,8 +41,19 @@ class TestMakeCorpus:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 CorpusSpec(separation=bad)
-        with pytest.raises(ValueError):
-            CorpusSpec(kind="file", path=None)
+
+
+@pytest.mark.parametrize("scheme", ["ema", "ema_restart", "projected"])
+@pytest.mark.parametrize("init", ["kmeans", "random"])
+def test_non_finite_corpus_rejected_up_front(scheme, init):
+    corpus = make_corpus(CorpusSpec(num_components=4, dims=8, count=300, seed=12))
+    corpus[299, 3] = np.nan
+    config = TrainConfig(
+        scheme=scheme, init=init, num_layers=2, codebook_size=16, latent_dim=8,
+        quant_dim=4 if scheme == "projected" else None, steps=30, batch_size=32,
+    )
+    with pytest.raises(ValueError, match="finite"):
+        train_quantizer(corpus, config)
 
 
 class TestEmaTraining:
