@@ -152,10 +152,10 @@ def cmd_train(args) -> int:
 
 
 def _encode_frames(quantizer, vectors: np.ndarray, threads: int) -> np.ndarray:
-    if vectors.shape[0] == 0:
-        return np.empty((0, quantizer.num_layers), dtype=np.int32)
+    # An empty file is one empty chunk, so its dimension is checked too.
     chunks = [
-        vectors[lo : lo + _ENCODE_CHUNK] for lo in range(0, vectors.shape[0], _ENCODE_CHUNK)
+        vectors[lo : lo + _ENCODE_CHUNK]
+        for lo in range(0, max(vectors.shape[0], 1), _ENCODE_CHUNK)
     ]
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -476,7 +476,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        # Overflow and invalid operations make inf and NaN, which the checks
+        # after them report as one error line; numpy's warning would only
+        # repeat it as a source line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

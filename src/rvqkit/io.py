@@ -182,11 +182,21 @@ def write_token_streams(path: str, streams: list[TokenStream]) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _frames(codes, layers: int) -> np.ndarray:
+def _frames(codes, layers: int, line: str) -> np.ndarray:
     """A record's codes as an array; an empty JSON list is zero `layers`-wide
-    frames. `TokenStream` checks the shape, the dtype and the range."""
-    if isinstance(codes, list) and not codes:
+    frames. `TokenStream` checks the shape, the dtype and the range.
+
+    `np.asarray` turns booleans mixed with integers into integers, so they
+    are looked for in the frames first, but only in lines that spell a JSON
+    boolean. Any other nesting fails the shape or dtype check."""
+    if not isinstance(codes, list):
+        return np.asarray(codes)
+    if not codes:
         return np.empty((0, layers), dtype=np.int32)
+    if ("true" in line or "false" in line) and any(
+        isinstance(frame, list) and any(type(v) is bool for v in frame) for frame in codes
+    ):
+        raise ValueError("codes must be integers, got a boolean")
     return np.asarray(codes)
 
 
@@ -212,7 +222,7 @@ def read_token_streams(path: str) -> list[TokenStream]:
                 if type(source_id) is not str:
                     raise ValueError("id must be a string")
                 stream = TokenStream(
-                    frames=_frames(record["codes"], layers),
+                    frames=_frames(record["codes"], layers, line),
                     token_rate_hz=float(rate),
                     layers=layers,
                     codebook_size=codebook_size,

@@ -166,6 +166,9 @@ def entry_sum(entries, codes: np.ndarray) -> np.ndarray:
 def _encode_rows(latents: np.ndarray, quantizer: RvqQuantizer):
     """Run the recursion on (T, d) latents, in quantization space when projected."""
     if quantizer.scheme == PROJECTED:
+        # Projecting would turn Inf into NaN; the lookup rejects the rest.
+        if not np.isfinite(latents).all():
+            raise ValueError("latents must be finite")
         latents = project_in(latents, quantizer.projections[0])
     layers = quantizer.layers
     return residual_codes(

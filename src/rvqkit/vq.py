@@ -7,13 +7,14 @@ EMA rule with Laplace-smoothed normalization and the dead-code restart that
 resamples unused entries from a batch.
 
 Lookups are pure functions of an immutable codebook and can run from any
-number of threads; `ema_update` and `restart_dead_codes` return new codebooks
-and never mutate their input, so the caller owns write ordering.
+number of threads (the first computes the codebook's lookup tables and makes
+its entries read-only); `ema_update` and `restart_dead_codes` return new
+codebooks and never mutate their input, so the caller owns write ordering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +29,15 @@ MAX_CODES = 65536  # exhaustive lookup only; no approximate indexing
 DEFAULT_DECAY = 0.99
 DEFAULT_EPSILON = 1e-5
 
-# Memory cap for the (rows, K, q) temporary used by the exact lookup path.
+# Memory cap for the (rows, K) score block of one lookup.
 _LOOKUP_CHUNK_ELEMENTS = 1 << 23
+
+# Unit roundoff and the smallest subnormal of float64, for the rounding bound
+# of the Euclidean lookup (see `_euclidean_block`).
+_UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL = 2.0**-1074
+# Rows whose scale |x|^2 + max|c|^2 exceeds this may overflow in the GEMM.
+_SCALE_LIMIT = np.finfo(np.float64).max / 4
 
 
 @dataclass
@@ -48,6 +56,7 @@ class Codebook:
     ema_embed_sum: np.ndarray
     usage_counts: np.ndarray
     metric: str = EUCLIDEAN
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
@@ -78,6 +87,28 @@ class Codebook:
     @property
     def code_dim(self) -> int:
         return self.entries.shape[1]
+
+    def _lookup_tables(self) -> tuple:
+        """What every lookup reads, computed at the first one.
+
+        Euclidean: (entries, their contiguous transpose, squared entry
+        norms, the largest squared norm); cosine: (entries, unit entries).
+        The entries are made read-only here, so a later in-place write
+        raises instead of leaving the tables stale. A replaced or writeable
+        entry array gets new tables. Concurrent first lookups compute the
+        same tables, so the race is harmless.
+        """
+        tables = self._tables
+        if tables is None or tables[0] is not self.entries or self.entries.flags.writeable:
+            entries = self.entries
+            entries.flags.writeable = False
+            if self.metric == COSINE:
+                tables = (entries, _normalize_rows(entries, "codebook entry"))
+            else:
+                sq_norms = np.einsum("kq,kq->k", entries, entries)
+                tables = (entries, np.ascontiguousarray(entries.T), sq_norms, sq_norms.max())
+            self._tables = tables
+        return tables
 
     def validate(self) -> None:
         if self.entries.ndim != 2:
@@ -144,18 +175,71 @@ class ProjectionPair:
 
 def _normalize_rows(matrix: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0):
+    if norms.all():
+        return matrix / norms[:, None]
+    # The squares of tiny components underflow to a zero norm: rescale those
+    # rows by their largest component first. A row of zeros has no direction.
+    tiny = norms == 0
+    peaks = np.abs(matrix[tiny]).max(axis=1)
+    if not peaks.all():
         raise DegenerateInputError(f"zero-norm {what} is undefined under the cosine metric")
-    return matrix / norms[:, None]
+    out = matrix / np.where(tiny, 1.0, norms)[:, None]
+    scaled = matrix[tiny] / peaks[:, None]
+    out[tiny] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return out
+
+
+def _exact_sq_distances(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Squared distances of one row, or of rows paired with entries, as
+    explicit differences: the reference every Euclidean result equals."""
+    diff = x - entries
+    return np.einsum("nq,nq->n", diff, diff)
+
+
+def _euclidean_block(x: np.ndarray, tables: tuple) -> np.ndarray:
+    """Exact nearest-entry indices of a row block, through one GEMM.
+
+    The score s_k = |c_k|^2 - 2 x.c_k is |x - c_k|^2 - |x|^2, computed in
+    expanded form. With M = |x|^2 + max_k |c_k|^2, u the unit roundoff and
+    eta the smallest subnormal, any summation order (GEMM, pairwise, FMA)
+    keeps s_k within (q+1)u(2M) + 2q eta of its real value, and the
+    exact-difference reference D_k = sum((x - c_k)^2) within (q+2)u(2M) +
+    q eta of |x - c_k|^2. Scores and references therefore differ by at most
+    E = (2q+3)u(2M) + 3q eta after the common shift |x|^2, and the reference
+    minimum has s_k <= min s + 2E. Every entry under that threshold is a
+    candidate; `tol` is 4E, twice 2E, to spare for the rounding of M and
+    of `tol` itself (the rounding of the final sum cannot drop a candidate,
+    whose score is a float). A row with one candidate has its answer; rows
+    with several, and rows whose scale may overflow, are rescored with exact
+    differences over their candidates, lowest index first.
+    """
+    entries, entries_t, sq_norms, max_sq_norm = tables
+    q = entries.shape[1]
+    scale = np.einsum("nq,nq->n", x, x) + max_sq_norm
+    wide = scale > _SCALE_LIMIT
+    tol = 8 * (2 * q + 3) * _UNIT_ROUNDOFF * scale + 12 * q * _SUBNORMAL  # 4E
+    # Wide rows enter the GEMM as zeros, so that nothing overflows.
+    gemm_rows = np.where(wide[:, None], 0.0, x) if wide.any() else x
+    scores = (-2.0 * gemm_rows) @ entries_t
+    scores += sq_norms
+    near = scores <= (scores.min(axis=1) + tol)[:, None]
+    best = near.argmax(axis=1)
+    for row in np.flatnonzero((near.sum(axis=1) != 1) | wide):
+        cands = np.arange(len(entries)) if wide[row] else np.flatnonzero(near[row])
+        best[row] = cands[np.argmin(_exact_sq_distances(x[row], entries[cands]))]
+    return best
 
 
 def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive nearest-entry lookup for a batch of query rows.
 
     Returns (indices, distances). Euclidean distances are true L2 norms
-    (not squared); cosine distance is 1 - cos(query, entry). Ties break
-    toward the lowest code index. Non-finite queries are rejected with
-    ValueError, since no entry is nearest to them.
+    (not squared), equal bit for bit to the square root of the summed
+    squared differences to every entry, with ties to the lowest code index;
+    cosine distance is 1 - cos(query, entry), ties likewise to the lowest
+    index. Non-finite queries are rejected with ValueError, since no entry
+    is nearest to them. The first lookup makes the codebook's entries
+    read-only (see `Codebook._lookup_tables`).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != codebook.code_dim:
@@ -165,30 +249,23 @@ def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(queries).all():
         raise ValueError("queries must be finite")
 
-    if codebook.metric == COSINE:
-        qn = _normalize_rows(queries, "query")
-        en = _normalize_rows(codebook.entries, "codebook entry")
-        dists = 1.0 - qn @ en.T
-        idx = np.argmin(dists, axis=1)
-        return idx, dists[np.arange(len(queries)), idx]
-
-    # Euclidean path: exact differences, chunked to bound the (rows, K, q)
-    # temporary. Exactness (zero distance on exact matches, stable ties)
-    # is part of the lookup contract, so the faster expanded form is not
-    # used here.
-    k, q = codebook.entries.shape
     n = queries.shape[0]
     idx = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
-    chunk = max(1, _LOOKUP_CHUNK_ELEMENTS // (k * q))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        diff = queries[lo:hi, None, :] - codebook.entries[None, :, :]
-        d2 = np.einsum("nkq,nkq->nk", diff, diff)
-        best = np.argmin(d2, axis=1)
-        idx[lo:hi] = best
-        dist[lo:hi] = np.sqrt(d2[np.arange(hi - lo), best])
-    return idx, dist
+    rows = max(1, _LOOKUP_CHUNK_ELEMENTS // codebook.num_codes)
+    if codebook.metric == COSINE:
+        unit_queries = _normalize_rows(queries, "query")
+        unit_entries = codebook._lookup_tables()[1]
+        dist = np.empty(n)
+        for lo in range(0, n, rows):
+            dists = 1.0 - unit_queries[lo : lo + rows] @ unit_entries.T
+            idx[lo : lo + rows] = best = np.argmin(dists, axis=1)
+            dist[lo : lo + rows] = dists[np.arange(len(best)), best]
+        return idx, dist
+
+    tables = codebook._lookup_tables()
+    for lo in range(0, n, rows):
+        idx[lo : lo + rows] = _euclidean_block(queries[lo : lo + rows], tables)
+    return idx, np.sqrt(_exact_sq_distances(queries, codebook.entries[idx]))
 
 
 def _guarded_normalize_rows(matrix: np.ndarray) -> np.ndarray:

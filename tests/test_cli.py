@@ -1,17 +1,33 @@
 """CLI surface: command behavior, exit codes, determinism of files and stdout."""
 
+import contextlib
+import io
+import os
 import re
 import shlex
+import struct
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rvqkit
 from rvqkit import (
+    Codebook,
     CorpusSpec,
+    ProjectionPair,
+    RvqQuantizer,
+    TokenStream,
     make_corpus,
     read_token_streams,
     read_vectors,
+    save_quantizer,
+    write_token_streams,
     write_vectors,
 )
 from rvqkit.cli import build_parser, main
@@ -213,14 +229,15 @@ class TestEncodeDecode:
 
     def test_dimension_mismatch_names_both(self, tmp_path, trained_codebook, capsys):
         wrong = tmp_path / "wrong.rvqv"
-        write_vectors(wrong, np.zeros((4, 5)))
-        code, _, err = run(
-            capsys,
-            "encode", "--codebook", str(trained_codebook), "--input", str(wrong),
-            "--out", str(tmp_path / "t.jsonl"),
-        )
-        assert code == 3
-        assert "5" in err and "8" in err
+        for count in (4, 0):  # an empty file has a dimension too
+            write_vectors(wrong, np.zeros((count, 5)))
+            code, _, err = run(
+                capsys,
+                "encode", "--codebook", str(trained_codebook), "--input", str(wrong),
+                "--out", str(tmp_path / "t.jsonl"),
+            )
+            assert code == 3
+            assert "5" in err and "8" in err
 
     def test_projected_codebook_round_trip(self, tmp_path, corpus_file, capsys):
         cb = tmp_path / "proj.rvqc"
@@ -602,6 +619,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflow_prints_one_error_line(self, tmp_path):
+        # A child process, so that numpy's warnings reach stderr as a user
+        # would see them.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(rvqkit.__file__)))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rvqkit.cli", "mlm-sim", "--frames", "20", "--margin",
+             "1e308", "--temperature", "0.5", "--out", str(tmp_path / "o.jsonl")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -622,3 +652,95 @@ def test_readme_cli_examples_parse():
     assert {argv[0] for argv in commands} == {
         "train", "encode", "decode", "analyze", "mlm-sim", "arnar-sim"
     }
+
+
+# Header fields as (offset, struct format) in the vector and codebook files.
+VECTOR_FIELDS = {"magic": (0, "4s"), "version": (4, "I"), "count": (8, "Q"), "dim": (16, "I")}
+CODEBOOK_FIELDS = {
+    "magic": (0, "4s"), "version": (4, "I"), "scheme": (8, "B"), "metric": (9, "B"),
+    "layers": (10, "I"), "K": (14, "I"), "d": (18, "I"), "q": (22, "I"),
+}
+VECTOR_HEADER_SIZE, CODEBOOK_HEADER_SIZE = 20, 26
+
+
+def _corrupt(data: bytes, fields: dict, header_size: int, draw) -> bytes:
+    """One corruption of a valid file: a truncation, a changed header field
+    or a NaN/Inf float in the payload."""
+    kind = draw(st.sampled_from(["truncate", "field", "non-finite"]))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    data = bytearray(data)
+    if kind == "field":
+        name = draw(st.sampled_from(sorted(fields)))
+        offset, fmt = fields[name]
+        (old,) = struct.unpack_from("<" + fmt, data, offset)
+        if fmt == "4s":
+            new = draw(st.binary(min_size=4, max_size=4).filter(lambda b: b != old))
+        elif name == "metric":
+            # The other valid tag names a valid metric; nothing in the file
+            # can tell it from the original, so draw a tag that names none.
+            new = draw(st.integers(2, 255))
+        else:
+            top = 2 ** (8 * struct.calcsize("<" + fmt)) - 1
+            new = draw(st.integers(0, top).filter(lambda v: v != old))
+        struct.pack_into("<" + fmt, data, offset, new)
+    else:
+        index = draw(st.integers(0, (len(data) - header_size) // 4 - 1))
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        struct.pack_into("<f", data, header_size + 4 * index, value)
+    return bytes(data)
+
+
+def _valid_files(root: Path, projected: bool) -> dict:
+    rng = np.random.default_rng(21)
+    d, q = (4, 2) if projected else (3, 3)
+    metric = "cosine" if projected else "euclidean"
+    layers = [Codebook.from_entries(rng.normal(size=(4, q)), metric=metric) for _ in range(2)]
+    pairs = None
+    if projected:
+        pair = ProjectionPair(proj_in=rng.normal(size=(d, q)), proj_out=rng.normal(size=(q, d)))
+        pairs = [pair, pair]
+    quantizer = RvqQuantizer(
+        layers=layers, latent_dim=d, scheme="projected" if projected else "plain", projections=pairs
+    )
+    paths = {name: root / f"valid-{projected}.{name}" for name in ("rvqc", "rvqv", "jsonl")}
+    save_quantizer(paths["rvqc"], quantizer)
+    write_vectors(paths["rvqv"], rng.normal(size=(1100, d)))  # two chunks for --threads 2
+    frames = rng.integers(0, 4, size=(5, 2))
+    write_token_streams(paths["jsonl"], [TokenStream(frames, 50.0, 2, 4, "t")])
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), projected=st.booleans(), target=st.sampled_from(["rvqv", "rvqc"]),
+       command=st.sampled_from(["encode", "decode"]))
+def test_corrupt_vector_and_codebook_files_fail_cleanly(tmp_path_factory, data, projected,
+                                                        target, command):
+    """A truncated file, a changed header field or a NaN/Inf value exits 3
+    or 4 with one error line: no traceback, no warning, no output file."""
+    if target == "rvqv" and command == "decode":
+        command = "encode"  # decode reads no vector file
+    root = tmp_path_factory.getbasetemp()
+    paths = _valid_files(root, projected)
+    fields, header = (
+        (VECTOR_FIELDS, VECTOR_HEADER_SIZE) if target == "rvqv"
+        else (CODEBOOK_FIELDS, CODEBOOK_HEADER_SIZE)
+    )
+    bad = root / f"bad.{target}"
+    bad.write_bytes(_corrupt(paths[target].read_bytes(), fields, header, data.draw))
+    inputs = {**paths, target: bad}
+    out = root / "out.bin"
+    if out.exists():
+        out.unlink()
+    if command == "encode":
+        argv = ["encode", "--codebook", inputs["rvqc"], "--input", inputs["rvqv"], "--threads", "2"]
+    else:
+        argv = ["decode", "--codebook", inputs["rvqc"], "--tokens", inputs["jsonl"]]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([str(arg) for arg in argv] + ["--out", str(out)])
+    assert code in (3, 4), err.getvalue()
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert not out.exists()

@@ -242,6 +242,21 @@ class TestTokenStreamFile:
             with pytest.raises(FormatError):
                 read_token_streams(path)
 
+    def test_rejects_booleans_among_codes(self, tmp_path):
+        # np.asarray would read [[1,true],[false,3]] as [[1,1],[0,3]].
+        path = tmp_path / "bad.jsonl"
+        for codes in ("[[1,true],[false,3]]", "[[true,2]]", "[[0,1],[2,false]]"):
+            path.write_text(
+                f'{{"id":"x","token_rate_hz":50.0,"layers":2,"codebook_size":4,"codes":{codes}}}\n'
+            )
+            with pytest.raises(FormatError, match="boolean"):
+                read_token_streams(path)
+        path.write_text(
+            '{"id":"true false","token_rate_hz":50.0,"layers":2,"codebook_size":4,'
+            '"codes":[[1,2],[0,3]]}\n'
+        )
+        assert read_token_streams(path)[0].frames.tolist() == [[1, 2], [0, 3]]
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
@@ -300,7 +315,8 @@ def test_token_reader_rejects_or_keeps_any_field_value(tmp_path_factory, field, 
         return
     assert stream.frames.dtype == np.int32
     assert stream.frames.shape == (len(record["codes"]), record["layers"])
-    assert stream.frames.tolist() == record["codes"]
+    # Compared as JSON, so that a boolean read as an integer shows.
+    assert json.dumps(stream.frames.tolist()) == json.dumps(record["codes"])
     assert stream.source_id == record["id"]
     assert stream.token_rate_hz == record["token_rate_hz"]
     assert (stream.layers, stream.codebook_size) == (record["layers"], record["codebook_size"])

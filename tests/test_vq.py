@@ -1,5 +1,8 @@
 """Single-layer quantization: lookups, EMA updates, restarts, projections, k-means."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +12,14 @@ from rvqkit import (
     Codebook,
     DegenerateInputError,
     ProjectionPair,
+    RvqQuantizer,
     ema_update,
     kmeans_init,
     nearest_codes,
     project_in,
     project_out,
     restart_dead_codes,
+    rvq_encode_batch,
 )
 
 
@@ -116,6 +121,22 @@ class TestNearestCode:
                 with pytest.raises(ValueError, match="finite"):
                     nearest_codes([0.0, bad], cb)
 
+    def test_cosine_tiny_query(self):
+        # The squares of 1.2e-241 underflow; the query still has a direction.
+        cb = Codebook.from_entries([[1.0], [-1.0]], metric="cosine")
+        idx, dist = nearest_codes([[1.2e-241], [-1.2e-241]], cb)
+        assert idx.tolist() == [0, 1]
+        np.testing.assert_allclose(dist, 0.0, atol=1e-15)
+        idx, _ = nearest_codes([3e-200, -4e-200], Codebook.from_entries(
+            [[3.0, 4.0], [3.0, -4.0]], metric="cosine"))
+        assert idx.tolist() == [1]
+
+    def test_cosine_tiny_entry(self):
+        cb = Codebook.from_entries([[1.0, 0.0], [1e-200, 1e-200]], metric="cosine")
+        idx, dist = nearest_codes([[2.0, 2.0], [1.0, 0.1]], cb)
+        assert idx.tolist() == [1, 0]
+        assert dist[0] == pytest.approx(0.0, abs=1e-15)
+
     def test_cosine_zero_norm_raises(self):
         cb = Codebook.from_entries([[1, 0], [0, 1]], metric="cosine")
         with pytest.raises(DegenerateInputError):
@@ -161,6 +182,110 @@ class TestNearestCode:
             assert i == next(j for j, e in enumerate(entries) if np.array_equal(e, query))
         elif exact:
             assert d == pytest.approx(0.0, abs=1e-12)
+
+
+def exact_reference(queries, entries):
+    """The exact-difference lookup the kernel must equal bit for bit."""
+    diff = queries[:, None, :] - entries[None, :, :]
+    d2 = np.einsum("nkq,nkq->nk", diff, diff)
+    idx = np.argmin(d2, axis=1)
+    return idx, np.sqrt(d2[np.arange(len(queries)), idx])
+
+
+def assert_matches_reference(queries, entries):
+    idx, dist = nearest_codes(queries, Codebook.from_entries(entries))
+    ref_idx, ref_dist = exact_reference(queries, entries)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(dist.view(np.int64), ref_dist.view(np.int64))
+    return idx, dist
+
+
+class TestExactKernel:
+    """The GEMM kernel against the exact-difference reference, at sizes where
+    its rounding bound decides the answer."""
+
+    @pytest.mark.parametrize("q", [8, 32])
+    def test_entries_one_ulp_apart(self, q):
+        # Rows of a constant codebook nudged by one ulp: expanded scores of
+        # these entries differ only by rounding, so only the bound and the
+        # rescoring keep the ties at the lowest index and exact matches at 0.
+        rng = np.random.default_rng(q)
+        entries = np.full((1024, q), 0.7)
+        for row in rng.choice(1024, size=600, replace=False):
+            col = rng.integers(q)
+            entries[row, col] = np.nextafter(entries[row, col], rng.choice([-np.inf, np.inf]))
+        queries = entries[[0, 5, 700, 1023, *rng.integers(0, 1024, size=60)]]
+        idx, dist = assert_matches_reference(queries, entries)
+        for i, query in zip(idx, queries):
+            assert i == np.flatnonzero((entries == query).all(axis=1))[0]
+        assert not dist.any()
+
+    @pytest.mark.parametrize("q", [8, 32])
+    def test_duplicate_blocks_and_exact_matches(self, q):
+        rng = np.random.default_rng(100 + q)
+        base = rng.normal(size=(48, q))
+        entries = base[rng.integers(0, 48, size=512)]
+        entries[100:164] = entries[0]
+        queries = np.concatenate(
+            [entries[rng.integers(0, 512, size=80)], rng.normal(size=(80, q)),
+             base[rng.integers(0, 48, size=40)] + 1e-9 * rng.normal(size=(40, q))]
+        )
+        idx, dist = assert_matches_reference(queries, entries)
+        assert not dist[:80].any()
+
+    @pytest.mark.parametrize("q", [8, 32])
+    @pytest.mark.parametrize(
+        "scale", [1e-160, 1e-155, 1e-150, 1e-100, 1.0, 1e100, 1e150, 1e154, 1e155, 1e160, 1e200]
+    )
+    def test_scales(self, q, scale):
+        # Squares underflow below about 1e-154 and overflow above 1e154;
+        # both sides must still return the exact-difference answer, with
+        # exact matches at distance 0.
+        rng = np.random.default_rng(7 * q)
+        entries = scale * np.round(rng.normal(size=(300, q)), 2)
+        queries = np.concatenate([entries[:40], scale * rng.normal(size=(40, q))])
+        idx, dist = assert_matches_reference(queries, entries)
+        np.testing.assert_array_equal(idx[:40], np.arange(40))
+        assert not dist[:40].any()
+
+    def test_concurrent_first_lookups(self):
+        # `encode --threads` shares one quantizer, so first lookups race to
+        # build the tables; every thread must still get the exact answer.
+        rng = np.random.default_rng(5)
+        entries, queries = rng.normal(size=(512, 8)), rng.normal(size=(64, 8))
+        ref_idx, ref_dist = exact_reference(queries, entries)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for metric in ("euclidean", "cosine") * 10:
+                cb = Codebook.from_entries(entries, metric=metric)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    results = list(pool.map(lambda _: nearest_codes(queries, cb), range(16),
+                                            timeout=60))
+                first_idx, first_dist = results[0]
+                for idx, dist in results:
+                    np.testing.assert_array_equal(idx, first_idx)
+                    np.testing.assert_array_equal(dist, first_dist)
+                if metric == "euclidean":
+                    np.testing.assert_array_equal(first_idx, ref_idx)
+                    np.testing.assert_array_equal(first_dist, ref_dist)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_entries_are_read_only_after_a_lookup(self):
+        cb = Codebook.from_entries(np.eye(3), metric="cosine")
+        nearest_codes([1.0, 0.0, 0.0], cb)
+        with pytest.raises(ValueError):
+            cb.entries[0] = 1.0
+
+    def test_write_before_first_lookup_is_seen(self):
+        # bench/selftest.py's pattern: build, write an entry, then encode.
+        for metric in ("euclidean", "cosine"):
+            cb = Codebook.from_entries(np.eye(3) + 0.25, metric=metric)
+            cb.entries[2] = cb.entries[0]  # a tie, made before any lookup
+            quantizer = RvqQuantizer(layers=[cb], latent_dim=3)
+            codes, _ = rvq_encode_batch([[1.25, 0.25, 0.25], [0.0, 0.0, 1.0]], quantizer)
+            assert codes[:, 0].tolist() == [0, 0]
 
 
 class TestEmaUpdate:
