@@ -217,6 +217,10 @@ def cmd_decode(args) -> int:
         vectors = np.concatenate(parts, axis=0)
     else:
         vectors = np.empty((0, quantizer.latent_dim))
+    # The file holds float32, where a sum past its range would read as inf.
+    vectors = vectors.astype("<f4")
+    if not np.isfinite(vectors).all():
+        raise NumericalError("decoded vectors exceed the float32 range of the vector file")
     rvqio.write_vectors(args.out, vectors)
     _emit("frames", total)
     _emit("dim", quantizer.latent_dim)

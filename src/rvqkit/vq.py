@@ -6,6 +6,11 @@ codebook under either squared-Euclidean or cosine distance; updates cover the
 EMA rule with Laplace-smoothed normalization and the dead-code restart that
 resamples unused entries from a batch.
 
+Every Euclidean lookup, `nearest_codes` for encoding and `assign_batch` for
+training alike, runs one exact kernel (`_euclidean_block`): one GEMM, then
+exact rescoring of the near-ties. Its tables collapse each block of identical
+entries to the first copy, so copies cost no rescoring.
+
 Lookups are pure functions of an immutable codebook and can run from any
 number of threads (the first computes the codebook's lookup tables and makes
 its entries read-only); `ema_update` and `restart_dead_codes` return new
@@ -14,6 +19,7 @@ codebooks and never mutate their input, so the caller owns write ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +42,9 @@ _LOOKUP_CHUNK_ELEMENTS = 1 << 23
 # of the Euclidean lookup (see `_euclidean_block`).
 _UNIT_ROUNDOFF = 2.0**-53
 _SUBNORMAL = 2.0**-1074
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 # Rows whose scale |x|^2 + max|c|^2 exceeds this may overflow in the GEMM.
-_SCALE_LIMIT = np.finfo(np.float64).max / 4
+_SCALE_LIMIT = _FLOAT_MAX / 4
 
 
 @dataclass
@@ -91,8 +98,10 @@ class Codebook:
     def _lookup_tables(self) -> tuple:
         """What every lookup reads, computed at the first one.
 
-        Euclidean: (entries, their contiguous transpose, squared entry
-        norms, the largest squared norm); cosine: (entries, unit entries).
+        Euclidean: `_euclidean_tables`, what the one Euclidean kernel reads,
+        with every copy of an entry after the first collapsed out of the
+        candidates (training builds the same per call on its entry
+        matrices); cosine: (entries, unit entries).
         The entries are made read-only here, so a later in-place write
         raises instead of leaving the tables stale. A replaced or writeable
         entry array gets new tables. Concurrent first lookups compute the
@@ -105,8 +114,7 @@ class Codebook:
             if self.metric == COSINE:
                 tables = (entries, _normalize_rows(entries, "codebook entry"))
             else:
-                sq_norms = np.einsum("kq,kq->k", entries, entries)
-                tables = (entries, np.ascontiguousarray(entries.T), sq_norms, sq_norms.max())
+                tables = _euclidean_tables(entries)
             self._tables = tables
         return tables
 
@@ -174,18 +182,30 @@ class ProjectionPair:
 
 
 def _normalize_rows(matrix: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
-    if norms.all():
-        return matrix / norms[:, None]
-    # The squares of tiny components underflow to a zero norm: rescale those
-    # rows by their largest component first. A row of zeros has no direction.
-    tiny = norms == 0
-    peaks = np.abs(matrix[tiny]).max(axis=1)
+    """Rows scaled to unit norm. A row that is not finite raises ValueError;
+    a row of zeros, which has no direction, raises DegenerateInputError."""
+    # Below this peak no sum of squares overflows (NaN fails the test too).
+    # The ufuncs are called directly: one-frame encoding runs this per layer,
+    # and the reduce is the sum `np.linalg.norm` takes, bit for bit.
+    peak = np.maximum.reduce(np.abs(matrix), axis=None, initial=0.0)
+    if peak < math.sqrt(_FLOAT_MAX / matrix.shape[1]):
+        norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1))
+        if norms.all():
+            return matrix / norms[:, None]
+    elif not np.isfinite(matrix).all():
+        raise ValueError("queries must be finite")  # entries are checked finite
+    # The squares of tiny components underflow to a zero norm, and those of
+    # huge ones overflow to an infinite one: rescale those rows by their
+    # largest component first.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+    odd = (norms == 0) | (norms == np.inf)
+    peaks = np.abs(matrix[odd]).max(axis=1)
     if not peaks.all():
         raise DegenerateInputError(f"zero-norm {what} is undefined under the cosine metric")
-    out = matrix / np.where(tiny, 1.0, norms)[:, None]
-    scaled = matrix[tiny] / peaks[:, None]
-    out[tiny] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    out = matrix / np.where(odd, 1.0, norms)[:, None]
+    scaled = matrix[odd] / peaks[:, None]
+    out[odd] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
     return out
 
 
@@ -194,6 +214,30 @@ def _exact_sq_distances(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     explicit differences: the reference every Euclidean result equals."""
     diff = x - entries
     return np.einsum("nq,nq->n", diff, diff)
+
+
+def _euclidean_tables(entries: np.ndarray) -> tuple:
+    """What the Euclidean kernel reads: (entries, their contiguous transpose,
+    squared entry norms, the largest squared norm).
+
+    An entry equal to a lower-indexed one gets squared norm +inf, so it is
+    never a candidate and a block of copies costs no rescoring. This is
+    exact: copies have the same exact distance, and ties go to the lowest
+    index. The largest norm, which bounds the rounding, is taken first.
+    """
+    sq_norms = np.einsum("kq,kq->k", entries, entries)
+    max_sq_norm = sq_norms.max()
+    # Equal entries have equal norms, so a stable sort by norm puts each
+    # block of copies side by side, lowest index first. Distinct entries of
+    # one norm could split a block: then the components break the ties.
+    order = np.argsort(sq_norms, kind="stable")
+    same = (entries[order[1:]] == entries[order[:-1]]).all(axis=1)
+    ranked = sq_norms[order]
+    if (~same & (ranked[1:] == ranked[:-1])).any():
+        order = np.lexsort((*entries.T[::-1], sq_norms))
+        same = (entries[order[1:]] == entries[order[:-1]]).all(axis=1)
+    sq_norms[order[1:][same]] = np.inf
+    return entries, np.ascontiguousarray(entries.T), sq_norms, max_sq_norm
 
 
 def _euclidean_block(x: np.ndarray, tables: tuple) -> np.ndarray:
@@ -210,13 +254,14 @@ def _euclidean_block(x: np.ndarray, tables: tuple) -> np.ndarray:
     candidate; `tol` is 4E, twice 2E, to spare for the rounding of M and
     of `tol` itself (the rounding of the final sum cannot drop a candidate,
     whose score is a float). A row with one candidate has its answer; rows
-    with several, and rows whose scale may overflow, are rescored with exact
-    differences over their candidates, lowest index first.
+    with several, and rows whose scale may overflow (or is not finite), are
+    rescored with exact differences over their candidates, lowest index
+    first.
     """
     entries, entries_t, sq_norms, max_sq_norm = tables
     q = entries.shape[1]
     scale = np.einsum("nq,nq->n", x, x) + max_sq_norm
-    wide = scale > _SCALE_LIMIT
+    wide = ~(scale <= _SCALE_LIMIT)
     tol = 8 * (2 * q + 3) * _UNIT_ROUNDOFF * scale + 12 * q * _SUBNORMAL  # 4E
     # Wide rows enter the GEMM as zeros, so that nothing overflows.
     gemm_rows = np.where(wide[:, None], 0.0, x) if wide.any() else x
@@ -228,6 +273,15 @@ def _euclidean_block(x: np.ndarray, tables: tuple) -> np.ndarray:
         cands = np.arange(len(entries)) if wide[row] else np.flatnonzero(near[row])
         best[row] = cands[np.argmin(_exact_sq_distances(x[row], entries[cands]))]
     return best
+
+
+def _euclidean_nearest(queries: np.ndarray, tables: tuple) -> np.ndarray:
+    """`_euclidean_block` over row blocks of capped size."""
+    idx = np.empty(len(queries), dtype=np.int64)
+    rows = max(1, _LOOKUP_CHUNK_ELEMENTS // len(tables[0]))
+    for lo in range(0, len(queries), rows):
+        idx[lo : lo + rows] = _euclidean_block(queries[lo : lo + rows], tables)
+    return idx
 
 
 def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
@@ -246,14 +300,11 @@ def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"query dim {queries.shape[1]} does not match codebook dim {codebook.code_dim}"
         )
-    if not np.isfinite(queries).all():
-        raise ValueError("queries must be finite")
-
-    n = queries.shape[0]
-    idx = np.empty(n, dtype=np.int64)
-    rows = max(1, _LOOKUP_CHUNK_ELEMENTS // codebook.num_codes)
     if codebook.metric == COSINE:
-        unit_queries = _normalize_rows(queries, "query")
+        n = queries.shape[0]
+        idx = np.empty(n, dtype=np.int64)
+        rows = max(1, _LOOKUP_CHUNK_ELEMENTS // codebook.num_codes)
+        unit_queries = _normalize_rows(queries, "query")  # rejects non-finite queries
         unit_entries = codebook._lookup_tables()[1]
         dist = np.empty(n)
         for lo in range(0, n, rows):
@@ -262,9 +313,9 @@ def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
             dist[lo : lo + rows] = dists[np.arange(len(best)), best]
         return idx, dist
 
-    tables = codebook._lookup_tables()
-    for lo in range(0, n, rows):
-        idx[lo : lo + rows] = _euclidean_block(queries[lo : lo + rows], tables)
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
+    idx = _euclidean_nearest(queries, codebook._lookup_tables())
     return idx, np.sqrt(_exact_sq_distances(queries, codebook.entries[idx]))
 
 
@@ -276,13 +327,13 @@ def _guarded_normalize_rows(matrix: np.ndarray) -> np.ndarray:
 def assign_batch(queries: np.ndarray, entries: np.ndarray, metric: str) -> np.ndarray:
     """Training-path nearest-entry indices over a (K, q) entry matrix.
 
-    Euclidean uses the expanded |x|^2 - 2xc + |c|^2 form: one GEMM, much
-    faster than the exact lookup, but it may resolve exact ties differently
-    due to floating-point cancellation, so it serves training and k-means,
-    where only self-consistency matters. Unlike the public lookup, zero-norm
-    rows under the cosine metric are tolerated (normalized with an epsilon
-    guard): a fully reconstructed residual is a benign degeneracy inside a
-    training loop, not an input error.
+    Euclidean runs the one exact kernel of `nearest_codes` on tables built
+    for this call by `_euclidean_tables`, which collapse copies of an entry
+    to the first, so k-means, the EMA steps and the reported utilization get
+    the codes `nearest_codes` gives. Unlike the public lookup, zero-norm rows under the cosine
+    metric are tolerated (normalized with an epsilon guard): a fully
+    reconstructed residual is a benign degeneracy inside a training loop,
+    not an input error.
     """
     if metric == COSINE:
         qn = _guarded_normalize_rows(queries)
@@ -290,12 +341,7 @@ def assign_batch(queries: np.ndarray, entries: np.ndarray, metric: str) -> np.nd
         return np.argmax(qn @ en.T, axis=1)
     if metric != EUCLIDEAN:
         raise ValueError(f"unknown metric {metric!r}")
-    d2 = (
-        (queries * queries).sum(axis=1)[:, None]
-        - 2.0 * (queries @ entries.T)
-        + (entries * entries).sum(axis=1)[None, :]
-    )
-    return np.argmin(d2, axis=1)
+    return _euclidean_nearest(queries, _euclidean_tables(entries))
 
 
 def ema_update(

@@ -508,6 +508,23 @@ class TestExitCodes:
         assert "finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_decode_past_float32_range_is_exit_4(self, tmp_path, capsys):
+        # Each entry fits float32; the sum of two does not.
+        layer = Codebook.from_entries(np.full((2, 3), 3e38))
+        book = tmp_path / "big.rvqc"
+        save_quantizer(book, RvqQuantizer(layers=[layer, layer], latent_dim=3))
+        tokens = tmp_path / "t.jsonl"
+        tokens.write_text(
+            '{"id":"x","token_rate_hz":50.0,"layers":2,"codebook_size":2,"codes":[[0,1]]}\n'
+        )
+        out = tmp_path / "r.rvqv"
+        code, stdout, err = run(
+            capsys, "decode", "--codebook", str(book), "--tokens", str(tokens), "--out", str(out),
+        )
+        assert code == 4
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_oversized_code_is_data_error(self, tmp_path, trained_codebook, capsys):
         tokens = tmp_path / "big.jsonl"
         tokens.write_text(

@@ -12,6 +12,7 @@ from rvqkit import (
     projected_assign,
     projected_grads,
     projected_loss,
+    rvq_encode_batch,
     train_quantizer,
 )
 
@@ -113,6 +114,22 @@ class TestEmaTraining:
         _, plain = train_quantizer(corpus, TrainConfig(scheme="ema", **base))
         _, restart = train_quantizer(corpus, TrainConfig(scheme="ema_restart", **base))
         assert restart.utilization[0] >= plain.utilization[0]
+
+    def test_reported_utilization_is_that_of_encode(self):
+        # Training looks codes up with the encoder's kernel, so the utilization
+        # it reports is that of the codes `rvq_encode_batch` gives.
+        corpus = make_corpus(
+            CorpusSpec(num_components=12, dims=8, separation=6.0, count=1024, seed=44)
+        )
+        config = TrainConfig(
+            scheme="ema_restart", num_layers=4, codebook_size=256, latent_dim=8, steps=60,
+            batch_size=64, restart_period=20, seed=44,
+        )
+        quantizer, report = train_quantizer(corpus, config)
+        codes, _ = rvq_encode_batch(corpus, quantizer)
+        used = [len(np.unique(column)) / 256 for column in codes.T]
+        np.testing.assert_array_equal(report.utilization, used)
+        assert min(used) < 1.0
 
     def test_corpus_too_small_raises(self):
         corpus = np.zeros((4, 2))

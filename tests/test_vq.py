@@ -1,6 +1,7 @@
 """Single-layer quantization: lookups, EMA updates, restarts, projections, k-means."""
 
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,6 +22,8 @@ from rvqkit import (
     restart_dead_codes,
     rvq_encode_batch,
 )
+from rvqkit import vq
+from rvqkit.vq import assign_batch
 
 
 def brute_force_nearest(query, entries, metric="euclidean"):
@@ -137,6 +140,21 @@ class TestNearestCode:
         assert idx.tolist() == [1, 0]
         assert dist[0] == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_cosine_huge_vectors(self, scale):
+        # Squared norms overflow above about 1.3e154; such rows still have a
+        # direction, so they get the codes of their unscaled copies.
+        rng = np.random.default_rng(17)
+        entries, queries = rng.normal(size=(256, 8)), rng.normal(size=(64, 8))
+        base_idx, base_dist = nearest_codes(queries, Codebook.from_entries(entries, metric="cosine"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e, q in ((scale * entries, queries), (entries, scale * queries),
+                         (scale * entries, scale * queries)):
+                idx, dist = nearest_codes(q, Codebook.from_entries(e, metric="cosine"))
+                np.testing.assert_array_equal(idx, base_idx)
+                np.testing.assert_allclose(dist, base_dist, atol=1e-12)
+
     def test_cosine_zero_norm_raises(self):
         cb = Codebook.from_entries([[1, 0], [0, 1]], metric="cosine")
         with pytest.raises(DegenerateInputError):
@@ -193,10 +211,12 @@ def exact_reference(queries, entries):
 
 
 def assert_matches_reference(queries, entries):
+    """Encoding and training lookups both equal the reference."""
     idx, dist = nearest_codes(queries, Codebook.from_entries(entries))
     ref_idx, ref_dist = exact_reference(queries, entries)
     np.testing.assert_array_equal(idx, ref_idx)
     np.testing.assert_array_equal(dist.view(np.int64), ref_dist.view(np.int64))
+    np.testing.assert_array_equal(assign_batch(queries, entries, "euclidean"), ref_idx)
     return idx, dist
 
 
@@ -247,6 +267,34 @@ class TestExactKernel:
         idx, dist = assert_matches_reference(queries, entries)
         np.testing.assert_array_equal(idx[:40], np.arange(40))
         assert not dist[:40].any()
+
+    def test_tables_collapse_every_copy(self):
+        # Distinct entries of one norm sit between copies in a sort by norm.
+        entries = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                            [1.0, 0.0], [0.0, 3.0]])
+        _, _, sq_norms, max_sq_norm = vq._euclidean_tables(entries)
+        assert sq_norms.tolist() == [1.0, 1.0, np.inf, np.inf, 1.0, np.inf, 9.0]
+        assert max_sq_norm == 9.0
+
+    def test_copies_of_an_entry_are_not_rescored(self, monkeypatch):
+        # 900 copies of one entry collapse to the first: queries on it have
+        # one candidate, so neither lookup enters the exact rescoring.
+        rng = np.random.default_rng(23)
+        entries = rng.normal(size=(1024, 16))
+        entries[100:1000] = entries[100]
+        queries = np.concatenate([np.repeat(entries[100:101], 8, axis=0), entries[1000:]])
+        rescored, exact = [], vq._exact_sq_distances
+
+        def spy(x, cands):
+            rescored.append(len(cands))
+            return exact(x, cands)
+
+        monkeypatch.setattr(vq, "_exact_sq_distances", spy)
+        idx = assign_batch(queries, entries, "euclidean")
+        assert rescored == []
+        np.testing.assert_array_equal(idx, [100] * 8 + list(range(1000, 1024)))
+        assert nearest_codes(queries, Codebook.from_entries(entries))[0].tolist() == idx.tolist()
+        assert rescored == [len(queries)]  # only the distances of the answers
 
     def test_concurrent_first_lookups(self):
         # `encode --threads` shares one quantizer, so first lookups race to

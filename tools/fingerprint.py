@@ -1,0 +1,218 @@
+"""Fingerprint rvqkit's seeded outputs, to show which ones a change moves.
+
+Runs a fixed list of seeded CLI commands and library calls in a temporary
+directory and prints one `sha256 name` line per stdout, stderr, exit code and
+output file, named `<case>/<stream>`. The training outputs are the cases
+`train-*`, `lib/train-*` and `lib/kmeans-init`, and demo 03, which trains. To
+see what a change moves, run it on two checkouts and diff:
+
+    python tools/fingerprint.py > new.txt
+    python tools/fingerprint.py --repo ../old-checkout > old.txt
+    diff old.txt new.txt
+
+--repo picks the checkout whose `src` and `demos` run (default: the one that
+holds this file). --codebook adds a saved codebook, for instance one trained
+by another checkout, to the fixed codebooks that encode, decode and analyze
+run on. BLAS runs on one thread, in this process and in the children.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class Fingerprint:
+    def __init__(self, repo: Path, work: Path):
+        self.repo, self.work = repo, work
+        self.env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+
+    def emit(self, name: str, data: bytes) -> None:
+        print(f"{_sha(data)} {name}", flush=True)
+
+    def run(self, case: str, argv: list[str], outputs: tuple[str, ...] = ()) -> None:
+        """Run one command in the work directory; hash its streams and files."""
+        proc = subprocess.run(argv, cwd=self.work, env=self.env, capture_output=True)
+        self.emit(f"{case}/exit", str(proc.returncode).encode())
+        self.emit(f"{case}/stdout", proc.stdout)
+        self.emit(f"{case}/stderr", proc.stderr)
+        for name in outputs:
+            path = self.work / name
+            self.emit(f"{case}/{name}", path.read_bytes() if path.exists() else b"<missing>")
+
+    def cli(self, case: str, *args: str, outputs: tuple[str, ...] = ()) -> None:
+        self.run(case, [sys.executable, "-m", "rvqkit.cli", *args], outputs)
+
+    def arrays(self, name: str, *arrays) -> None:
+        self.emit(name, b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+
+
+def _fixed_codebooks(rk) -> dict:
+    """Codebooks built from seeded entries, with no training."""
+    rng = np.random.default_rng(2024)
+    plain = rk.RvqQuantizer(
+        layers=[rk.Codebook.from_entries(rng.normal(size=(32, 16)) / (n + 1)) for n in range(3)],
+        latent_dim=16,
+    )
+    pair = rk.ProjectionPair(rng.normal(size=(16, 4)) / 4, rng.normal(size=(4, 16)) / 2)
+    projected = rk.RvqQuantizer(
+        layers=[rk.Codebook.from_entries(rng.normal(size=(32, 4)), metric="cosine")
+                for _ in range(3)],
+        latent_dim=16,
+        scheme="projected",
+        projections=[pair] * 3,
+    )
+    # What a collapsed k-means init leaves: blocks of copies, then zero layers.
+    layers = []
+    for n in range(8):
+        base = rng.normal(size=(48, 32)) * 3.0 / (n + 1)
+        entries = base[rng.integers(0, 48, size=1024)] if n < 3 else np.zeros((1024, 32))
+        if n == 2:
+            entries[100:900] = entries[0]
+        layers.append(rk.Codebook.from_entries(entries))
+    duplicates = rk.RvqQuantizer(layers=layers, latent_dim=32)
+    return {"plain": plain, "projected": projected, "duplicates": duplicates}
+
+
+def _codebook_cases(fp: Fingerprint, rk, extra: list[Path]) -> None:
+    books = _fixed_codebooks(rk)
+    for path in extra:
+        books[f"extra-{path.stem}"] = rk.load_quantizer(str(path))
+    for name, quantizer in books.items():
+        book = f"{name}.rvqc"
+        rk.save_quantizer(str(fp.work / book), quantizer)
+        fp.emit(f"{name}/{book}", (fp.work / book).read_bytes())
+        spec = rk.CorpusSpec(num_components=24, dims=quantizer.latent_dim, separation=4.0,
+                             count=2500, seed=7)
+        rk.write_vectors(str(fp.work / f"{name}.rvqv"), rk.make_corpus(spec))
+        for threads in ("1", "2"):
+            fp.cli(f"{name}/encode-threads-{threads}", "encode", "--codebook", book,
+                   "--input", f"{name}.rvqv", "--threads", threads, "--id", name,
+                   "--out", f"{name}-t{threads}.jsonl", outputs=(f"{name}-t{threads}.jsonl",))
+        tokens = f"{name}-t1.jsonl"
+        fp.cli(f"{name}/decode", "decode", "--codebook", book, "--tokens", tokens,
+               "--out", f"{name}-decoded.rvqv", outputs=(f"{name}-decoded.rvqv",))
+        fp.cli(f"{name}/analyze", "analyze", "--tokens", tokens)
+        fp.cli(f"{name}/analyze-json", "analyze", "--tokens", tokens, "--layer", "2",
+               "--format", "json-lines")
+
+        queries = rk.make_corpus(rk.CorpusSpec(dims=quantizer.latent_dim, count=300, seed=8))
+        fp.arrays(f"lib/encode-batch-{name}", *rk.rvq_encode_batch(queries, quantizer))
+
+
+def _lookup_cases(fp: Fingerprint, rk) -> None:
+    """`nearest_codes` on random codebooks: copies, zeros, rounding, scales."""
+    rng = np.random.default_rng(99)
+    for n in range(40):
+        k, q = int(rng.integers(1, 300)), int(rng.integers(1, 24))
+        entries = rng.normal(size=(k, q)) * 10.0 ** rng.uniform(-5, 4)
+        kind = n % 4
+        if kind == 1:
+            entries[k // 2 :] = entries[: k - k // 2]
+        elif kind == 2:
+            entries[k // 2 :] = 0.0
+        elif kind == 3:
+            entries = np.round(entries, 1)
+        queries = np.concatenate([entries[rng.integers(0, k, size=20)],
+                                  rng.normal(size=(30, q)) * np.abs(entries).max()])
+        for metric in ("euclidean", "cosine"):
+            if metric == "cosine" and (kind == 2 or not np.abs(entries).sum(axis=1).all()):
+                continue
+            cb = rk.Codebook.from_entries(entries, metric=metric)
+            fp.arrays(f"lib/nearest-codes-{n}-{metric}", *rk.nearest_codes(queries, cb))
+
+
+def _training_cases(fp: Fingerprint, rk) -> None:
+    fp.cli("train-ema", "train", "--synth", "modes=8,count=600", "--latent-dim", "8",
+           "--layers", "3", "--codebook-size", "32", "--steps", "80", "--seed", "3",
+           "--out", "ema.rvqc", outputs=("ema.rvqc",))
+    # The shape of the benchmark's codec-euclid training run.
+    fp.cli("train-ema-restart", "train", "--synth", "modes=256,count=8192",
+           "--latent-dim", "32", "--scheme", "ema-restart", "--layers", "8",
+           "--codebook-size", "1024", "--steps", "60", "--batch-size", "256",
+           "--restart-period", "20", "--seed", "11", "--out", "restart.rvqc",
+           outputs=("restart.rvqc",))
+    fp.cli("train-ema-cosine", "train", "--synth", "modes=8,count=600", "--latent-dim", "8",
+           "--metric", "cosine", "--init", "random", "--layers", "2", "--codebook-size", "32",
+           "--steps", "60", "--seed", "4", "--out", "cos.rvqc", outputs=("cos.rvqc",))
+    fp.cli("train-projected", "train", "--synth", "modes=8,count=600", "--latent-dim", "16",
+           "--scheme", "projected", "--quant-dim", "4", "--init", "random", "--layers", "3",
+           "--codebook-size", "32", "--steps", "80", "--seed", "5", "--out", "proj.rvqc",
+           outputs=("proj.rvqc",))
+
+    corpus = rk.make_corpus(rk.CorpusSpec(num_components=12, dims=8, separation=6.0,
+                                          count=1024, seed=44))
+    fp.arrays("lib/kmeans-init", rk.kmeans_init(corpus, 64, rng=1).entries)
+    for scheme, extra in (("ema", {}), ("ema_restart", {"restart_period": 20}),
+                          ("projected", {"quant_dim": 4, "init": "random"})):
+        config = rk.TrainConfig(scheme=scheme, num_layers=3, codebook_size=64, latent_dim=8,
+                                steps=60, seed=44, **extra)
+        quantizer, report = rk.train_quantizer(corpus, config)
+        fp.arrays(f"lib/train-{scheme}", report.mse, report.codebook, report.commitment,
+                  report.utilization, *(layer.entries for layer in quantizer.layers))
+
+
+def _generation_cases(fp: Fingerprint) -> None:
+    fp.cli("mlm-sim-oracle", "mlm-sim", "--frames", "40", "--layers", "4",
+           "--codebook-size", "64", "--iterations", "6", "--prompt-frames", "5", "--seed", "2",
+           "--out", "mlm.jsonl", "--truth-out", "truth.jsonl",
+           outputs=("mlm.jsonl", "truth.jsonl"))
+    fp.cli("mlm-sim-uniform", "mlm-sim", "--model", "uniform", "--frames", "30",
+           "--cfg", "1:3", "--temperature", "0.7", "--noise-seed", "9", "--seed", "3",
+           "--out", "mlm-u.jsonl", outputs=("mlm-u.jsonl",))
+    fp.cli("arnar-sim-oracle", "arnar-sim", "--max-frames", "40", "--layers", "4",
+           "--codebook-size", "64", "--prompt-frames", "4", "--seed", "6",
+           "--out", "arnar.jsonl", outputs=("arnar.jsonl",))
+    fp.cli("arnar-sim-ngram", "arnar-sim", "--ar", "ngram", "--train-tokens", "plain-t1.jsonl",
+           "--support", "plain-t1.jsonl", "--max-frames", "200", "--layers", "3",
+           "--codebook-size", "32", "--ngram-order", "3", "--seed", "7",
+           "--out", "ngram.jsonl", outputs=("ngram.jsonl",))
+    fp.cli("arnar-sim-cycling", "arnar-sim", "--ar", "cycling", "--max-frames", "30",
+           "--layers", "2", "--codebook-size", "16", "--seed", "8",
+           "--out", "cycling.jsonl", outputs=("cycling.jsonl",))
+
+
+def _demo_cases(fp: Fingerprint) -> None:
+    for demo in sorted((fp.repo / "demos").glob("*.py")):
+        before = set(fp.work.iterdir())
+        fp.run(f"demo-{demo.stem}", [sys.executable, str(demo)])
+        for path in sorted(set(fp.work.iterdir()) - before):
+            fp.emit(f"demo-{demo.stem}/{path.name}", path.read_bytes())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--codebook", type=Path, action="append", default=[],
+                        help="extra codebook file for encode, decode and analyze")
+    args = parser.parse_args(argv)
+    repo = args.repo.resolve()
+    sys.path.insert(0, str(repo / "src"))
+    import rvqkit as rk
+
+    with tempfile.TemporaryDirectory(prefix="rvqkit-fingerprint-") as work:
+        fp = Fingerprint(repo, Path(work))
+        _codebook_cases(fp, rk, [p.resolve() for p in args.codebook])
+        _lookup_cases(fp, rk)
+        _training_cases(fp, rk)
+        _generation_cases(fp)
+        _demo_cases(fp)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
