@@ -246,7 +246,7 @@ def train_ngram_ar(streams: list[TokenStream], order: int = 2, smoothing: float 
     return NgramArModel(order=order, smoothing=smoothing, codebook_size=k, counts=counts)
 
 
-def sequence_perplexity(model: ArModel, condition, codes, *, eos_index: int | None = None) -> float:
+def sequence_perplexity(model: ArModel, condition, codes) -> float:
     """Perplexity (base 2) of a first-layer sequence plus its EOS under an AR model."""
     codes = np.asarray(codes, dtype=np.int64).ravel()
     empty = np.empty(0, dtype=np.int64)
@@ -256,7 +256,7 @@ def sequence_perplexity(model: ArModel, condition, codes, *, eos_index: int | No
         logits = np.asarray(model.next_logits(condition, empty, codes[:t]), dtype=np.float64).ravel()
         z = logits - logits.max()
         logp = z - np.log(np.exp(z).sum())
-        target = codes[t] if t < len(codes) else (eos_index if eos_index is not None else len(logits) - 1)
+        target = codes[t] if t < len(codes) else len(logits) - 1
         log2_sum += logp[target] / np.log(2.0)
         steps += 1
     return float(2.0 ** (-log2_sum / steps))

@@ -1,10 +1,6 @@
 """Exception types shared across the toolkit."""
 
 
-class DegenerateInputError(ValueError):
-    """A zero-norm vector was passed where the cosine metric needs a direction."""
-
-
 class FormatError(ValueError):
     """An on-disk file does not conform to its declared format."""
 

@@ -88,7 +88,6 @@ class GenerationStats:
     forward_passes: int  # conditional scoring passes
     unconditional_passes: int
     commit_counts: list[int] = field(default_factory=list)
-    layer1_confidence: np.ndarray | None = None
 
 
 def anneal_coeff(progress: float, cfg_start: float, cfg_end: float) -> float:
@@ -161,7 +160,6 @@ def generate_parallel(
 
     masked = np.ones(num_frames, dtype=bool)  # layer-1 positions not yet committed
     masked[:p] = False
-    confidence = np.zeros(num_frames)
 
     total = num_frames - p
     targets = _commit_targets(total, schedule.unmask_fractions)
@@ -189,7 +187,6 @@ def generate_parallel(
             pos = masked_pos[chosen]
             grid[pos, 0] = draws[chosen]
             masked[pos] = False
-            confidence[pos] = conf[chosen]
             committed = target
         commit_counts.append(count)
 
@@ -205,7 +202,6 @@ def generate_parallel(
         forward_passes=cond_passes,
         unconditional_passes=schedule.iterations_layer1,
         commit_counts=commit_counts,
-        layer1_confidence=confidence,
     )
     stream = TokenStream(
         frames=grid,

@@ -6,10 +6,13 @@ codebook under either squared-Euclidean or cosine distance; updates cover the
 EMA rule with Laplace-smoothed normalization and the dead-code restart that
 resamples unused entries from a batch.
 
-Every Euclidean lookup, `nearest_codes` for encoding and `assign_batch` for
-training alike, runs one exact kernel (`_euclidean_block`): one GEMM, then
-exact rescoring of the near-ties. Its tables collapse each block of identical
-entries to the first copy, so copies cost no rescoring.
+Encoding (`nearest_codes`) and training (`assign_batch`) run one lookup per
+metric, in one loop over row blocks. Euclidean (`_euclidean_block`): one GEMM,
+then exact rescoring of the near-ties; its tables collapse each block of
+identical entries to the first copy, so copies cost no rescoring. Cosine
+(`_cosine_block`): one GEMM of unit queries against unit entries, then the
+largest similarity. A zero vector has no direction: it normalizes to zero, so
+its cosine with every vector is 0 (the `F.normalize` convention of DAC).
 
 Lookups are pure functions of an immutable codebook and can run from any
 number of threads (the first computes the codebook's lookup tables and makes
@@ -25,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import as_generator
-from .errors import DegenerateInputError
 
 EUCLIDEAN = "euclidean"
 COSINE = "cosine"
@@ -98,24 +100,16 @@ class Codebook:
     def _lookup_tables(self) -> tuple:
         """What every lookup reads, computed at the first one.
 
-        Euclidean: `_euclidean_tables`, what the one Euclidean kernel reads,
-        with every copy of an entry after the first collapsed out of the
-        candidates (training builds the same per call on its entry
-        matrices); cosine: (entries, unit entries).
-        The entries are made read-only here, so a later in-place write
-        raises instead of leaving the tables stale. A replaced or writeable
-        entry array gets new tables. Concurrent first lookups compute the
-        same tables, so the race is harmless.
+        `_euclidean_tables` or `_cosine_tables`, which training builds per
+        call on its entry matrices. The entries are made read-only here, so
+        a later in-place write raises instead of leaving the tables stale. A
+        replaced or writeable entry array gets new tables. Concurrent first
+        lookups compute the same tables, so the race is harmless.
         """
         tables = self._tables
         if tables is None or tables[0] is not self.entries or self.entries.flags.writeable:
-            entries = self.entries
-            entries.flags.writeable = False
-            if self.metric == COSINE:
-                tables = (entries, _normalize_rows(entries, "codebook entry"))
-            else:
-                tables = _euclidean_tables(entries)
-            self._tables = tables
+            self.entries.flags.writeable = False
+            tables = self._tables = _build_tables(self.entries, self.metric)
         return tables
 
     def validate(self) -> None:
@@ -181,9 +175,10 @@ class ProjectionPair:
         return cls(proj_in=eye, proj_out=eye.copy())
 
 
-def _normalize_rows(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Rows scaled to unit norm. A row that is not finite raises ValueError;
-    a row of zeros, which has no direction, raises DegenerateInputError."""
+def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm. A row of zeros has no direction and stays
+    zero, so its cosine with every vector is 0; a row that is not finite
+    raises ValueError."""
     # Below this peak no sum of squares overflows (NaN fails the test too).
     # The ufuncs are called directly: one-frame encoding runs this per layer,
     # and the reduce is the sum `np.linalg.norm` takes, bit for bit.
@@ -192,20 +187,24 @@ def _normalize_rows(matrix: np.ndarray, what: str) -> np.ndarray:
         norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1))
         if norms.all():
             return matrix / norms[:, None]
+        zero = norms == 0
+        if not matrix[zero].any():  # no norm underflowed: only zero rows
+            return matrix / np.where(zero, 1.0, norms)[:, None]
     elif not np.isfinite(matrix).all():
         raise ValueError("queries must be finite")  # entries are checked finite
     # The squares of tiny components underflow to a zero norm, and those of
     # huge ones overflow to an infinite one: rescale those rows by their
-    # largest component first.
+    # largest component first. Zero rows stay zero: they are divided by 1,
+    # and a rescaled row that is not zero has norm >= 1, so the floor of 1
+    # below changes no other row.
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(matrix, axis=1)
     odd = (norms == 0) | (norms == np.inf)
     peaks = np.abs(matrix[odd]).max(axis=1)
-    if not peaks.all():
-        raise DegenerateInputError(f"zero-norm {what} is undefined under the cosine metric")
+    peaks[peaks == 0] = 1.0
     out = matrix / np.where(odd, 1.0, norms)[:, None]
     scaled = matrix[odd] / peaks[:, None]
-    out[odd] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    out[odd] = scaled / np.maximum(np.linalg.norm(scaled, axis=1), 1.0)[:, None]
     return out
 
 
@@ -275,13 +274,42 @@ def _euclidean_block(x: np.ndarray, tables: tuple) -> np.ndarray:
     return best
 
 
-def _euclidean_nearest(queries: np.ndarray, tables: tuple) -> np.ndarray:
-    """`_euclidean_block` over row blocks of capped size."""
+def _cosine_tables(entries: np.ndarray) -> tuple:
+    """What the cosine kernel reads: (entries, unit entries)."""
+    return entries, _normalize_rows(entries)
+
+
+def _cosine_block(x: np.ndarray, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-entry indices of a row block under cosine, with the cosine
+    similarity of each answer: one GEMM of unit queries against unit
+    entries, then the largest similarity, ties to the lowest index."""
+    sims = _normalize_rows(x) @ tables[1].T  # rejects non-finite queries
+    best = np.argmax(sims, axis=1)
+    return best, sims[np.arange(len(best)), best]
+
+
+def _build_tables(entries: np.ndarray, metric: str) -> tuple:
+    if metric == COSINE:
+        return _cosine_tables(entries)
+    if metric != EUCLIDEAN:
+        raise ValueError(f"unknown metric {metric!r}")
+    return _euclidean_tables(entries)
+
+
+def _lookup(queries: np.ndarray, tables: tuple, metric: str) -> tuple:
+    """The one row-block loop of both metrics: nearest-entry indices, in
+    blocks whose (rows, K) scores stay under a memory cap, and under cosine
+    the similarity of each answer (None under Euclidean)."""
     idx = np.empty(len(queries), dtype=np.int64)
+    sims = np.empty(len(queries)) if metric == COSINE else None
     rows = max(1, _LOOKUP_CHUNK_ELEMENTS // len(tables[0]))
     for lo in range(0, len(queries), rows):
-        idx[lo : lo + rows] = _euclidean_block(queries[lo : lo + rows], tables)
-    return idx
+        block = slice(lo, lo + rows)
+        if sims is None:
+            idx[block] = _euclidean_block(queries[block], tables)
+        else:
+            idx[block], sims[block] = _cosine_block(queries[block], tables)
+    return idx, sims
 
 
 def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
@@ -289,11 +317,14 @@ def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (indices, distances). Euclidean distances are true L2 norms
     (not squared), equal bit for bit to the square root of the summed
-    squared differences to every entry, with ties to the lowest code index;
-    cosine distance is 1 - cos(query, entry), ties likewise to the lowest
-    index. Non-finite queries are rejected with ValueError, since no entry
-    is nearest to them. The first lookup makes the codebook's entries
-    read-only (see `Codebook._lookup_tables`).
+    squared differences to every entry, with ties to the lowest code index.
+    Cosine distance is 1 - cos(query, entry), clamped at 0 (rounding can
+    put an exact match just below it), with ties likewise to the lowest
+    index; a zero query or entry has cosine 0 with every vector, so a zero
+    query gets code 0 at distance 1, and a zero entry wins only when no
+    entry has a positive cosine. Non-finite queries are rejected with
+    ValueError, since no entry is nearest to them. The first lookup makes
+    the codebook's entries read-only (see `Codebook._lookup_tables`).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != codebook.code_dim:
@@ -301,47 +332,23 @@ def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
             f"query dim {queries.shape[1]} does not match codebook dim {codebook.code_dim}"
         )
     if codebook.metric == COSINE:
-        n = queries.shape[0]
-        idx = np.empty(n, dtype=np.int64)
-        rows = max(1, _LOOKUP_CHUNK_ELEMENTS // codebook.num_codes)
-        unit_queries = _normalize_rows(queries, "query")  # rejects non-finite queries
-        unit_entries = codebook._lookup_tables()[1]
-        dist = np.empty(n)
-        for lo in range(0, n, rows):
-            dists = 1.0 - unit_queries[lo : lo + rows] @ unit_entries.T
-            idx[lo : lo + rows] = best = np.argmin(dists, axis=1)
-            dist[lo : lo + rows] = dists[np.arange(len(best)), best]
-        return idx, dist
+        idx, sims = _lookup(queries, codebook._lookup_tables(), COSINE)
+        return idx, np.maximum(1.0 - sims, 0.0)
 
     if not np.isfinite(queries).all():
         raise ValueError("queries must be finite")
-    idx = _euclidean_nearest(queries, codebook._lookup_tables())
+    idx, _ = _lookup(queries, codebook._lookup_tables(), EUCLIDEAN)
     return idx, np.sqrt(_exact_sq_distances(queries, codebook.entries[idx]))
-
-
-def _guarded_normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
-    return matrix / np.maximum(norms, 1e-12)[:, None]
 
 
 def assign_batch(queries: np.ndarray, entries: np.ndarray, metric: str) -> np.ndarray:
     """Training-path nearest-entry indices over a (K, q) entry matrix.
 
-    Euclidean runs the one exact kernel of `nearest_codes` on tables built
-    for this call by `_euclidean_tables`, which collapse copies of an entry
-    to the first, so k-means, the EMA steps and the reported utilization get
-    the codes `nearest_codes` gives. Unlike the public lookup, zero-norm rows under the cosine
-    metric are tolerated (normalized with an epsilon guard): a fully
-    reconstructed residual is a benign degeneracy inside a training loop,
-    not an input error.
+    The lookup of `nearest_codes`, on tables built for this call, so
+    k-means, the EMA steps, projected training and the reported utilization
+    get the codes that encoding gives.
     """
-    if metric == COSINE:
-        qn = _guarded_normalize_rows(queries)
-        en = _guarded_normalize_rows(entries)
-        return np.argmax(qn @ en.T, axis=1)
-    if metric != EUCLIDEAN:
-        raise ValueError(f"unknown metric {metric!r}")
-    return _euclidean_nearest(queries, _euclidean_tables(entries))
+    return _lookup(queries, _build_tables(entries, metric), metric)[0]
 
 
 def ema_update(

@@ -262,6 +262,50 @@ class TestEncodeDecode:
         rel = ((original - rebuilt) ** 2).sum() / (original**2).sum()
         assert rel < 0.6
 
+    @pytest.mark.parametrize(
+        "train_args",
+        [
+            # k-means over the init sample leaves zero entries in layer 2.
+            ["--synth", "modes=512,count=3072", "--scheme", "projected", "--codebook-size",
+             "1024", "--latent-dim", "64", "--quant-dim", "8", "--steps", "100",
+             "--batch-size", "256", "--seed", "0"],
+            # The last restart copies corpus rows into layer 1, so their
+            # layer-2 residual is exactly 0.
+            *(
+                ["--corpus", "{corpus}", "--scheme", "ema-restart", "--metric", "cosine",
+                 "--init", init, "--codebook-size", "512", "--latent-dim", "16", "--steps", "20",
+                 "--batch-size", "64", "--restart-period", "20", "--seed", "9"]
+                for init in ("kmeans", "random")
+            ),
+        ],
+    )
+    def test_cosine_codebook_encodes_zero_vectors(self, tmp_path, capsys, train_args):
+        # A zero vector has cosine 0 with every vector, in training and in
+        # encoding alike, so what trains also encodes.
+        corpus = tmp_path / "c.rvqv"
+        write_vectors(corpus, make_corpus(CorpusSpec(num_components=12, dims=16, separation=5,
+                                                     count=1500, seed=3)))
+        held_out = tmp_path / "h.rvqv"
+        write_vectors(held_out, make_corpus(CorpusSpec(dims=64, count=200, seed=1)))
+        cb = tmp_path / "cb.rvqc"
+        argv = [arg.format(corpus=corpus) for arg in train_args]
+        code, _, err = run(capsys, "train", *argv, "--layers", "2", "--out", str(cb))
+        assert code == 0, err
+        quantizer = rvqkit.load_quantizer(cb)
+        vectors = corpus if quantizer.latent_dim == 16 else held_out
+        if quantizer.scheme == "projected":
+            assert not quantizer.layers[1].entries.any(axis=1).all()
+        else:
+            rows = read_vectors(corpus).astype(np.float64)
+            entries = quantizer.layers[0].entries
+            assert (rows[:, None, :] == entries[None, :, :]).all(axis=2).any()
+        tokens = tmp_path / "t.jsonl"
+        code, _, err = run(capsys, "encode", "--codebook", str(cb), "--input", str(vectors),
+                           "--out", str(tokens))
+        assert code == 0, err
+        assert "Traceback" not in err
+        assert read_token_streams(tokens)[0].num_frames == len(read_vectors(vectors))
+
     def test_threads_do_not_change_output(self, tmp_path, trained_codebook, capsys):
         rng = np.random.default_rng(6)
         big = tmp_path / "big.rvqv"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from rvqkit import (
     Codebook,
-    DegenerateInputError,
     ProjectionPair,
     RvqQuantizer,
     ema_update,
@@ -33,9 +32,10 @@ def brute_force_nearest(query, entries, metric="euclidean"):
         if metric == "euclidean":
             d = np.sqrt(((np.asarray(query) - entry) ** 2).sum())
         else:
-            qn = np.asarray(query) / np.linalg.norm(query)
-            en = entry / np.linalg.norm(entry)
-            d = 1.0 - float(qn @ en)
+            # A zero vector has no direction: its cosine with anything is 0.
+            qn, en = np.linalg.norm(query), np.linalg.norm(entry)
+            cos = 0.0 if qn == 0 or en == 0 else float(np.asarray(query) / qn @ (entry / en))
+            d = 1.0 - cos
         if best_d is None or d < best_d:
             best_i, best_d = i, d
     return best_i, best_d
@@ -155,13 +155,44 @@ class TestNearestCode:
                 np.testing.assert_array_equal(idx, base_idx)
                 np.testing.assert_allclose(dist, base_dist, atol=1e-12)
 
-    def test_cosine_zero_norm_raises(self):
+    def test_cosine_zero_vectors_have_no_direction(self):
+        # A zero query has cosine 0 with every entry: code 0 at distance 1.
         cb = Codebook.from_entries([[1, 0], [0, 1]], metric="cosine")
-        with pytest.raises(DegenerateInputError):
-            nearest_codes([0.0, 0.0], cb)
-        bad = Codebook.from_entries([[1, 0], [0, 0]], metric="cosine")
-        with pytest.raises(DegenerateInputError):
-            nearest_codes([1.0, 1.0], bad)
+        idx, dist = nearest_codes([[0.0, 0.0], [-0.0, 0.0]], cb)
+        assert idx.tolist() == [0, 0]
+        assert dist.tolist() == [1.0, 1.0]
+        # A zero entry has cosine 0 with every query, so it wins only when
+        # no entry has a positive cosine.
+        zero = Codebook.from_entries([[1, 0], [0, 0], [0, 1]], metric="cosine")
+        idx, dist = nearest_codes([[1.0, 1.0], [-1.0, 2.0], [-1.0, -1.0], [-1.0, 0.0]], zero)
+        assert idx.tolist() == [0, 2, 1, 1]
+        assert dist[2:].tolist() == [1.0, 1.0]
+        assert nearest_codes([0.0, 0.0], zero)[0].tolist() == [0]
+
+    def test_cosine_exact_matches_are_at_zero(self):
+        # Rounding puts 1 - cos of an exact match within an ulp or two of 0,
+        # on either side; distances are clamped at 0.
+        rng = np.random.default_rng(31)
+        entries = rng.normal(size=(64, 8))
+        idx, dist = nearest_codes(entries, Codebook.from_entries(entries, metric="cosine"))
+        np.testing.assert_array_equal(idx, np.arange(64))
+        assert (dist >= 0.0).all() and (dist <= 1e-15).all()
+
+    def test_cosine_training_lookup_matches_encoding(self):
+        # Training and encoding share one cosine lookup, on entries and
+        # queries that are zero, tiny (squares underflow) or huge (squares
+        # overflow) alike.
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            entries = rng.normal(size=(300, 8))
+            queries = np.concatenate([entries[:20], rng.normal(size=(60, 8))])
+            for rows, scale in ((entries, 0.0), (entries, 1e-200), (entries, 1e200),
+                                (queries, 0.0), (queries, 1e-200), (queries, 1e200)):
+                rows[rng.choice(len(rows), size=10, replace=False)] *= scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                idx, _ = nearest_codes(queries, Codebook.from_entries(entries, metric="cosine"))
+                np.testing.assert_array_equal(assign_batch(queries, entries, "cosine"), idx)
 
     @given(st.data(), st.sampled_from(["euclidean", "cosine"]))
     @settings(max_examples=300, deadline=None)
@@ -170,8 +201,6 @@ class TestNearestCode:
         # them certain. Half the queries are exact copies of an entry.
         dim = data.draw(st.integers(1, 4))
         row = st.lists(st.integers(-2, 2).map(float), min_size=dim, max_size=dim)
-        if metric == "cosine":
-            row = row.filter(any)
         rows = data.draw(st.lists(row, min_size=1, max_size=10))
         for _ in range(data.draw(st.integers(1, 4))):
             copy = rows[data.draw(st.integers(0, len(rows) - 1))]
@@ -186,8 +215,6 @@ class TestNearestCode:
             # Tiny components are zeroed: their squares underflow the norm.
             coord = st.floats(-3, 3).map(lambda x: x if abs(x) > 1e-3 else 0.0)
             query = np.array(data.draw(st.lists(coord, min_size=dim, max_size=dim)))
-            if metric == "cosine" and not query.any():
-                query[0] = 1.0
 
         idx, dist = nearest_codes(query, cb)
         i, d = int(idx[0]), float(dist[0])
@@ -198,7 +225,7 @@ class TestNearestCode:
         if exact and metric == "euclidean":
             assert d == 0.0
             assert i == next(j for j, e in enumerate(entries) if np.array_equal(e, query))
-        elif exact:
+        elif exact and query.any():
             assert d == pytest.approx(0.0, abs=1e-12)
 
 

@@ -60,6 +60,14 @@ class Fingerprint:
     def arrays(self, name: str, *arrays) -> None:
         self.emit(name, b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
 
+    def call(self, name: str, fn, *args) -> None:
+        """Hash the arrays `fn(*args)` returns, or the ValueError it raises,
+        so that a checkout which rejects an input still diffs case by case."""
+        try:
+            self.arrays(name, *fn(*args))
+        except ValueError as exc:
+            self.emit(name, f"{type(exc).__name__}: {exc}".encode())
+
 
 def _fixed_codebooks(rk) -> dict:
     """Codebooks built from seeded entries, with no training."""
@@ -130,10 +138,8 @@ def _lookup_cases(fp: Fingerprint, rk) -> None:
         queries = np.concatenate([entries[rng.integers(0, k, size=20)],
                                   rng.normal(size=(30, q)) * np.abs(entries).max()])
         for metric in ("euclidean", "cosine"):
-            if metric == "cosine" and (kind == 2 or not np.abs(entries).sum(axis=1).all()):
-                continue
             cb = rk.Codebook.from_entries(entries, metric=metric)
-            fp.arrays(f"lib/nearest-codes-{n}-{metric}", *rk.nearest_codes(queries, cb))
+            fp.call(f"lib/nearest-codes-{n}-{metric}", rk.nearest_codes, queries, cb)
 
 
 def _training_cases(fp: Fingerprint, rk) -> None:
@@ -153,6 +159,31 @@ def _training_cases(fp: Fingerprint, rk) -> None:
            "--scheme", "projected", "--quant-dim", "4", "--init", "random", "--layers", "3",
            "--codebook-size", "32", "--steps", "80", "--seed", "5", "--out", "proj.rvqc",
            outputs=("proj.rvqc",))
+
+    # Cosine codebooks with zero entries, and a corpus whose layer-2 residuals
+    # are zero where the last restart copied its rows into layer 1: both
+    # train, and both encode.
+    fp.cli("train-projected-kmeans", "train", "--synth", "modes=512,count=3072",
+           "--scheme", "projected", "--layers", "2", "--codebook-size", "1024",
+           "--latent-dim", "64", "--quant-dim", "8", "--steps", "100", "--batch-size", "256",
+           "--seed", "0", "--out", "proj-kmeans.rvqc", outputs=("proj-kmeans.rvqc",))
+    rk.write_vectors(str(fp.work / "held-out-64.rvqv"),
+                     rk.make_corpus(rk.CorpusSpec(dims=64, count=300, seed=1)))
+    fp.cli("encode-projected-kmeans", "encode", "--codebook", "proj-kmeans.rvqc",
+           "--input", "held-out-64.rvqv", "--out", "proj-kmeans.jsonl",
+           outputs=("proj-kmeans.jsonl",))
+    rk.write_vectors(str(fp.work / "restart-corpus.rvqv"),
+                     rk.make_corpus(rk.CorpusSpec(num_components=12, dims=16, separation=5,
+                                                  count=1500, seed=3)))
+    for init in ("kmeans", "random"):
+        case, book = f"ema-restart-cosine-{init}", f"restart-cosine-{init}.rvqc"
+        fp.cli(f"train-{case}", "train", "--corpus", "restart-corpus.rvqv",
+               "--scheme", "ema-restart", "--metric", "cosine", "--init", init, "--layers", "2",
+               "--codebook-size", "512", "--latent-dim", "16", "--steps", "20",
+               "--batch-size", "64", "--restart-period", "20", "--seed", "9", "--out", book,
+               outputs=(book,))
+        fp.cli(f"encode-{case}", "encode", "--codebook", book, "--input", "restart-corpus.rvqv",
+               "--out", f"{case}.jsonl", outputs=(f"{case}.jsonl",))
 
     corpus = rk.make_corpus(rk.CorpusSpec(num_components=12, dims=8, separation=6.0,
                                           count=1024, seed=44))
