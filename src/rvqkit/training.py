@@ -231,9 +231,12 @@ def projected_grads(
 def _init_sample_size(corpus_len: int, config: TrainConfig) -> int:
     """Leading corpus slice used for k-means initialization.
 
-    At least 2*K vectors (when the corpus has them) so that deeper layers see
-    non-degenerate residuals; a sample of exactly K points would be memorized
-    by the first layer.
+    At least 2*K vectors (when the corpus has them); a sample of exactly K
+    points would be memorized by the first layer. 2*K does not keep deeper
+    layers' residuals from degenerating either: every layer is fitted on the
+    same rows, so with 8 layers of K=1024 at d=32 the first three leave each
+    of the 2,048 rows an exactly zero residual, and layers 4-8 fit an
+    all-zero one.
     """
     return min(corpus_len, max(2 * config.codebook_size, config.batch_size))
 

@@ -477,9 +477,13 @@ def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=d2 / total))
+            # The D^2 weights are spent, and a minimum with 0 stays 0. The
+            # remaining centres are uniform draws, one `integers` call each,
+            # so the generator's stream is the one a full loop would leave.
+            for rest in range(j, k):
+                centers[rest] = data[int(rng.integers(n))]
+            break
+        pick = int(rng.choice(n, p=d2 / total))
         centers[j] = data[pick]
         d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
     return centers
@@ -497,6 +501,15 @@ def kmeans_init(
     EMA statistics are primed from the final clustering (per-cluster size and
     vector sum), so a subsequent EMA update continues smoothly from the
     k-means solution. Empty clusters keep their centroid.
+
+    `iterations` is an upper bound on the Lloyd passes. The loop stops at
+    the first pass whose assignments equal the previous pass's, and that is
+    exact: the centres, counts and sums are functions of the assignments
+    (empty clusters keep their centroid), so every later pass would repeat
+    them bit for bit. K-means++ likewise stops its D^2 updates once the
+    weights sum to 0, drawing each remaining centre as before, so the
+    entries, EMA statistics and the state `rng` is left in are those of the
+    full loops.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if num_codes < 1:
@@ -509,8 +522,11 @@ def kmeans_init(
     rng = as_generator(rng)
     centers = _kmeans_plus_plus(data, num_codes, rng)
     # Lloyd iterations, then one last pass that primes the EMA statistics.
+    idx = None
     for i in range(iterations + 1):
-        idx = assign_batch(data, centers, EUCLIDEAN)
+        previous, idx = idx, assign_batch(data, centers, EUCLIDEAN)
+        if previous is not None and np.array_equal(idx, previous):
+            break  # a fixed point: the last pass's counts and sums stand
         counts = np.bincount(idx, minlength=num_codes).astype(np.float64)
         sums = np.zeros_like(centers)
         np.add.at(sums, idx, data)

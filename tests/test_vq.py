@@ -21,7 +21,7 @@ from rvqkit import (
     restart_dead_codes,
     rvq_encode_batch,
 )
-from rvqkit import vq
+from rvqkit import training, vq
 from rvqkit.vq import assign_batch
 
 
@@ -529,6 +529,63 @@ class TestProjections:
             ProjectionPair(proj_in=np.ones((2, 4)), proj_out=np.ones((4, 2)))  # d < q
 
 
+def reference_kmeans_init(data, num_codes, iterations=10, rng=0):
+    """K-means++ with a D^2 update after every centre, then all
+    `iterations + 1` Lloyd passes: `kmeans_init` with no early stop."""
+    data = np.asarray(data, dtype=np.float64)
+    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    n = len(data)
+    centers = np.empty((num_codes, data.shape[1]))
+    centers[0] = data[int(rng.integers(n))]
+    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, num_codes):
+        total = d2.sum()
+        if total <= 0.0:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=d2 / total))
+        centers[j] = data[pick]
+        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+    for i in range(iterations + 1):
+        idx = assign_batch(data, centers, "euclidean")
+        counts = np.bincount(idx, minlength=num_codes).astype(np.float64)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, idx, data)
+        if i == iterations:
+            break
+        nonempty = counts > 0
+        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+    return Codebook(
+        entries=centers,
+        ema_cluster_size=counts,
+        ema_embed_sum=sums,
+        usage_counts=np.zeros(num_codes, dtype=np.int64),
+    )
+
+
+def _few_distinct_rows():
+    rng = np.random.default_rng(16)
+    base = rng.normal(size=(12, 3))
+    return np.concatenate([base, base[rng.integers(0, 12, size=48)]])
+
+
+# name -> (data, num_codes, iterations, whether Lloyd reaches its fixed point)
+KMEANS_CASES = {
+    "random": (np.random.default_rng(15).normal(size=(200, 4)), 16, 10, True),
+    "all-zero": (np.zeros((40, 3)), 8, 10, True),
+    "fewer-distinct-rows-than-k": (_few_distinct_rows(), 20, 10, True),
+    "no-repeat-within-iterations": (np.random.default_rng(17).normal(size=(300, 2)), 30, 3, False),
+    "iterations-0": (np.random.default_rng(18).normal(size=(100, 3)), 10, 0, False),
+    "iterations-1": (np.random.default_rng(18).normal(size=(100, 3)), 10, 1, False),
+}
+
+
+def assert_same_codebooks(got, want):
+    np.testing.assert_array_equal(got.entries, want.entries)
+    np.testing.assert_array_equal(got.ema_cluster_size, want.ema_cluster_size)
+    np.testing.assert_array_equal(got.ema_embed_sum, want.ema_embed_sum)
+
+
 class TestKmeansInit:
     def test_k_points_recovered(self):
         rng = np.random.default_rng(6)
@@ -568,6 +625,44 @@ class TestKmeansInit:
     def test_too_few_points_raises(self):
         with pytest.raises(ValueError):
             kmeans_init(np.ones((3, 2)), num_codes=4)
+
+    @pytest.mark.parametrize("case", sorted(KMEANS_CASES))
+    def test_equals_the_full_loops(self, case, monkeypatch):
+        """Entries, EMA statistics and the generator's state are bit-equal to
+        those of the loops without early stops."""
+        data, k, iterations, converges = KMEANS_CASES[case]
+        want_rng = np.random.default_rng(21)
+        want = reference_kmeans_init(data, k, iterations, rng=want_rng)
+        passes = []
+
+        def counting(*args):
+            passes.append(1)
+            return assign_batch(*args)
+
+        monkeypatch.setattr(vq, "assign_batch", counting)
+        got_rng = np.random.default_rng(21)
+        got = kmeans_init(data, k, iterations=iterations, rng=got_rng)
+        assert_same_codebooks(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # The cases cover both ends of the Lloyd loop.
+        assert (len(passes) < iterations + 1) == converges
+
+    def test_layer_init_leaves_the_generator_as_the_full_loops(self, monkeypatch):
+        """Six layers over 32 rows: the deepest layers fit an all-zero residual."""
+        config = training.TrainConfig(num_layers=6, codebook_size=16, latent_dim=8, batch_size=8)
+        sample = np.random.default_rng(5).normal(size=(32, 8))
+        got_rng = np.random.default_rng(1)
+        got = training._init_layer_codebooks(sample, config, got_rng, "euclidean")
+        def reference(data, k, rng, metric):
+            return reference_kmeans_init(data, k, rng=rng)
+
+        monkeypatch.setattr(training, "kmeans_init", reference)
+        want_rng = np.random.default_rng(1)
+        want = training._init_layer_codebooks(sample, config, want_rng, "euclidean")
+        for layer, reference in zip(got, want):
+            assert_same_codebooks(layer, reference)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert not got[-1].entries.any() and not got[-2].entries.any()
 
 
 class TestCodebookValidation:

@@ -3,7 +3,7 @@
 Runs a fixed list of seeded CLI commands and library calls in a temporary
 directory and prints one `sha256 name` line per stdout, stderr, exit code and
 output file, named `<case>/<stream>`. The training outputs are the cases
-`train-*`, `lib/train-*` and `lib/kmeans-init`, and demo 03, which trains. To
+`train-*`, `lib/train-*` and `lib/kmeans-init*`, and demo 03, which trains. To
 see what a change moves, run it on two checkouts and diff:
 
     python tools/fingerprint.py > new.txt
@@ -127,14 +127,16 @@ def _lookup_cases(fp: Fingerprint, rk) -> None:
     rng = np.random.default_rng(99)
     for n in range(40):
         k, q = int(rng.integers(1, 300)), int(rng.integers(1, 24))
-        entries = rng.normal(size=(k, q)) * 10.0 ** rng.uniform(-5, 4)
+        base = rng.normal(size=(k, q))
+        scale = 10.0 ** rng.uniform(-5, 4)
+        entries = base * scale
         kind = n % 4
         if kind == 1:
             entries[k // 2 :] = entries[: k - k // 2]
         elif kind == 2:
             entries[k // 2 :] = 0.0
-        elif kind == 3:
-            entries = np.round(entries, 1)
+        elif kind == 3:  # rounded at the codebook's own scale, so ties survive every scale
+            entries = np.round(base, 1) * scale
         queries = np.concatenate([entries[rng.integers(0, k, size=20)],
                                   rng.normal(size=(30, q)) * np.abs(entries).max()])
         for metric in ("euclidean", "cosine"):
@@ -187,7 +189,16 @@ def _training_cases(fp: Fingerprint, rk) -> None:
 
     corpus = rk.make_corpus(rk.CorpusSpec(num_components=12, dims=8, separation=6.0,
                                           count=1024, seed=44))
-    fp.arrays("lib/kmeans-init", rk.kmeans_init(corpus, 64, rng=1).entries)
+    # Also an all-zero sample and one with fewer distinct rows than K, where
+    # k-means++ runs out of D^2 weight; the generator's next draw shows
+    # whether it was left where it was.
+    samples = {"": corpus, "-all-zero": np.zeros((256, 8)),
+               "-few-distinct": corpus[np.arange(1024) % 40]}
+    for suffix, sample in samples.items():
+        gen = np.random.default_rng(1)
+        cb = rk.kmeans_init(sample, 64, rng=gen)
+        fp.arrays(f"lib/kmeans-init{suffix}", cb.entries, cb.ema_cluster_size, cb.ema_embed_sum,
+                  gen.integers(2**63, size=1))
     for scheme, extra in (("ema", {}), ("ema_restart", {"restart_period": 20}),
                           ("projected", {"quant_dim": 4, "init": "random"})):
         config = rk.TrainConfig(scheme=scheme, num_layers=3, codebook_size=64, latent_dim=8,
