@@ -10,6 +10,8 @@ Codebook file ("RVQC"):
         proj_in  d*q float32   (projected scheme only)
         entries  K*q float32
         proj_out q*d float32   (projected scheme only)
+    The projected scheme stores the same pair in every layer; a file whose
+    pairs differ is rejected (FormatError, exit 3).
 
 Token stream file: one JSON object per line with keys
     id, token_rate_hz, layers, codebook_size, codes

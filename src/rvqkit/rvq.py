@@ -3,10 +3,10 @@
 Encoding quantizes a latent vector layer by layer, subtracting the looked-up
 entry from a running residual; decoding sums the entries back up. In the
 projected scheme the latent is mapped once into the low-dimensional
-quantization space, the residual recursion runs entirely there, and each
-layer's looked-up entry is mapped back through its out-projection at decode
-time. Encode and decode are pure over an immutable quantizer and safe to
-parallelize across frames.
+quantization space, the residual recursion runs entirely there, and at
+decode time the sum of the looked-up entries is mapped back once through the
+out-projection. Encode and decode are pure over an immutable quantizer and
+safe to parallelize across frames.
 
 A token frame is a plain length-N integer array of per-layer codes; streams
 bundle frames with their rate metadata.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vq import Codebook, ProjectionPair, nearest_codes, project_in, project_out
+from .vq import Codebook, ProjectionPair, nearest_codes
 
 PLAIN = "plain"
 PROJECTED = "projected"
@@ -31,7 +31,13 @@ TokenFrame = np.ndarray
 
 @dataclass
 class RvqQuantizer:
-    """An ordered stack of codebooks sharing dimensionality and lookup metric."""
+    """An ordered stack of codebooks sharing dimensionality and lookup metric.
+
+    Under the projected scheme `projections` holds one pair per layer, as
+    the codebook file stores them, and all of them are equal: the recursion
+    runs in one shared quantization space, so layer 1's pair maps every
+    layer in and out.
+    """
 
     layers: list[Codebook]
     latent_dim: int
@@ -78,9 +84,17 @@ class RvqQuantizer:
         else:
             if not self.projections or len(self.projections) != len(self.layers):
                 raise ValueError("projected scheme needs one projection pair per layer")
-            for i, pair in enumerate(self.projections):
-                if pair.latent_dim != self.latent_dim or pair.quant_dim != q:
-                    raise ValueError(f"projection pair {i} dims do not match the quantizer")
+            first = self.projections[0]
+            if first.latent_dim != self.latent_dim or first.quant_dim != q:
+                raise ValueError("projection pair dims do not match the quantizer")
+            # Bit for bit, so that pairs differing only in the sign of a zero differ too.
+            for i, pair in enumerate(self.projections[1:], start=1):
+                if (
+                    pair.proj_in.shape != first.proj_in.shape
+                    or pair.proj_in.tobytes() != first.proj_in.tobytes()
+                    or pair.proj_out.tobytes() != first.proj_out.tobytes()
+                ):
+                    raise ValueError(f"projection pair {i} differs from pair 0")
 
 
 @dataclass
@@ -169,7 +183,7 @@ def _encode_rows(latents: np.ndarray, quantizer: RvqQuantizer):
         # Projecting would turn Inf into NaN; the lookup rejects the rest.
         if not np.isfinite(latents).all():
             raise ValueError("latents must be finite")
-        latents = project_in(latents, quantizer.projections[0])
+        latents = latents @ quantizer.projections[0].proj_in
     layers = quantizer.layers
     return residual_codes(
         latents, [layer.entries for layer in layers], lambda r, n: nearest_codes(r, layers[n])[0]
@@ -213,7 +227,8 @@ def rvq_decode(frame, quantizer: RvqQuantizer, num_layers: int | None = None) ->
 
 
 def rvq_decode_batch(codes, quantizer: RvqQuantizer, num_layers: int | None = None) -> np.ndarray:
-    """Decode (T, N) code rows back to (T, d) latents: the sum of looked-up entries.
+    """Decode (T, N) code rows back to (T, d) latents: the sum of looked-up
+    entries, mapped back through the out-projection under the projected scheme.
 
     With `num_layers=m`, only the first m layers contribute (coarse preview).
     """
@@ -227,12 +242,10 @@ def rvq_decode_batch(codes, quantizer: RvqQuantizer, num_layers: int | None = No
     m = quantizer.num_layers if num_layers is None else num_layers
     if not 1 <= m <= quantizer.num_layers:
         raise ValueError(f"num_layers must lie in [1, {quantizer.num_layers}]")
+    out = entry_sum([layer.entries for layer in quantizer.layers[:m]], codes)
     if quantizer.scheme == PROJECTED:
-        out = np.zeros((codes.shape[0], quantizer.latent_dim))
-        for i in range(m):
-            out += project_out(quantizer.layers[i].entries[codes[:, i]], quantizer.projections[i])
-        return out
-    return entry_sum([layer.entries for layer in quantizer.layers[:m]], codes)
+        out = out @ quantizer.projections[0].proj_out
+    return out
 
 
 def code_bits(codebook_size: int) -> int:

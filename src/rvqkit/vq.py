@@ -453,22 +453,6 @@ def restart_dead_codes(
     return restarted, int(dead.size)
 
 
-def project_in(x, pair: ProjectionPair) -> np.ndarray:
-    """Map latent-space rows (or a single vector) into quantization space."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != pair.latent_dim:
-        raise ValueError(f"input dim {x.shape[-1]} does not match proj_in dim {pair.latent_dim}")
-    return x @ pair.proj_in
-
-
-def project_out(y, pair: ProjectionPair) -> np.ndarray:
-    """Map quantization-space rows (or a single vector) back to latent space."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[-1] != pair.quant_dim:
-        raise ValueError(f"input dim {y.shape[-1]} does not match proj_out dim {pair.quant_dim}")
-    return y @ pair.proj_out
-
-
 def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(data)
     centers = np.empty((k, data.shape[1]), dtype=np.float64)

@@ -805,3 +805,28 @@ def test_corrupt_vector_and_codebook_files_fail_cleanly(tmp_path_factory, data, 
     assert code in (3, 4), err.getvalue()
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_projected_file_with_distinct_pairs_exits_3(tmp_path, command):
+    """Layer 2's proj_in differs from layer 1's in one float: the file is
+    rejected as a whole, with one error line and no output file."""
+    paths = _valid_files(tmp_path, projected=True)
+    data = bytearray(paths["rvqc"].read_bytes())
+    k, d, q = 4, 4, 2
+    layer2_proj_in = CODEBOOK_HEADER_SIZE + 4 * (d * q + k * q + q * d)
+    (value,) = struct.unpack_from("<f", data, layer2_proj_in)
+    struct.pack_into("<f", data, layer2_proj_in, value + 1.0)
+    paths["rvqc"].write_bytes(bytes(data))
+    out = tmp_path / "out.bin"
+    if command == "encode":
+        argv = ["encode", "--codebook", paths["rvqc"], "--input", paths["rvqv"]]
+    else:
+        argv = ["decode", "--codebook", paths["rvqc"], "--tokens", paths["jsonl"]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv] + ["--out", str(out)])
+    assert code == 3
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "differs from pair 0" in err.getvalue()
+    assert not out.exists()

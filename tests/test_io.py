@@ -1,6 +1,7 @@
 """File formats: headers, exact round-trips, corruption handling."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -77,13 +78,10 @@ def plain_quantizer(rng, layers=2, k=8, dim=4):
 
 
 def projected_quantizer(rng, layers=2, k=8, d=6, q=3):
-    pairs = [
-        ProjectionPair(
-            proj_in=rng.normal(size=(d, q)).astype(np.float32),
-            proj_out=rng.normal(size=(q, d)).astype(np.float32),
-        )
-        for _ in range(layers)
-    ]
+    pair = ProjectionPair(
+        proj_in=rng.normal(size=(d, q)).astype(np.float32),
+        proj_out=rng.normal(size=(q, d)).astype(np.float32),
+    )
     return RvqQuantizer(
         layers=[
             Codebook.from_entries(rng.normal(size=(k, q)).astype(np.float32), metric="cosine")
@@ -91,7 +89,7 @@ def projected_quantizer(rng, layers=2, k=8, d=6, q=3):
         ],
         latent_dim=d,
         scheme="projected",
-        projections=pairs,
+        projections=[pair] * layers,
     )
 
 
@@ -164,6 +162,21 @@ class TestCodebookFile:
         save_quantizer(path, qz)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(FormatError):
+            load_quantizer(path)
+
+    def test_distinct_pairs_rejected(self, tmp_path):
+        # One pair maps every layer: a file whose layer-2 pair differs from
+        # layer 1's would encode through one and decode through the other.
+        rng = np.random.default_rng(107)
+        k, d, q = 8, 6, 3
+        path = tmp_path / "cb.rvqc"
+        save_quantizer(path, projected_quantizer(rng, layers=2, k=k, d=d, q=q))
+        data = bytearray(path.read_bytes())
+        layer2_proj_in = 26 + 4 * (d * q + k * q + q * d)
+        (value,) = struct.unpack_from("<f", data, layer2_proj_in)
+        struct.pack_into("<f", data, layer2_proj_in, value + 1.0)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="differs from pair 0"):
             load_quantizer(path)
 
 

@@ -160,6 +160,22 @@ class TestDecode:
         expected = (layers[0].entries[1] + layers[1].entries[3]) @ pair.proj_out
         np.testing.assert_allclose(rvq_decode(frame, qz), expected, rtol=1e-12)
 
+    def test_projected_prefix_decode(self):
+        # Every prefix sums its entries, then maps the sum out once; the
+        # per-layer form, each entry mapped out and then summed, agrees
+        # to rounding.
+        rng = np.random.default_rng(36)
+        qz = random_projected_cosine_quantizer(rng, num_layers=4, k=8, dim=6, quant_dim=3)
+        proj_out = qz.projections[0].proj_out
+        entries = [layer.entries for layer in qz.layers]
+        codes = rng.integers(0, 8, size=(30, 4))
+        for m in range(1, 5):
+            decoded = rvq_decode_batch(codes, qz, m)
+            summed = sum(entries[i][codes[:, i]] for i in range(m))
+            np.testing.assert_array_equal(decoded, summed @ proj_out)
+            per_layer = sum(entries[i][codes[:, i]] @ proj_out for i in range(m))
+            np.testing.assert_allclose(decoded, per_layer, rtol=1e-12)
+
     def test_decode_batch_matches_single(self):
         rng = np.random.default_rng(27)
         qz = random_plain_quantizer(rng, num_layers=3, k=8, dim=4)
@@ -261,6 +277,23 @@ class TestQuantizerValidation:
         a = Codebook.from_entries(np.zeros((4, 2)))
         with pytest.raises(ValueError):
             RvqQuantizer(layers=[a], latent_dim=4, scheme="projected", projections=None)
+
+    def test_projected_pairs_must_be_equal(self):
+        rng = np.random.default_rng(35)
+        layers = [Codebook.from_entries(rng.normal(size=(4, 2))) for _ in range(2)]
+        pair = ProjectionPair(proj_in=rng.normal(size=(4, 2)), proj_out=rng.normal(size=(2, 4)))
+        other = ProjectionPair(proj_in=rng.normal(size=(4, 2)), proj_out=pair.proj_out)
+        zero = pair.proj_out.copy()
+        zero[0, 0] = 0.0
+        negative_zero = zero.copy()
+        negative_zero[0, 0] = -0.0
+        signed_zeros = [ProjectionPair(pair.proj_in, out) for out in (zero, negative_zero)]
+        for pairs in ([pair, other], signed_zeros):
+            with pytest.raises(ValueError, match="pair 1 differs from pair 0"):
+                RvqQuantizer(layers=layers, latent_dim=4, scheme="projected", projections=pairs)
+        # Equal values in separate arrays are one pair.
+        copy = ProjectionPair(proj_in=pair.proj_in.copy(), proj_out=pair.proj_out.copy())
+        RvqQuantizer(layers=layers, latent_dim=4, scheme="projected", projections=[pair, copy])
 
 
 class TestTokenStream:

@@ -16,8 +16,6 @@ from rvqkit import (
     ema_update,
     kmeans_init,
     nearest_codes,
-    project_in,
-    project_out,
     restart_dead_codes,
     rvq_encode_batch,
 )
@@ -498,33 +496,7 @@ class TestRestartDeadCodes:
 
 
 class TestProjections:
-    def test_identity(self):
-        pair = ProjectionPair.identity(3)
-        x = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(project_in(x, pair), x)
-        np.testing.assert_array_equal(project_out(x, pair), x)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(2)
-        pair = ProjectionPair(proj_in=rng.normal(size=(5, 3)), proj_out=rng.normal(size=(3, 5)))
-        x, y = rng.normal(size=5), rng.normal(size=5)
-        a, b = 2.5, -0.75
-        lhs = project_in(a * x + b * y, pair)
-        rhs = a * project_in(x, pair) + b * project_in(y, pair)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-6)
-
-    def test_hand_worked_example(self):
-        proj_in = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=float).T  # (4, 2)
-        pair = ProjectionPair(proj_in=proj_in, proj_out=proj_in.T.copy())
-        out = project_in(np.array([3.0, 5.0, 7.0, 9.0]), pair)
-        np.testing.assert_array_equal(out, [3.0, 5.0])
-
     def test_dimension_checks(self):
-        pair = ProjectionPair.identity(3)
-        with pytest.raises(ValueError):
-            project_in(np.ones(4), pair)
-        with pytest.raises(ValueError):
-            project_out(np.ones(4), pair)
         with pytest.raises(ValueError):
             ProjectionPair(proj_in=np.ones((2, 4)), proj_out=np.ones((4, 2)))  # d < q
 

@@ -3,8 +3,10 @@
 Runs a fixed list of seeded CLI commands and library calls in a temporary
 directory and prints one `sha256 name` line per stdout, stderr, exit code and
 output file, named `<case>/<stream>`. The training outputs are the cases
-`train-*`, `lib/train-*` and `lib/kmeans-init*`, and demo 03, which trains. To
-see what a change moves, run it on two checkouts and diff:
+`train-*`, `lib/train-*` and `lib/kmeans-init*`, and demo 03, which trains.
+`projected-distinct-pairs` runs encode and decode on a projected codebook file
+whose layers' projection pairs differ. To see what a change moves, run it on
+two checkouts and diff:
 
     python tools/fingerprint.py > new.txt
     python tools/fingerprint.py --repo ../old-checkout > old.txt
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -120,6 +123,24 @@ def _codebook_cases(fp: Fingerprint, rk, extra: list[Path]) -> None:
 
         queries = rk.make_corpus(rk.CorpusSpec(dims=quantizer.latent_dim, count=300, seed=8))
         fp.arrays(f"lib/encode-batch-{name}", *rk.rvq_encode_batch(queries, quantizer))
+    _distinct_pairs_case(fp, books["projected"])
+
+
+def _distinct_pairs_case(fp: Fingerprint, quantizer) -> None:
+    """The fixed projected codebook with one float of layer 2's proj_in
+    changed, so that its two layers' projection pairs differ."""
+    k, d, q = quantizer.codebook_size, quantizer.latent_dim, quantizer.quant_dim
+    data = bytearray((fp.work / "projected.rvqc").read_bytes())
+    layer2_proj_in = 26 + 4 * (d * q + k * q + q * d)  # header, then layer 1's floats
+    (value,) = struct.unpack_from("<f", data, layer2_proj_in)
+    struct.pack_into("<f", data, layer2_proj_in, value + 1.0)
+    case, book = "projected-distinct-pairs", "projected-distinct-pairs.rvqc"
+    (fp.work / book).write_bytes(bytes(data))
+    fp.emit(f"{case}/{book}", bytes(data))
+    fp.cli(f"{case}/encode", "encode", "--codebook", book, "--input", "projected.rvqv",
+           "--out", f"{case}.jsonl", outputs=(f"{case}.jsonl",))
+    fp.cli(f"{case}/decode", "decode", "--codebook", book, "--tokens", "projected-t1.jsonl",
+           "--out", f"{case}.rvqv", outputs=(f"{case}.rvqv",))
 
 
 def _lookup_cases(fp: Fingerprint, rk) -> None:
