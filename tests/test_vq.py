@@ -301,6 +301,77 @@ class TestExactKernel:
         assert sq_norms.tolist() == [1.0, 1.0, np.inf, np.inf, 1.0, np.inf, 9.0]
         assert max_sq_norm == 9.0
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_match_brute_force(self, data):
+        # Entries on a coarse grid, so that norms tie between copies and
+        # between distinct entries alike; signed permuted unit vectors are
+        # distinct entries of one norm; normal draws tie no norms, so the
+        # tables skip the comparison.
+        dim = data.draw(st.integers(1, 5))
+        kind = data.draw(st.sampled_from(["grid", "units", "normal"]))
+        k = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "grid":
+            entries = rng.integers(-1, 2, size=(k, dim)).astype(float)
+        elif kind == "units":
+            signs = rng.choice([-2.5, 2.5], size=(k, 1))
+            entries = np.eye(dim)[rng.integers(0, dim, size=k)] * signs
+        else:
+            entries = rng.normal(size=(k, dim))
+        _, entries_t, sq_norms, max_sq_norm = vq._euclidean_tables(entries)
+
+        copy = np.array([any(np.array_equal(entries[j], entries[i]) for j in range(i))
+                         for i in range(k)])
+        np.testing.assert_array_equal(sq_norms == np.inf, copy)
+        reference = (entries**2).sum(axis=1)
+        np.testing.assert_allclose(sq_norms[~copy], reference[~copy], rtol=1e-14)
+        assert max_sq_norm == sq_norms[~copy].max()
+        assert max_sq_norm == pytest.approx(reference.max(), rel=1e-14)
+        np.testing.assert_array_equal(entries_t, entries.T)
+        if kind == "normal":
+            assert not copy.any()
+
+    def test_lookup_across_blocks(self, monkeypatch):
+        # More queries than one block holds, with exact matches, copied
+        # entries, and runs of one query across rows 64, 128, ..., 1024,
+        # where blocks of a power-of-two size end. Every block stays under
+        # the cap.
+        rng = np.random.default_rng(1200)
+        k, q = 1024, 32
+        entries = rng.normal(size=(k, q))
+        entries[700:] = entries[rng.integers(0, 700, size=k - 700)]
+        queries = np.concatenate([entries[rng.integers(0, k, size=500)],
+                                  rng.normal(size=(700, q))])[rng.permutation(1200)]
+        for edge in (64, 128, 256, 512, 1024):
+            queries[edge - 4 : edge + 4] = entries[700 + edge % 300]  # a copied entry
+        cap = vq._LOOKUP_CHUNK_ELEMENTS // k
+        assert cap < len(queries)
+
+        blocks = []
+        for name in ("_euclidean_block", "_cosine_block"):
+            def spy(x, tables, block=getattr(vq, name)):
+                blocks.append(len(x))
+                return block(x, tables)
+
+            monkeypatch.setattr(vq, name, spy)
+
+        idx, _ = assert_matches_reference(queries, entries)
+        first = [np.flatnonzero((entries == e).all(axis=1))[0] for e in entries]
+        np.testing.assert_array_equal(idx, np.take(first, idx))
+
+        units = entries / np.linalg.norm(entries, axis=1)[:, None]
+        sims = np.einsum("nq,kq->nk", queries / np.linalg.norm(queries, axis=1)[:, None], units)
+        ref_idx = np.argmax(sims, axis=1)
+        cos_idx, cos_dist = nearest_codes(queries, Codebook.from_entries(entries, "cosine"))
+        np.testing.assert_array_equal(cos_idx, ref_idx)
+        np.testing.assert_allclose(cos_dist, np.maximum(1.0 - sims.max(axis=1), 0.0),
+                                   atol=1e-14)
+        np.testing.assert_array_equal(assign_batch(queries, entries, "cosine"), ref_idx)
+
+        assert len(blocks) == 4 * -(-len(queries) // cap)  # two lookups per metric
+        assert max(blocks) == cap
+
     def test_copies_of_an_entry_are_not_rescored(self, monkeypatch):
         # 900 copies of one entry collapse to the first: queries on it have
         # one candidate, so neither lookup enters the exact rescoring.

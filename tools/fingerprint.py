@@ -163,6 +163,26 @@ def _lookup_cases(fp: Fingerprint, rk) -> None:
         for metric in ("euclidean", "cosine"):
             cb = rk.Codebook.from_entries(entries, metric=metric)
             fp.call(f"lib/nearest-codes-{n}-{metric}", rk.nearest_codes, queries, cb)
+    _multi_block_cases(fp, rk)
+
+
+def _multi_block_cases(fp: Fingerprint, rk) -> None:
+    """`nearest_codes` and `assign_batch` on 1,200 queries at K=1024, more
+    rows than one lookup block holds, with runs of one query across the row
+    counts where blocks may end and entries copied from others."""
+    rng = np.random.default_rng(1024)
+    entries = rng.normal(size=(1024, 32))
+    entries[640:] = entries[rng.integers(0, 640, size=384)]
+    queries = np.concatenate([entries[rng.integers(0, 1024, size=400)],
+                              rng.normal(size=(800, 32))])
+    queries = queries[rng.permutation(1200)]
+    for edge in (128, 256, 512, 1024):
+        queries[edge - 8 : edge + 8] = entries[edge % 1024 + 100]
+    for metric in ("euclidean", "cosine"):
+        cb = rk.Codebook.from_entries(entries, metric=metric)
+        fp.call(f"lib/nearest-codes-multi-block-{metric}", rk.nearest_codes, queries, cb)
+        fp.call(f"lib/assign-batch-multi-block-{metric}",
+                lambda *args: (rk.vq.assign_batch(*args),), queries, entries, metric)
 
 
 def _training_cases(fp: Fingerprint, rk) -> None:
