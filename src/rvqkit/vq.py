@@ -7,15 +7,22 @@ EMA rule with Laplace-smoothed normalization and the dead-code restart that
 resamples unused entries from a batch.
 
 Encoding (`nearest_codes`) and training (`assign_batch`) run one lookup per
-metric, in one loop over row blocks of at most 2 MB of scores (256 rows at
-K=1024), which stay in one core's L2 cache. Euclidean (`_euclidean_block`):
-one GEMM, then two passes over the scores, for each row's best entry and its
-runner-up, and exact rescoring of the rows whose runner-up is within the
-rounding bound; its tables collapse each block of identical entries to the
-first copy, so copies cost no rescoring. Cosine (`_cosine_block`): one GEMM
-of unit queries against unit entries, then the largest similarity. A zero
-vector has no direction: it normalizes to zero, so its cosine with every
-vector is 0 (the `F.normalize` convention of DAC).
+metric, in one loop over row blocks of at most 512 KB of scores (64 rows at
+K=1024), which stay well inside one core's L2 cache; the loop rejects
+non-finite queries once, before its first block. Euclidean
+(`_euclidean_block`): one GEMM, then two passes over the scores, for each
+row's best entry and its runner-up, and exact rescoring of the rows whose
+runner-up is within the rounding bound; its tables collapse each block of
+identical entries to the first copy, so copies cost no rescoring. Cosine
+(`_cosine_block`): the loop normalizes every query once, then each block is
+one GEMM of unit queries against a contiguous (q, K) table of unit entries,
+then the largest similarity, mapped to the first copy of its unit entry
+(BLAS may round equal columns differently). At q=8 that GEMM is bound by
+writing its scores: with BLAS on one thread it costs 0.50 us a row in
+64-row blocks, against 0.98 us in 256-row blocks, and 0.77 us in 64-row
+blocks on a transposed view of the unit entries. A zero vector has no
+direction: it normalizes to zero, so its cosine with every vector is 0 (the
+`F.normalize` convention of DAC).
 
 Lookups are pure functions of an immutable codebook and can run from any
 number of threads (the first computes the codebook's lookup tables and makes
@@ -40,12 +47,16 @@ MAX_CODES = 65536  # exhaustive lookup only; no approximate indexing
 DEFAULT_DECAY = 0.99
 DEFAULT_EPSILON = 1e-5
 
-# Cap on the (rows, K) score block of one lookup: 2 MB of float64, 256 rows
-# at K=1024, which stays in one core's L2 cache. With BLAS on one thread
-# (2-core Xeon, 2 MB of L2 a core), an 8,192-row Euclidean lookup at K=1024,
-# q=32 costs 3.6-4.4 us a row in blocks of 128 to 2,048 rows, against 6.3-7.4
-# us in one 64 MB block.
-_LOOKUP_CHUNK_ELEMENTS = 1 << 18
+# Cap on the (rows, K) score block of one lookup: 512 KB of float64, 64 rows
+# at K=1024, which stays in one core's L2 cache with room for the operands.
+# With BLAS on one thread (2-core Xeon, 2 MB of L2 a core): the q=8 cosine
+# GEMM writes more than it reads, and costs 0.50 us a row in 64-row blocks
+# against 0.98 us in 256-row (2 MB) blocks, which fill the L2; `argmax`
+# costs 0.17 against 0.20 us a row. The q=32 Euclidean lookup gains a
+# little too: over 8,192 rows at K=1024 it costs 2.9-3.2 us a row in 64-row
+# blocks against 3.3-3.8 us in 256-row blocks, and 6.3-7.4 us in one 64 MB
+# block.
+_LOOKUP_CHUNK_ELEMENTS = 1 << 16
 
 # Unit roundoff and the smallest subnormal of float64, for the rounding bound
 # of the Euclidean lookup (see `_euclidean_block`).
@@ -222,6 +233,34 @@ def _exact_sq_distances(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return np.einsum("nq,nq->n", diff, diff)
 
 
+def _first_copies(rows: np.ndarray, key: np.ndarray) -> np.ndarray | None:
+    """The index of the first row equal to each row, or None when no two
+    rows are equal; `key` holds one value per row that equal rows share.
+
+    Rows need comparing only where keys tie, and one sort of the keys tells
+    whether any do. A stable sort by key then puts each block of copies side
+    by side, lowest index first. Distinct rows of one key could split a
+    block: then the components break the ties.
+    """
+    ranked = np.sort(key)
+    tied = ranked[1:] == ranked[:-1]
+    if not tied.any():
+        return None
+    order = np.argsort(key, kind="stable")
+    ranked_rows = rows[order]
+    same = (ranked_rows[1:] == ranked_rows[:-1]).all(axis=1)
+    if (tied & ~same).any():
+        order = np.lexsort((*rows.T[::-1], key))
+        ranked_rows = rows[order]
+        same = (ranked_rows[1:] == ranked_rows[:-1]).all(axis=1)
+    if not same.any():
+        return None
+    starts = np.concatenate(([True], ~same))
+    first = np.empty(len(rows), dtype=np.int64)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
 def _euclidean_tables(entries: np.ndarray) -> tuple:
     """What the Euclidean kernel reads: (entries, their contiguous transpose,
     squared entry norms, the largest squared norm).
@@ -233,21 +272,9 @@ def _euclidean_tables(entries: np.ndarray) -> tuple:
     """
     sq_norms = np.einsum("kq,kq->k", entries, entries)
     max_sq_norm = sq_norms.max()
-    # Equal entries have equal norms, so a stable sort by norm puts each
-    # block of copies side by side, lowest index first, and entries need
-    # comparing only when two norms tie. Distinct entries of one norm could
-    # split a block: then the components break the ties.
-    order = np.argsort(sq_norms, kind="stable")
-    ranked = sq_norms[order]
-    tied = ranked[1:] == ranked[:-1]
-    if tied.any():
-        ranked_entries = entries[order]
-        same = (ranked_entries[1:] == ranked_entries[:-1]).all(axis=1)
-        if (tied & ~same).any():
-            order = np.lexsort((*entries.T[::-1], sq_norms))
-            ranked_entries = entries[order]
-            same = (ranked_entries[1:] == ranked_entries[:-1]).all(axis=1)
-        sq_norms[order[1:][same]] = np.inf
+    first = _first_copies(entries, sq_norms)  # equal entries have equal norms
+    if first is not None:
+        sq_norms[first != np.arange(len(entries))] = np.inf
     return entries, np.ascontiguousarray(entries.T), sq_norms, max_sq_norm
 
 
@@ -303,17 +330,31 @@ def _euclidean_block(x: np.ndarray, tables: tuple) -> np.ndarray:
 
 
 def _cosine_tables(entries: np.ndarray) -> tuple:
-    """What the cosine kernel reads: (entries, unit entries)."""
-    return entries, _normalize_rows(entries)
+    """What the cosine kernel reads: (entries, the unit entries as one
+    C-contiguous (q, K) matrix, the first copy of each unit entry or None).
+
+    The GEMM reads the table in its own layout: on a transposed (K, q) view
+    OpenBLAS takes a slower path, 0.77 against 0.50 us a row in 64-row
+    blocks at K=1024, q=8 (BLAS on one thread). In either layout BLAS may
+    round two equal columns differently (seen with one query row), so the
+    kernel maps each answer to the first copy of its unit entry: copies
+    have the same exact cosine, and ties go to the lowest index.
+    """
+    units = _normalize_rows(entries)
+    return entries, np.ascontiguousarray(units.T), _first_copies(units, units[:, 0])
 
 
-def _cosine_block(x: np.ndarray, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-entry indices of a row block under cosine, with the cosine
-    similarity of each answer: one GEMM of unit queries against unit
-    entries, then the largest similarity, ties to the lowest index."""
-    sims = _normalize_rows(x) @ tables[1].T  # rejects non-finite queries
+def _cosine_block(units: np.ndarray, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-entry indices of a block of unit (or zero) query rows under
+    cosine, with the cosine similarity of each answer: one GEMM against the
+    unit table, then the largest similarity, ties to the lowest index. At
+    q=8 the GEMM is bound by writing its (rows, K) scores, so `_lookup`
+    keeps blocks small."""
+    _, table, first = tables
+    sims = units @ table
     best = np.argmax(sims, axis=1)
-    return best, sims[np.arange(len(best)), best]
+    best_sims = sims[np.arange(len(best)), best]
+    return (best if first is None else first[best]), best_sims
 
 
 def _build_tables(entries: np.ndarray, metric: str) -> tuple:
@@ -326,8 +367,20 @@ def _build_tables(entries: np.ndarray, metric: str) -> tuple:
 
 def _lookup(queries: np.ndarray, tables: tuple, metric: str) -> tuple:
     """The one row-block loop of both metrics: nearest-entry indices, in
-    blocks of at most `_LOOKUP_CHUNK_ELEMENTS` scores, and under cosine
-    the similarity of each answer (None under Euclidean)."""
+    blocks of at most `_LOOKUP_CHUNK_ELEMENTS` scores (512 KB, 64 rows at
+    K=1024), and under cosine the similarity of each answer (None under
+    Euclidean).
+
+    Non-finite queries raise ValueError under both metrics, before any
+    block runs. Under cosine the queries are normalized here, all at once:
+    `_normalize_rows` works row by row, so that is bit for bit what
+    normalizing each block would give, and the blocks run only the GEMM,
+    whose scores stay in the L2 cache.
+    """
+    if metric == COSINE:
+        queries = _normalize_rows(queries)  # rejects non-finite queries
+    elif not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
     idx = np.empty(len(queries), dtype=np.int64)
     sims = np.empty(len(queries)) if metric == COSINE else None
     rows = max(1, _LOOKUP_CHUNK_ELEMENTS // len(tables[0]))
@@ -363,8 +416,6 @@ def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
         idx, sims = _lookup(queries, codebook._lookup_tables(), COSINE)
         return idx, np.maximum(1.0 - sims, 0.0)
 
-    if not np.isfinite(queries).all():
-        raise ValueError("queries must be finite")
     idx, _ = _lookup(queries, codebook._lookup_tables(), EUCLIDEAN)
     return idx, np.sqrt(_exact_sq_distances(queries, codebook.entries[idx]))
 
@@ -374,7 +425,8 @@ def assign_batch(queries: np.ndarray, entries: np.ndarray, metric: str) -> np.nd
 
     The lookup of `nearest_codes`, on tables built for this call, so
     k-means, the EMA steps, projected training and the reported utilization
-    get the codes that encoding gives.
+    get the codes that encoding gives. Non-finite queries raise ValueError
+    under both metrics, as they do in `nearest_codes`.
     """
     return _lookup(queries, _build_tables(entries, metric), metric)[0]
 

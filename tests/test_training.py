@@ -168,6 +168,16 @@ class TestProjectedTraining:
                 np.testing.assert_array_equal(codes[:, n], expected)
                 residual = residual - entries[expected]
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_assign_rejects_non_finite_batches(self, metric, bad):
+        # No entry is nearest to a non-finite query under either metric.
+        params, batch = self._random_instance(np.random.default_rng(3), batch=5)
+        batch[3, 1] = bad
+        with pytest.raises(ValueError, match="queries must be finite"):
+            projected_assign(params, batch, metric)
+
     def test_gradients_match_central_differences(self):
         # Finite-difference oracle over every parameter coordinate, with the
         # code assignments and detached snapshots frozen at the base point.

@@ -122,6 +122,16 @@ class TestNearestCode:
                 with pytest.raises(ValueError, match="finite"):
                     nearest_codes([0.0, bad], cb)
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_non_finite_query_in_a_late_block_raises(self, metric):
+        # The bad row sits past the first lookup blocks of the training path.
+        rng = np.random.default_rng(1100)
+        entries, queries = rng.normal(size=(1024, 8)), rng.normal(size=(1200, 8))
+        queries[1100, 3] = np.nan
+        assert 1100 >= vq._LOOKUP_CHUNK_ELEMENTS // 1024
+        with pytest.raises(ValueError, match="queries must be finite"):
+            assign_batch(queries, entries, metric)
+
     def test_cosine_tiny_query(self):
         # The squares of 1.2e-241 underflow; the query still has a direction.
         cb = Codebook.from_entries([[1.0], [-1.0]], metric="cosine")
@@ -332,13 +342,21 @@ class TestExactKernel:
         if kind == "normal":
             assert not copy.any()
 
-    def test_lookup_across_blocks(self, monkeypatch):
+        # The cosine tables map each entry to the first copy of its unit entry.
+        _, _, first = vq._cosine_tables(entries)
+        units = vq._normalize_rows(entries)
+        expected = [next(j for j in range(k) if np.array_equal(units[j], units[i]))
+                    for i in range(k)]
+        np.testing.assert_array_equal(np.arange(k) if first is None else first, expected)
+
+    @pytest.mark.parametrize("q", [8, 32])
+    def test_lookup_across_blocks(self, q, monkeypatch):
         # More queries than one block holds, with exact matches, copied
         # entries, and runs of one query across rows 64, 128, ..., 1024,
         # where blocks of a power-of-two size end. Every block stays under
-        # the cap.
+        # the cap; q=8 is the projected codec's shape.
         rng = np.random.default_rng(1200)
-        k, q = 1024, 32
+        k = 1024
         entries = rng.normal(size=(k, q))
         entries[700:] = entries[rng.integers(0, 700, size=k - 700)]
         queries = np.concatenate([entries[rng.integers(0, k, size=500)],
@@ -348,10 +366,16 @@ class TestExactKernel:
         cap = vq._LOOKUP_CHUNK_ELEMENTS // k
         assert cap < len(queries)
 
-        blocks = []
+        _, table, _ = vq._cosine_tables(entries)
+        assert table.shape == (q, k) and table.flags.c_contiguous
+        np.testing.assert_array_equal(table, vq._normalize_rows(entries).T)
+
+        blocks, cosine_norms = [], []
         for name in ("_euclidean_block", "_cosine_block"):
-            def spy(x, tables, block=getattr(vq, name)):
+            def spy(x, tables, block=getattr(vq, name), name=name):
                 blocks.append(len(x))
+                if name == "_cosine_block":
+                    cosine_norms.append(np.linalg.norm(x, axis=1))
                 return block(x, tables)
 
             monkeypatch.setattr(vq, name, spy)
@@ -371,6 +395,10 @@ class TestExactKernel:
 
         assert len(blocks) == 4 * -(-len(queries) // cap)  # two lookups per metric
         assert max(blocks) == cap
+        # The cosine blocks get queries the lookup has already normalized.
+        norms = np.concatenate(cosine_norms)
+        assert len(norms) == 2 * len(queries)
+        assert np.all((np.abs(norms - 1.0) <= 1e-15) | (norms == 0.0))
 
     def test_copies_of_an_entry_are_not_rescored(self, monkeypatch):
         # 900 copies of one entry collapse to the first: queries on it have
@@ -391,6 +419,24 @@ class TestExactKernel:
         np.testing.assert_array_equal(idx, [100] * 8 + list(range(1000, 1024)))
         assert nearest_codes(queries, Codebook.from_entries(entries))[0].tolist() == idx.tolist()
         assert rescored == [len(queries)]  # only the distances of the answers
+
+    def test_cosine_copies_tie_to_the_first(self):
+        # BLAS may round equal columns of the unit table differently (seen
+        # with one query row, as one-frame encoding and a one-row last block
+        # run); copies have the same exact cosine, so the answer is still
+        # the first copy.
+        rng = np.random.default_rng(1)
+        for _ in range(600):
+            q, k = int(rng.integers(1, 12)), int(rng.integers(2, 40))
+            base = rng.integers(-2, 3, size=(max(1, k // 3), q)).astype(float)
+            entries = base[rng.integers(0, len(base), size=k)]
+            queries = rng.normal(size=(1, q))
+            first = [next(j for j, e in enumerate(entries) if np.array_equal(e, row))
+                     for row in entries]
+            idx = assign_batch(queries, entries, "cosine")
+            np.testing.assert_array_equal(np.take(first, idx), idx)
+            cb = Codebook.from_entries(entries, metric="cosine")
+            np.testing.assert_array_equal(nearest_codes(queries, cb)[0], idx)
 
     def test_concurrent_first_lookups(self):
         # `encode --threads` shares one quantizer, so first lookups race to

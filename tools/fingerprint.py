@@ -169,19 +169,27 @@ def _lookup_cases(fp: Fingerprint, rk) -> None:
 def _multi_block_cases(fp: Fingerprint, rk) -> None:
     """`nearest_codes` and `assign_batch` on 1,200 queries at K=1024, more
     rows than one lookup block holds, with runs of one query across the row
-    counts where blocks may end and entries copied from others."""
-    rng = np.random.default_rng(1024)
-    entries = rng.normal(size=(1024, 32))
+    counts where blocks may end and entries copied from others: at q=32
+    under both metrics, and at q=8 (the projected codec's shape) under
+    cosine."""
+    _multi_block_lookups(fp, rk, 1024, 32, (128, 256, 512, 1024), ("euclidean", "cosine"), "")
+    _multi_block_lookups(fp, rk, 1208, 8, (64, 128, 192, 256, 512, 1024), ("cosine",), "-q8")
+
+
+def _multi_block_lookups(fp: Fingerprint, rk, seed: int, q: int, edges: tuple,
+                         metrics: tuple, suffix: str) -> None:
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=(1024, q))
     entries[640:] = entries[rng.integers(0, 640, size=384)]
     queries = np.concatenate([entries[rng.integers(0, 1024, size=400)],
-                              rng.normal(size=(800, 32))])
+                              rng.normal(size=(800, q))])
     queries = queries[rng.permutation(1200)]
-    for edge in (128, 256, 512, 1024):
+    for edge in edges:
         queries[edge - 8 : edge + 8] = entries[edge % 1024 + 100]
-    for metric in ("euclidean", "cosine"):
+    for metric in metrics:
         cb = rk.Codebook.from_entries(entries, metric=metric)
-        fp.call(f"lib/nearest-codes-multi-block-{metric}", rk.nearest_codes, queries, cb)
-        fp.call(f"lib/assign-batch-multi-block-{metric}",
+        fp.call(f"lib/nearest-codes-multi-block-{metric}{suffix}", rk.nearest_codes, queries, cb)
+        fp.call(f"lib/assign-batch-multi-block-{metric}{suffix}",
                 lambda *args: (rk.vq.assign_batch(*args),), queries, entries, metric)
 
 
