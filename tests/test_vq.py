@@ -329,7 +329,7 @@ class TestExactKernel:
             entries = np.eye(dim)[rng.integers(0, dim, size=k)] * signs
         else:
             entries = rng.normal(size=(k, dim))
-        _, entries_t, sq_norms, max_sq_norm = vq._euclidean_tables(entries)
+        _, table, sq_norms, max_sq_norm = vq._euclidean_tables(entries)
 
         copy = np.array([any(np.array_equal(entries[j], entries[i]) for j in range(i))
                          for i in range(k)])
@@ -338,7 +338,10 @@ class TestExactKernel:
         np.testing.assert_allclose(sq_norms[~copy], reference[~copy], rtol=1e-14)
         assert max_sq_norm == sq_norms[~copy].max()
         assert max_sq_norm == pytest.approx(reference.max(), rel=1e-14)
-        np.testing.assert_array_equal(entries_t, entries.T)
+        # One C-contiguous GEMM table: the transposed entries over the norms.
+        assert table.shape == (dim + 1, k) and table.flags.c_contiguous
+        np.testing.assert_array_equal(table[:dim], entries.T)
+        np.testing.assert_array_equal(table[dim], sq_norms)
         if kind == "normal":
             assert not copy.any()
 
@@ -658,7 +661,12 @@ def _few_distinct_rows():
     return np.concatenate([base, base[rng.integers(0, 12, size=48)]])
 
 
-# name -> (data, num_codes, iterations, whether Lloyd reaches its fixed point)
+# name -> (data, num_codes, iterations, whether Lloyd reaches its fixed point).
+# K-means++ rescores only the rows its rounding bound cannot rule out: on the
+# lattice at 1e8 the expanded distances err by more than the unit gaps
+# between exact ones, at 3e-162 the squares are a few subnormal units (so
+# only the bound's subnormal term covers the rounding), and at 1e155 every
+# |x|^2 overflows, so the expanded distances are NaN.
 KMEANS_CASES = {
     "random": (np.random.default_rng(15).normal(size=(200, 4)), 16, 10, True),
     "all-zero": (np.zeros((40, 3)), 8, 10, True),
@@ -666,6 +674,11 @@ KMEANS_CASES = {
     "no-repeat-within-iterations": (np.random.default_rng(17).normal(size=(300, 2)), 30, 3, False),
     "iterations-0": (np.random.default_rng(18).normal(size=(100, 3)), 10, 0, False),
     "iterations-1": (np.random.default_rng(18).normal(size=(100, 3)), 10, 1, False),
+    "offset-lattice": (
+        1e8 + np.random.default_rng(19).integers(0, 5, size=(200, 3)).astype(float), 24, 10, True
+    ),
+    "tiny": (3e-162 * np.random.default_rng(22).normal(size=(150, 3)), 16, 10, False),
+    "few-distinct-rows-at-offset": (1e155 + 1e150 * _few_distinct_rows(), 20, 10, True),
 }
 
 
@@ -714,6 +727,24 @@ class TestKmeansInit:
     def test_too_few_points_raises(self):
         with pytest.raises(ValueError):
             kmeans_init(np.ones((3, 2)), num_codes=4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        data = np.random.default_rng(3).normal(size=(20, 2))
+        data[7, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                kmeans_init(data, 4)
+
+    def test_rejects_overflowing_distances(self):
+        # Finite data whose squared distances overflow float64: RVQV files
+        # are float32, so only library callers can get here.
+        data = 1e160 * np.random.default_rng(4).normal(size=(20, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                kmeans_init(data, 4)
 
     @pytest.mark.parametrize("case", sorted(KMEANS_CASES))
     def test_equals_the_full_loops(self, case, monkeypatch):

@@ -239,10 +239,13 @@ def _training_cases(fp: Fingerprint, rk) -> None:
     corpus = rk.make_corpus(rk.CorpusSpec(num_components=12, dims=8, separation=6.0,
                                           count=1024, seed=44))
     # Also an all-zero sample and one with fewer distinct rows than K, where
-    # k-means++ runs out of D^2 weight; the generator's next draw shows
-    # whether it was left where it was.
+    # k-means++ runs out of D^2 weight, an integer lattice at 1e8, where its
+    # expanded distances err by more than the gaps between exact ones, and
+    # a sample whose squares are a few subnormal units; the generator's next
+    # draw shows whether it was left where it was.
     samples = {"": corpus, "-all-zero": np.zeros((256, 8)),
-               "-few-distinct": corpus[np.arange(1024) % 40]}
+               "-few-distinct": corpus[np.arange(1024) % 40],
+               "-offset-lattice": 1e8 + np.round(corpus), "-tiny": 3e-162 * corpus}
     for suffix, sample in samples.items():
         gen = np.random.default_rng(1)
         cb = rk.kmeans_init(sample, 64, rng=gen)
