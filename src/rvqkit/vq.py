@@ -7,18 +7,24 @@ EMA rule with Laplace-smoothed normalization and the dead-code restart that
 resamples unused entries from a batch.
 
 Encoding (`nearest_codes`) and training (`assign_batch`) run one lookup per
-metric, in one loop over row blocks of at most 512 KB of scores (64 rows at
-K=1024), which stay well inside one core's L2 cache; the loop rejects
-non-finite queries once, before its first block. Euclidean
-(`_euclidean_block`): one GEMM of -2x with a column of ones against a
-(q+1, K) table, the transposed entries over their squared norms, so the
-GEMM adds the norms itself (no separate pass over the scores); then two
-passes over the scores, for each row's best entry and its runner-up, and
-exact rescoring of the rows whose runner-up is within the rounding bound.
-Its tables collapse each block of identical entries to the first copy, so
-copies cost no rescoring. With BLAS on one thread, over 8,192 rows at
-K=1024, q=32 the lookup costs about 2.2 us a row, against about 2.5 us
-with the norms added in a pass of their own. Cosine
+metric, in one loop over row blocks of at most 512 KB of scores (128 float32
+rows under Euclidean, 64 float64 rows under cosine, at K=1024), which stay
+well inside one core's L2 cache; a lookup that fits one block returns the
+kernel's arrays as they are. Euclidean (`_euclidean_block`): one float32
+GEMM of -2x with a column of ones against a (q+1, K) table, the transposed
+entries over their squared norms, all scaled by one power of two, so the
+GEMM adds the norms itself; then two passes over the scores, for each row's
+best entry and its runner-up, and one vectorized exact rescoring of every
+(row, candidate) pair within the derived float32 rounding bound. This
+screen-then-rescore follows FAISS (Johnson, Douze & Jegou,
+arXiv:1702.08734); the bound follows Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 3. The kernel finds non-finite queries through
+the scale |x|^2 it computes for the bound, with no scan of its own. Its
+tables collapse each block of identical entries to the first copy, so
+copies cost no rescoring. With BLAS on one thread, on random normal entries
+and queries at K=1024, q=32, the lookup costs about 0.92 us a row over
+8,192 rows (1.5 us with a float64 GEMM) and 16-18 us for one row (22 us).
+Cosine
 (`_cosine_block`): the loop normalizes every query once, then each block is
 one GEMM of unit queries against a contiguous (q, K) table of unit entries,
 then the largest similarity, mapped to the first copy of its unit entry
@@ -59,24 +65,30 @@ MAX_CODES = 65536  # exhaustive lookup only; no approximate indexing
 DEFAULT_DECAY = 0.99
 DEFAULT_EPSILON = 1e-5
 
-# Cap on the (rows, K) score block of one lookup: 512 KB of float64, 64 rows
-# at K=1024, which stays in one core's L2 cache with room for the operands.
-# With BLAS on one thread (2-core Xeon, 2 MB of L2 a core): the q=8 cosine
-# GEMM writes more than it reads, and costs 0.50 us a row in 64-row blocks
-# against 0.98 us in 256-row (2 MB) blocks, which fill the L2; `argmax`
-# costs 0.17 against 0.20 us a row. The q=32 Euclidean lookup gains a
-# little too: over 8,192 rows at K=1024 it costs 2.9-3.2 us a row in 64-row
-# blocks against 3.3-3.8 us in 256-row blocks, and 6.3-7.4 us in one 64 MB
-# block.
-_LOOKUP_CHUNK_ELEMENTS = 1 << 16
+# Cap on the (rows, K) score block of one lookup: 512 KB, which stays in one
+# core's L2 cache with room for the operands: 128 rows of float32 Euclidean
+# scores at K=1024, 64 rows of float64 cosine ones. With BLAS on one thread
+# (2-core Xeon, 2 MB of L2 a core): the q=8 cosine GEMM writes more than it
+# reads, and costs 0.50 us a row in 64-row blocks against 0.98 us in 256-row
+# (2 MB) blocks, which fill the L2; `argmax` costs 0.17 against 0.20 us a
+# row. The float32 Euclidean GEMM at q=32 runs 1.6 times faster than the
+# float64 one at 64 rows and 2.9 times at 256; 128-row blocks keep most of
+# that gain while the scores stay in the L2.
+_LOOKUP_BLOCK_BYTES = 1 << 19
 
-# Unit roundoff and the smallest subnormal of float64, for the rounding bound
-# of the Euclidean lookup (see `_euclidean_block`).
+# Unit roundoff and the smallest subnormal of float64 and of float32, for the
+# rounding bound of the Euclidean lookup (see `_euclidean_block`).
 _UNIT_ROUNDOFF = 2.0**-53
 _SUBNORMAL = 2.0**-1074
+_F32_UNIT_ROUNDOFF = 2.0**-24
+_F32_SUBNORMAL = 2.0**-149
 _FLOAT_MAX = float(np.finfo(np.float64).max)
-# Rows whose scale |x|^2 + max|c|^2 exceeds this may overflow in the GEMM.
+# Rows whose scale |x|^2 + max|c|^2 exceeds this may overflow in float64.
 _SCALE_LIMIT = _FLOAT_MAX / 4
+# Rows whose M, |x|^2 + max|c|^2 in the table's scaled units (see
+# `_euclidean_block`), exceeds this may overflow in the float32 GEMM, whose
+# largest finite value is just below 2^128.
+_F32_SCALE_LIMIT = 2.0**120
 
 
 @dataclass
@@ -274,88 +286,121 @@ def _first_copies(rows: np.ndarray, key: np.ndarray) -> np.ndarray | None:
 
 
 def _euclidean_tables(entries: np.ndarray) -> tuple:
-    """What the Euclidean kernel reads: (entries, the (q+1, K) GEMM table,
-    squared entry norms, the largest squared norm).
+    """What the Euclidean kernel reads: (entries, the (q+1, K) float32 GEMM
+    table, its power-of-two scale p, the largest query scale |x|^2 that the
+    GEMM takes, and the slope and floor of the rounding bound).
 
-    The GEMM table is one C-contiguous matrix: the entries' transpose with
-    their squared norms as one more row, so that the kernel's GEMM adds the
-    norms itself (the third item is a view of that row). An entry equal to
-    a lower-indexed one gets squared norm +inf, so it is never a candidate
-    and a block of copies costs no rescoring. This is exact: copies have
-    the same exact distance, and ties go to the lowest index. The largest
-    norm, which bounds the rounding, is taken first.
+    The GEMM table is one C-contiguous float32 matrix: the transposed entries
+    times p, over their squared norms times p^2, so that the kernel's GEMM
+    adds the norms itself. p = 2^-e, with 2^e just above the largest entry
+    component, puts every scaled component below 1 and the largest squared
+    norm within [1/4, q): float32 keeps its precision whatever the codebook's
+    scale, and p exists even where squared norms overflow. e is at least
+    -511, so that p^2 stays a normal float64; a smaller codebook is scaled
+    less, and the bound's underflow terms cover it. Scaling by a power of two
+    is exact, so the float32 table is the cast of the scaled float64 one.
+
+    An entry equal to a lower-indexed one gets squared norm +inf, so it is
+    never a candidate and a block of copies costs no rescoring. This is
+    exact: copies have the same exact distance, and ties go to the lowest
+    index. The largest norm, which bounds the rounding, is taken first.
     """
     k, q = entries.shape
-    table = np.empty((q + 1, k))
-    table[:q] = entries.T
-    sq_norms = table[q]
-    np.einsum("kq,kq->k", entries, entries, out=sq_norms)
-    max_sq_norm = sq_norms.max()
+    sq_norms = np.einsum("kq,kq->k", entries, entries)
+    max_sq_norm = float(sq_norms.max())
     first = _first_copies(entries, sq_norms)  # equal entries have equal norms
     if first is not None:
         sq_norms[first != np.arange(k)] = np.inf
-    return entries, table, sq_norms, max_sq_norm
+    p = 2.0 ** -max(math.frexp(max(entries.max(), -entries.min()))[1], -511)
+    table = np.empty((q + 1, k), dtype=np.float32)
+    np.multiply(entries.T, p, out=table[:q])
+    np.multiply(sq_norms * p, p, out=table[q])
+    # Where p^2 is subnormal or 0, the squared norms exceed _SCALE_LIMIT, so
+    # every row is wide and the bound below is not used.
+    limit = min(_F32_SCALE_LIMIT / p / p, _SCALE_LIMIT) - max_sq_norm
+    slope = 8 * (q + 4) * _F32_UNIT_ROUNDOFF * (p * p)
+    floor = slope * max_sq_norm + 8 * (q + 1) * _F32_SUBNORMAL + 8 * q * _SUBNORMAL * (p * p)
+    return entries, table, p, limit, slope, floor
 
 
-def _euclidean_block(x: np.ndarray, tables: tuple) -> np.ndarray:
-    """Exact nearest-entry indices of a row block, through one GEMM.
+def _euclidean_block(x: np.ndarray, tables: tuple) -> tuple[np.ndarray, None]:
+    """Exact nearest-entry indices of a row block, through one float32 GEMM;
+    the second item, the cosine kernel's similarities, is None.
 
-    The score s_k = |c_k|^2 - 2 x.c_k is |x - c_k|^2 - |x|^2, computed in
-    expanded form as one GEMM row of q+1 terms: the products -2 x_i c_ik
-    and 1 times the computed squared norm n_k, which is within qu|c_k|^2 +
-    q eta of |c_k|^2 (u the unit roundoff, eta the smallest subnormal).
-    With M = |x|^2 + max_k |c_k|^2, the terms' magnitudes sum to at most
-    2|x||c_k| + |c_k|^2, so any summation order (GEMM, pairwise, FMA) keeps
-    s_k within qu(2|x||c_k| + 2|c_k|^2) + 2q eta <= (1 + sqrt 2)quM + 2q eta
-    of its real value, and the exact-difference reference D_k = sum((x -
-    c_k)^2) within (q+2)u(2M) + q eta of |x - c_k|^2. Scores and
-    references therefore differ by at most E = (5q+4)uM + 3q eta after the
-    common shift |x|^2, and the reference minimum has s_k <= min s + 2E.
-    Every entry under that threshold is a candidate; `tol`, 8(2q+3)uM +
-    12q eta, is more than 1.5 times 2E, to spare for the rounding of M and
-    of `tol` itself (the rounding of the final sum cannot drop a candidate,
-    whose score is a float).
+    The score s_k = |c_k|^2 - 2 x.c_k is |x - c_k|^2 - |x|^2. The GEMM
+    computes p^2 s_k in float32 (p the table's power of two, see
+    `_euclidean_tables`), as one row of q+1 terms: the products of the float32
+    casts of -2p x_i and of p c_ik, and 1 times the cast of the scaled norm.
+    In scaled units x' = p x, c' = p c, M = |x'|^2 + max_k |c'_k|^2, with u
+    and eta the unit roundoff and smallest subnormal of float32 (U and H of
+    float64), the error E of a score has four parts:
+    - casts: each cast is within u|v| + eta/2 of its value v, so the products
+      are within 2u(2|x'||c'_k|) and the norm within u|c'_k|^2 (plus (q+2)U
+      from its float64 sum), at most 3uM over all;
+    - summation: any order (GEMM, pairwise, FMA) of the q+1 terms is within
+      gamma_(q+1) = (q+1)u / (1 - (q+1)u) times their magnitudes, 2|x'||c'_k|
+      + |c'_k|^2 <= 2M;
+    - underflow: the casts of components below float32's normal range and
+      products that fall into it add (1.5q+1)eta, the tiny components of -2x'
+      (eta/2)|x'|^2, and the float64 norm qH p^2, which is not tiny where a
+      codebook below 2^-511 is scaled less than its size;
+    - overflow: none, as long as M stays below 2^120; larger rows are wide.
+    So E <= (2q+5)uM + (1.5q+1)eta + qHp^2, up to terms of order u^2 (the
+    (eta/2)|x'|^2 joins the uM term). The exact-difference reference D_k =
+    sum((x - c_k)^2) is within E_D = (q+2)U(2M) + qHp^2 of p^2|x - c_k|^2,
+    so the reference minimum has a score at most 2(E + E_D) above the best
+    one. `tol` = 8(q+4)uM + 8(q+1)eta + 8qHp^2 is about twice that in each
+    term: 8(q+1)uM for the summation, 24uM for the casts and the float64
+    terms, and the underflow terms. The spare covers the rounding of M (from
+    the float64 |x|^2, within qU|x|^2 + qH) and of `tol` and the bar, which
+    are float64; a float32 score compares with the bar exactly.
 
-    The GEMM multiplies one (rows, q+1) array, -2x with a column of ones,
-    by the table. The -2 scales the queries, not the table: -2c overflows
-    for entries above about 9e307. Rows whose scale may overflow (or is not
-    finite) enter with their first q columns zeroed and keep the ones, so
-    their scores are the norms: the ones meet the +inf norms of copies as
-    1 * inf, never 0 * inf, which is NaN.
+    Rows whose scale |x|^2 is over `limit`, where M or the float64
+    rescoring may overflow, are wide: they are rescored over every entry,
+    and their GEMM rows are zeroed. A scale that is NaN or +inf is wide too,
+    and that is how non-finite queries are found: they raise ValueError.
 
     After the GEMM, two passes over the block find the candidates: `argmin`
     gives the lowest-index minimum `best` and the bar min s + tol, and with
     `best`'s score set to +inf, `min` gives the runner-up. A row whose
-    runner-up is above the bar has one candidate, `best`, and its answer
-    (at K=1024, q=32 the two passes take about a third of the GEMM's time).
-    A row whose runner-up is at or under the bar has `best` and every entry
-    under the bar as candidates; those rows, and the rows whose scale may
-    overflow, are rescored with exact differences over their candidates,
-    lowest index first.
+    runner-up is above the bar has one candidate, `best`, and its answer. The
+    other rows take `best` and every entry at or under the bar (every entry,
+    if wide), and all their (row, candidate) pairs are rescored with exact
+    differences at once; each row gets its first minimum, the lowest index.
     """
-    entries, table, _, max_sq_norm = tables
-    q = entries.shape[1]
-    scale = np.einsum("nq,nq->n", x, x) + max_sq_norm
-    wide = ~(scale <= _SCALE_LIMIT)
-    tol = 8 * (2 * q + 3) * _UNIT_ROUNDOFF * scale + 12 * q * _SUBNORMAL
-    gemm_rows = np.where(wide[:, None], 0.0, x) if wide.any() else x
-    lhs = np.empty((len(x), q + 1))
-    np.multiply(gemm_rows, -2.0, out=lhs[:, :q])
+    entries, table, p, limit, slope, floor = tables
+    n, q = x.shape
+    scale = np.einsum("nq,nq->n", x, x)
+    gemm_rows, wide = x, None
+    if not scale.max(initial=0.0) <= limit:  # NaN is never under it
+        wide = ~(scale <= limit)
+        if not np.isfinite(x[wide]).all():
+            raise ValueError("queries must be finite")
+        gemm_rows = np.where(wide[:, None], 0.0, x)
+        scale = np.where(wide, 0.0, scale)
+    lhs = np.empty((n, q + 1), dtype=np.float32)
+    np.multiply(gemm_rows, -2.0 * p, out=lhs[:, :q])
     lhs[:, q] = 1.0
     scores = lhs @ table
-    rows = np.arange(len(x))
     best = scores.argmin(axis=1)
-    bar = scores[rows, best] + tol
+    rows = np.arange(n)
+    bar = scores[rows, best] + (scale * slope + floor)
     scores[rows, best] = np.inf  # what is left is the runner-up
-    for row in np.flatnonzero((scores.min(axis=1) <= bar) | wide):
-        if wide[row]:
-            cands = np.arange(len(entries))
-        else:
-            near = scores[row] <= bar[row]
-            near[best[row]] = True
-            cands = np.flatnonzero(near)
-        best[row] = cands[np.argmin(_exact_sq_distances(x[row], entries[cands]))]
-    return best
+    flagged = scores.min(axis=1) <= bar
+    if wide is not None:
+        flagged |= wide
+    redo = np.flatnonzero(flagged)
+    if len(redo):
+        near = scores[redo] <= bar[redo, None]
+        near[np.arange(len(redo)), best[redo]] = True
+        if wide is not None:
+            near[wide[redo]] = True
+        pair_rows, cands = np.nonzero(near)
+        dists = _exact_sq_distances(x[redo[pair_rows]], entries[cands])
+        starts = np.flatnonzero(np.diff(pair_rows, prepend=-1))
+        at_min = dists == np.minimum.reduceat(dists, starts)[pair_rows]
+        best[redo] = np.minimum.reduceat(np.where(at_min, cands, len(entries)), starts)
+    return best, None
 
 
 def _cosine_tables(entries: np.ndarray) -> tuple:
@@ -396,29 +441,32 @@ def _build_tables(entries: np.ndarray, metric: str) -> tuple:
 
 def _lookup(queries: np.ndarray, tables: tuple, metric: str) -> tuple:
     """The one row-block loop of both metrics: nearest-entry indices, in
-    blocks of at most `_LOOKUP_CHUNK_ELEMENTS` scores (512 KB, 64 rows at
-    K=1024), and under cosine the similarity of each answer (None under
-    Euclidean).
+    blocks of at most `_LOOKUP_BLOCK_BYTES` of scores (128 float32 rows at
+    K=1024 under Euclidean, 64 float64 rows under cosine), and under cosine
+    the similarity of each answer (None under Euclidean). A lookup that fits
+    one block returns the kernel's own arrays.
 
-    Non-finite queries raise ValueError under both metrics, before any
-    block runs. Under cosine the queries are normalized here, all at once:
-    `_normalize_rows` works row by row, so that is bit for bit what
-    normalizing each block would give, and the blocks run only the GEMM,
-    whose scores stay in the L2 cache.
+    Non-finite queries raise ValueError under both metrics: under Euclidean
+    from the kernel's scale, under cosine here. Under cosine the queries are
+    normalized here, all at once: `_normalize_rows` works row by row, so that
+    is bit for bit what normalizing each block would give, and the blocks
+    run only the GEMM, whose scores stay in the L2 cache.
     """
     if metric == COSINE:
         queries = _normalize_rows(queries)  # rejects non-finite queries
-    elif not np.isfinite(queries).all():
-        raise ValueError("queries must be finite")
+    block = _cosine_block if metric == COSINE else _euclidean_block
+    table = tables[1]
+    rows = max(1, _LOOKUP_BLOCK_BYTES // (table.shape[1] * table.itemsize))
+    if len(queries) <= rows:
+        return block(queries, tables)
     idx = np.empty(len(queries), dtype=np.int64)
     sims = np.empty(len(queries)) if metric == COSINE else None
-    rows = max(1, _LOOKUP_CHUNK_ELEMENTS // len(tables[0]))
     for lo in range(0, len(queries), rows):
-        block = slice(lo, lo + rows)
+        part = slice(lo, lo + rows)
         if sims is None:
-            idx[block] = _euclidean_block(queries[block], tables)
+            idx[part] = block(queries[part], tables)[0]
         else:
-            idx[block], sims[block] = _cosine_block(queries[block], tables)
+            idx[part], sims[part] = block(queries[part], tables)
     return idx, sims
 
 
@@ -427,14 +475,17 @@ def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (indices, distances). Euclidean distances are true L2 norms
     (not squared), equal bit for bit to the square root of the summed
-    squared differences to every entry, with ties to the lowest code index.
-    Cosine distance is 1 - cos(query, entry), clamped at 0 (rounding can
-    put an exact match just below it), with ties likewise to the lowest
-    index; a zero query or entry has cosine 0 with every vector, so a zero
-    query gets code 0 at distance 1, and a zero entry wins only when no
-    entry has a positive cosine. Non-finite queries are rejected with
-    ValueError, since no entry is nearest to them. The first lookup makes
-    the codebook's entries read-only (see `Codebook._lookup_tables`).
+    squared differences to every entry, with ties to the lowest code index:
+    a float32 GEMM screens the entries, and every entry its rounding bound
+    cannot rule out is rescored with exact differences (see
+    `_euclidean_block`). Cosine distance is 1 - cos(query, entry), clamped
+    at 0 (rounding can put an exact match just below it), with ties likewise
+    to the lowest index; a zero query or entry has cosine 0 with every
+    vector, so a zero query gets code 0 at distance 1, and a zero entry wins
+    only when no entry has a positive cosine. Non-finite queries are
+    rejected with ValueError, since no entry is nearest to them. The first
+    lookup makes the codebook's entries read-only (see
+    `Codebook._lookup_tables`).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != codebook.code_dim:

@@ -112,6 +112,36 @@ class TestEncode:
         with pytest.raises(ValueError):
             rvq_encode(np.ones(7), qz)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_latent_raises(self, bad):
+        # Only the first layer's input can be non-finite (entries are
+        # finite); the Euclidean lookup finds it through its own scale.
+        rng = np.random.default_rng(23)
+        qz = random_plain_quantizer(rng)
+        latent = rng.normal(size=6)
+        latent[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rvq_encode(latent, qz)
+        latents = rng.normal(size=(300, 6))
+        latents[250, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rvq_encode_batch(latents, qz)
+
+    @pytest.mark.parametrize("entry_scale", [1.0, 1e29])
+    def test_latent_at_1e30_encodes_exactly(self, entry_scale):
+        # Squares of 1e30 are past float32's range. Against entries near 1
+        # the rows leave it even scaled, and are rescored over every entry;
+        # against entries near 1e29 the scaled float32 scores rank them.
+        rng = np.random.default_rng(24)
+        qz = random_plain_quantizer(rng, num_layers=4, k=32, dim=6, scale=entry_scale)
+        entries = [layer.entries for layer in qz.layers]
+        latents = 1e30 * rng.normal(size=(20, 6))
+        batch_codes, _ = rvq_encode_batch(latents, qz)
+        for latent, row in zip(latents, batch_codes):
+            ref_codes = reference_encode(latent, entries)[0]
+            assert rvq_encode(latent, qz)[0].tolist() == ref_codes
+            assert row.tolist() == ref_codes
+
 
 class TestDecode:
     def test_plain_sum_of_entries(self):

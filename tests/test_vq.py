@@ -124,13 +124,22 @@ class TestNearestCode:
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_non_finite_query_in_a_late_block_raises(self, metric):
-        # The bad row sits past the first lookup blocks of the training path.
+        # The bad row sits past the first lookup blocks of the training path,
+        # under the float32 Euclidean cap (the larger one) too.
         rng = np.random.default_rng(1100)
         entries, queries = rng.normal(size=(1024, 8)), rng.normal(size=(1200, 8))
         queries[1100, 3] = np.nan
-        assert 1100 >= vq._LOOKUP_CHUNK_ELEMENTS // 1024
+        assert 1100 >= vq._LOOKUP_BLOCK_BYTES // (4 * 1024)
         with pytest.raises(ValueError, match="queries must be finite"):
             assign_batch(queries, entries, metric)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_no_queries(self, metric):
+        entries = np.random.default_rng(2).normal(size=(300, 8))
+        idx, dist = nearest_codes(np.empty((0, 8)), Codebook.from_entries(entries, metric=metric))
+        assert idx.shape == dist.shape == (0,) and idx.dtype == np.int64
+        idx = assign_batch(np.empty((0, 8)), entries, metric)
+        assert idx.shape == (0,) and idx.dtype == np.int64
 
     def test_cosine_tiny_query(self):
         # The squares of 1.2e-241 underflow; the query still has a direction.
@@ -290,11 +299,15 @@ class TestExactKernel:
 
     @pytest.mark.parametrize("q", [8, 32])
     @pytest.mark.parametrize(
-        "scale", [1e-160, 1e-155, 1e-150, 1e-100, 1.0, 1e100, 1e150, 1e154, 1e155, 1e160, 1e200]
+        "scale",
+        [1e-160, 1e-155, 1e-150, 1e-100, 1e-46, 1e-40, 1e-19, 1.0, 1e19, 1e39, 1e100, 1e150,
+         1e154, 1e155, 1e160, 1e200],
     )
     def test_scales(self, q, scale):
-        # Squares underflow below about 1e-154 and overflow above 1e154;
-        # both sides must still return the exact-difference answer, with
+        # Squares underflow below about 1e-154 and overflow above 1e154 in
+        # float64, and below about 1e-19 and above 1e19 in float32, whose
+        # components are subnormal below 1.2e-38 and overflow above 3.4e38;
+        # every side must still return the exact-difference answer, with
         # exact matches at distance 0.
         rng = np.random.default_rng(7 * q)
         entries = scale * np.round(rng.normal(size=(300, q)), 2)
@@ -303,13 +316,42 @@ class TestExactKernel:
         np.testing.assert_array_equal(idx[:40], np.arange(40))
         assert not dist[:40].any()
 
+    @pytest.mark.parametrize("q", [8, 32])
+    @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-40, 1e18, 1e20, 1e30])
+    def test_entries_within_float32_rounding(self, q, scale):
+        # Clusters of entries 3e-8 apart, about half a float32 ulp: float32
+        # scores rank a cluster by their rounding, so only the bound and the
+        # exact rescoring give the exact-difference answer. Unscaled float32
+        # would flush these squares to zero (1e-20), the components too
+        # (1e-40), or overflow (1e20, 1e30).
+        rng = np.random.default_rng(300 + q)
+        base = rng.normal(size=(12, q))
+        entries = base[rng.integers(0, 12, size=1024)] + 3e-8 * rng.normal(size=(1024, q))
+        queries = np.concatenate([
+            entries[rng.integers(0, 1024, size=100)],
+            base[rng.integers(0, 12, size=100)] + 3e-8 * rng.normal(size=(100, q)),
+        ])
+        _, dist = assert_matches_reference(scale * queries, scale * entries)
+        assert not dist[:100].any()
+
+    @pytest.mark.parametrize("q", [8, 32])
+    @pytest.mark.parametrize("scale", [1e-162, 1e-165, 1e-170])
+    def test_reference_squares_underflow(self, q, scale):
+        # Here the reference's squared differences are a few subnormal units
+        # or 0, so its minimum is decided by their underflow; the scaled
+        # float32 scores do not see it (the table's power of two stops at
+        # 2^511), and only the bound's underflow term sends these rows to
+        # the exact rescoring.
+        rng = np.random.default_rng(7 * q)
+        assert_matches_reference(scale * rng.normal(size=(80, q)), scale * rng.normal(size=(300, q)))
+
     def test_tables_collapse_every_copy(self):
         # Distinct entries of one norm sit between copies in a sort by norm.
         entries = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
                             [1.0, 0.0], [0.0, 3.0]])
-        _, _, sq_norms, max_sq_norm = vq._euclidean_tables(entries)
-        assert sq_norms.tolist() == [1.0, 1.0, np.inf, np.inf, 1.0, np.inf, 9.0]
-        assert max_sq_norm == 9.0
+        _, table, p, _, _, _ = vq._euclidean_tables(entries)
+        assert p == 0.25  # the largest component, 3, is below 2^2
+        assert table[2].tolist() == [p**2, p**2, np.inf, np.inf, p**2, np.inf, 9 * p**2]
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -329,19 +371,23 @@ class TestExactKernel:
             entries = np.eye(dim)[rng.integers(0, dim, size=k)] * signs
         else:
             entries = rng.normal(size=(k, dim))
-        _, table, sq_norms, max_sq_norm = vq._euclidean_tables(entries)
+        _, table, p, _, _, _ = vq._euclidean_tables(entries)
 
         copy = np.array([any(np.array_equal(entries[j], entries[i]) for j in range(i))
                          for i in range(k)])
+        sq_norms = table[dim].astype(np.float64) / p**2
         np.testing.assert_array_equal(sq_norms == np.inf, copy)
         reference = (entries**2).sum(axis=1)
-        np.testing.assert_allclose(sq_norms[~copy], reference[~copy], rtol=1e-14)
-        assert max_sq_norm == sq_norms[~copy].max()
-        assert max_sq_norm == pytest.approx(reference.max(), rel=1e-14)
-        # One C-contiguous GEMM table: the transposed entries over the norms.
+        np.testing.assert_allclose(sq_norms[~copy], reference[~copy], rtol=2**-23)
+        # p is the power of two just above the largest component.
+        assert 0.5 <= np.abs(entries).max() * p < 1.0 or not entries.any() and p == 1.0
+        # One C-contiguous float32 GEMM table: the cast of the transposed
+        # entries over the norms, copies at +inf, scaled by p and p^2.
         assert table.shape == (dim + 1, k) and table.flags.c_contiguous
-        np.testing.assert_array_equal(table[:dim], entries.T)
-        np.testing.assert_array_equal(table[dim], sq_norms)
+        assert table.dtype == np.float32
+        exact_norms = np.where(copy, np.inf, np.einsum("kq,kq->k", entries, entries))
+        scaled = np.vstack([entries.T * p, exact_norms * p * p])
+        np.testing.assert_array_equal(table, scaled.astype(np.float32))
         if kind == "normal":
             assert not copy.any()
 
@@ -366,17 +412,19 @@ class TestExactKernel:
                                   rng.normal(size=(700, q))])[rng.permutation(1200)]
         for edge in (64, 128, 256, 512, 1024):
             queries[edge - 4 : edge + 4] = entries[700 + edge % 300]  # a copied entry
-        cap = vq._LOOKUP_CHUNK_ELEMENTS // k
-        assert cap < len(queries)
+        # 512 KB of scores: float32 under Euclidean, float64 under cosine.
+        caps = {"_euclidean_block": vq._LOOKUP_BLOCK_BYTES // (4 * k),
+                "_cosine_block": vq._LOOKUP_BLOCK_BYTES // (8 * k)}
+        assert caps == {"_euclidean_block": 128, "_cosine_block": 64}
 
         _, table, _ = vq._cosine_tables(entries)
         assert table.shape == (q, k) and table.flags.c_contiguous
         np.testing.assert_array_equal(table, vq._normalize_rows(entries).T)
 
-        blocks, cosine_norms = [], []
-        for name in ("_euclidean_block", "_cosine_block"):
+        blocks, cosine_norms = {"_euclidean_block": [], "_cosine_block": []}, []
+        for name in blocks:
             def spy(x, tables, block=getattr(vq, name), name=name):
-                blocks.append(len(x))
+                blocks[name].append(len(x))
                 if name == "_cosine_block":
                     cosine_norms.append(np.linalg.norm(x, axis=1))
                 return block(x, tables)
@@ -396,8 +444,9 @@ class TestExactKernel:
                                    atol=1e-14)
         np.testing.assert_array_equal(assign_batch(queries, entries, "cosine"), ref_idx)
 
-        assert len(blocks) == 4 * -(-len(queries) // cap)  # two lookups per metric
-        assert max(blocks) == cap
+        for name, cap in caps.items():
+            # Two lookups per metric, in blocks of the cap and one last one.
+            assert blocks[name] == 2 * ([cap] * (len(queries) // cap) + [len(queries) % cap])
         # The cosine blocks get queries the lookup has already normalized.
         norms = np.concatenate(cosine_norms)
         assert len(norms) == 2 * len(queries)

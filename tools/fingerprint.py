@@ -164,6 +164,7 @@ def _lookup_cases(fp: Fingerprint, rk) -> None:
             cb = rk.Codebook.from_entries(entries, metric=metric)
             fp.call(f"lib/nearest-codes-{n}-{metric}", rk.nearest_codes, queries, cb)
     _multi_block_cases(fp, rk)
+    _float32_edge_cases(fp, rk)
 
 
 def _multi_block_cases(fp: Fingerprint, rk) -> None:
@@ -191,6 +192,34 @@ def _multi_block_lookups(fp: Fingerprint, rk, seed: int, q: int, edges: tuple,
         fp.call(f"lib/nearest-codes-multi-block-{metric}{suffix}", rk.nearest_codes, queries, cb)
         fp.call(f"lib/assign-batch-multi-block-{metric}{suffix}",
                 lambda *args: (rk.vq.assign_batch(*args),), queries, entries, metric)
+
+
+def _float32_edge_cases(fp: Fingerprint, rk) -> None:
+    """Euclidean `nearest_codes` and `assign_batch` where a float32 score is
+    too coarse to rank the entries: clusters of entries 3e-8 apart (about
+    half a float32 ulp) with components near 1e-40 (subnormal in float32)
+    and near 1e20 (squares past float32's range), an integer lattice at 1e8
+    (float32 spacing 8), and entries a few float32 ulps apart. Half the
+    queries are entries."""
+    rng = np.random.default_rng(3240)
+    for q in (8, 32):
+        base = rng.normal(size=(16, q))
+        cluster = base[rng.integers(0, 16, size=512)]
+        cluster += 3e-8 * rng.normal(size=cluster.shape)
+        lattice = 1e8 + np.round(4.0 * rng.normal(size=(512, q)))
+        ulps = np.float32(0.7) + rng.integers(-3, 4, size=(512, q)) * np.spacing(np.float32(0.7))
+        books = {"tiny": 1e-40 * cluster, "huge": 1e20 * cluster, "offset-lattice": lattice,
+                 "f32-ulps": ulps.astype(np.float64)}
+        for name, entries in books.items():
+            spread = entries.std(axis=0)
+            queries = np.concatenate([entries[rng.integers(0, 512, size=150)],
+                                      entries[rng.integers(0, 512, size=150)]
+                                      + spread * rng.normal(size=(150, q))])
+            case = f"{name}-q{q}"
+            fp.call(f"lib/nearest-codes-f32-edge-{case}", rk.nearest_codes, queries,
+                    rk.Codebook.from_entries(entries))
+            fp.call(f"lib/assign-batch-f32-edge-{case}",
+                    lambda *args: (rk.vq.assign_batch(*args),), queries, entries, "euclidean")
 
 
 def _training_cases(fp: Fingerprint, rk) -> None:
