@@ -1,12 +1,14 @@
-"""Seed handling, the model-logits guard and the one categorical sampler.
+"""Seed handling, model logits and the one categorical sampler.
 
 Every random draw in the toolkit goes through a `numpy.random.Generator`:
 `as_generator` turns a seed into one, `checked_logits` is the one check on
-what a generation model returns, and `sample_rows` is the single
-softmax-and-draw used by both token generators.
+what a generation model returns, and both token generators draw with
+`sample_rows` and fill layers 2..N with `greedy_layers`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,6 +31,32 @@ def checked_logits(raw, shape: tuple, what: str) -> np.ndarray:
         raise ValueError(f"{what} logits have shape {logits.shape}, expected {shape}")
     if not np.isfinite(logits).all():
         raise NumericalError(f"{what} logits contain non-finite values")
+    return logits
+
+
+def greedy_layers(grid: np.ndarray, rows: slice, layer_logits, shape: tuple, what: str) -> None:
+    """Fill layers 1..N-1 of a (frames, N) `grid` in order, in place: layer l
+    gets the argmax over `rows` (ties to the lowest index) of
+    `checked_logits(layer_logits(l), shape, what.format(l))`."""
+    for layer in range(1, grid.shape[1]):
+        logits = checked_logits(layer_logits(layer), shape, what.format(layer))
+        grid[rows, layer] = np.argmax(logits[rows], axis=1)
+
+
+def finite_margin(margin) -> float:
+    """A toy model's margin as a float; ValueError unless it is finite."""
+    margin = float(margin)
+    if not math.isfinite(margin):
+        raise ValueError("margin must be finite")
+    return margin
+
+
+def peaked_logits(targets, classes: int, margin: float) -> np.ndarray:
+    """Zero logits over `classes` classes with `margin` at each target: one
+    vector for a scalar target, one row per entry of a 1-D array of them."""
+    targets = np.asarray(targets)
+    logits = np.zeros(targets.shape + (classes,))
+    np.put_along_axis(logits, targets[..., None], margin, axis=-1)
     return logits
 
 

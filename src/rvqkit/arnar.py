@@ -3,12 +3,13 @@
 The AR stage samples first-layer codes one at a time at a configurable
 temperature until an end-of-sequence symbol (the extra class K in the AR
 vocabulary) is drawn or the frame budget runs out. The NAR stage then fills
-layers 2..N in order, one greedy argmax pass per layer, each conditioned on
-everything already decoded. Layer indices are 0-based in code; the NAR stage
-therefore targets layers 1..N-1.
+layers 2..N in order, one greedy argmax pass per layer (the pass `mlm` ends
+with), each conditioned on everything already decoded. Layer indices are
+0-based in code; the NAR stage therefore targets layers 1..N-1.
 
 Model contracts are duck-typed: anything with the right method works. Toy
-implementations live here, including an add-k smoothed n-gram AR model
+implementations live here: one oracle per protocol, which with empty truth
+also stands for an always-EOS model, and an add-k smoothed n-gram AR model
 trainable from token streams.
 """
 
@@ -20,7 +21,14 @@ from typing import Protocol
 
 import numpy as np
 
-from ._rng import as_generator, checked_logits, sample_rows
+from ._rng import (
+    as_generator,
+    checked_logits,
+    finite_margin,
+    greedy_layers,
+    peaked_logits,
+    sample_rows,
+)
 from .errors import EmptyGenerationError
 from .rvq import TokenStream
 
@@ -134,13 +142,13 @@ def generate_nar(
     t = layer1.shape[0]
     grid = np.zeros((t, num_layers), dtype=np.int32)
     grid[:, 0] = layer1
-    for layer in range(1, num_layers):
-        logits = checked_logits(
-            model.layer_logits(condition, prompt, grid[:, :layer].copy(), layer),
-            (t, codebook_size),
-            f"NAR layer-{layer}",
-        )
-        grid[:, layer] = np.argmax(logits, axis=1)
+    greedy_layers(
+        grid,
+        slice(None),
+        lambda layer: model.layer_logits(condition, prompt, grid[:, :layer].copy(), layer),
+        (t, codebook_size),
+        "NAR layer-{}",
+    )
 
     return TokenStream(
         frames=grid,
@@ -262,54 +270,19 @@ def sequence_perplexity(model: ArModel, condition, codes) -> float:
     return float(2.0 ** (-log2_sum / steps))
 
 
-def _finite_margin(margin: float) -> float:
-    margin = float(margin)
-    if not math.isfinite(margin):
-        raise ValueError("margin must be finite")
-    return margin
-
-
 class OracleArModel:
-    """Peaked at a fixed ground-truth code sequence, then at EOS."""
+    """Peaked at a fixed ground-truth code sequence, then at EOS: empty truth
+    stops the AR stage at once, truth `arange(n) % K` cycles through the codes."""
 
     def __init__(self, truth_codes, codebook_size: int, margin: float = 50.0):
         self.truth = np.asarray(truth_codes, dtype=np.int64).ravel()
         self.codebook_size = codebook_size
-        self.margin = _finite_margin(margin)
+        self.margin = finite_margin(margin)
 
     def next_logits(self, condition, prompt_codes, generated_prefix) -> np.ndarray:
         t = len(np.asarray(generated_prefix).ravel())
-        logits = np.zeros(self.codebook_size + 1)
         target = self.truth[t] if t < len(self.truth) else self.codebook_size
-        logits[target] = self.margin
-        return logits
-
-
-class EosArModel:
-    """Always prefers EOS; the AR stage stops immediately."""
-
-    def __init__(self, codebook_size: int, margin: float = 50.0):
-        self.codebook_size = codebook_size
-        self.margin = _finite_margin(margin)
-
-    def next_logits(self, condition, prompt_codes, generated_prefix) -> np.ndarray:
-        logits = np.zeros(self.codebook_size + 1)
-        logits[self.codebook_size] = self.margin
-        return logits
-
-
-class CyclingArModel:
-    """Peaked at (generated prefix length mod K); never prefers EOS."""
-
-    def __init__(self, codebook_size: int, margin: float = 50.0):
-        self.codebook_size = codebook_size
-        self.margin = _finite_margin(margin)
-
-    def next_logits(self, condition, prompt_codes, generated_prefix) -> np.ndarray:
-        t = len(np.asarray(generated_prefix).ravel())
-        logits = np.zeros(self.codebook_size + 1)
-        logits[t % self.codebook_size] = self.margin
-        return logits
+        return peaked_logits(target, self.codebook_size + 1, self.margin)
 
 
 class OracleNarModel:
@@ -322,12 +295,10 @@ class OracleNarModel:
         self.codebook_size = (
             int(self.truth.max()) + 1 if codebook_size is None else codebook_size
         )
-        self.margin = _finite_margin(margin)
+        self.margin = finite_margin(margin)
 
     def layer_logits(self, condition, prompt, decoded_layers, target_layer) -> np.ndarray:
         t = decoded_layers.shape[0]
         if t > self.truth.shape[0]:
             raise ValueError("more frames requested than the oracle's ground truth holds")
-        logits = np.zeros((t, self.codebook_size))
-        logits[np.arange(t), self.truth[:t, target_layer]] = self.margin
-        return logits
+        return peaked_logits(self.truth[:t, target_layer], self.codebook_size, self.margin)

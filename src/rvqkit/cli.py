@@ -9,15 +9,16 @@ is line-oriented `key: value` text; every command is deterministic given
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from . import io as rvqio
 from .analytics import rank_frequency, utilization
 from .arnar import (
-    CyclingArModel,
     GenConfig,
     OracleArModel,
     OracleNarModel,
@@ -25,7 +26,7 @@ from .arnar import (
     train_ngram_ar,
 )
 from .errors import EmptyGenerationError, FormatError, NumericalError
-from .mlm import DecodeSchedule, OracleScoreModel, UniformScoreModel, generate_parallel
+from .mlm import DecodeSchedule, OracleScoreModel, generate_parallel
 from .rvq import TokenStream, bitrate_bps, code_bits, rvq_decode_batch, rvq_encode_batch
 from .training import (
     SCHEME_PROJECTED,
@@ -112,11 +113,6 @@ def cmd_train(args) -> int:
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
 
-    if args.corpus is not None:
-        corpus = rvqio.read_vectors(args.corpus)
-    else:
-        corpus = make_corpus(_parse_synth_spec(args.synth, args.seed, args.latent_dim))
-
     config = TrainConfig(
         scheme=scheme,
         num_layers=args.layers,
@@ -134,6 +130,10 @@ def cmd_train(args) -> int:
         restart_period=args.restart_period,
         init=args.init,
     )
+    if args.corpus is not None:
+        corpus = rvqio.read_vectors(args.corpus)
+    else:
+        corpus = make_corpus(_parse_synth_spec(args.synth, args.seed, args.latent_dim))
     quantizer, report = train_quantizer(corpus, config)
     rvqio.save_quantizer(args.out, quantizer)
 
@@ -166,10 +166,12 @@ def _encode_frames(quantizer, vectors: np.ndarray, threads: int) -> np.ndarray:
 
 
 def cmd_encode(args) -> int:
+    if args.threads < 1:
+        raise UsageError("--threads must be >= 1")
     quantizer = rvqio.load_quantizer(args.codebook)
     vectors = rvqio.read_vectors(args.input).astype(np.float64)
-    if args.token_rate <= 0:
-        raise UsageError("--token-rate must be positive")
+    if not 0 < args.token_rate < math.inf:
+        raise UsageError("--token-rate must be positive and finite")
 
     frames = _encode_frames(quantizer, vectors, args.threads)
     stream = TokenStream(
@@ -265,31 +267,42 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _sim_inputs(args, num_frames: int, source_id: str):
+    """A simulator's hidden (num_frames, --layers) truth grid and condition,
+    drawn from --seed, and a TokenStream builder with the run's metadata."""
+    if args.layers < 1:
+        raise ValueError("layers must be >= 1")
+    if args.codebook_size < 1:
+        raise ValueError("codebook_size must be >= 1")
+    rng = np.random.default_rng(args.seed)
+    truth = rng.integers(0, args.codebook_size, size=(num_frames, args.layers), dtype=np.int32)
+    condition = rng.integers(0, 512, size=num_frames)
+    make_stream = partial(
+        TokenStream,
+        token_rate_hz=args.token_rate,
+        layers=args.layers,
+        codebook_size=args.codebook_size,
+        source_id=source_id,
+    )
+    return truth, condition, make_stream
+
+
 def cmd_mlm_sim(args) -> int:
     if args.prompt_frames >= args.frames:
         raise UsageError("--prompt-frames must be smaller than --frames")
     if args.prompt_frames < 0:
         raise UsageError("--prompt-frames must be non-negative")
     cfg_start, cfg_end = _parse_cfg_range(args.cfg)
-
-    rng = np.random.default_rng(args.seed)
-    truth = rng.integers(0, args.codebook_size, size=(args.frames, args.layers), dtype=np.int32)
-    condition = rng.integers(0, 512, size=args.frames)
+    truth, condition, make_stream = _sim_inputs(args, args.frames, "mlm-sim")
 
     if args.model == "oracle":
         model = OracleScoreModel(
             truth, margin=args.margin, noise_seed=args.noise_seed, codebook_size=args.codebook_size
         )
-    else:
-        model = UniformScoreModel(args.frames, args.codebook_size)
+    else:  # flat scores in both modes; --margin and --noise-seed are ignored
+        model = OracleScoreModel(truth, margin=0.0, codebook_size=args.codebook_size)
 
-    prompt = TokenStream(
-        frames=truth[: args.prompt_frames],
-        token_rate_hz=args.token_rate,
-        layers=args.layers,
-        codebook_size=args.codebook_size,
-        source_id="mlm-sim",
-    )
+    prompt = make_stream(truth[: args.prompt_frames])
     schedule = DecodeSchedule(
         iterations_layer1=args.iterations,
         cfg_start=cfg_start,
@@ -300,14 +313,7 @@ def cmd_mlm_sim(args) -> int:
     stream, stats = generate_parallel(model, condition, prompt, args.frames, schedule)
     rvqio.write_token_streams(args.out, [stream])
     if args.truth_out:
-        truth_stream = TokenStream(
-            frames=truth,
-            token_rate_hz=args.token_rate,
-            layers=args.layers,
-            codebook_size=args.codebook_size,
-            source_id="mlm-sim",
-        )
-        rvqio.write_token_streams(args.truth_out, [truth_stream])
+        rvqio.write_token_streams(args.truth_out, [make_stream(truth)])
 
     _emit("model", args.model)
     _emit("frames", args.frames)
@@ -327,18 +333,15 @@ def cmd_arnar_sim(args) -> int:
         raise UsageError("--prompt-frames must be non-negative")
     if args.prompt_frames >= args.max_frames:
         raise UsageError("--prompt-frames must be smaller than --max-frames")
-    if args.layers < 1:
-        raise ValueError("layers must be >= 1")
+    truth, condition, make_stream = _sim_inputs(args, args.max_frames, "arnar-sim")
     support_streams = rvqio.read_token_streams(args.support) if args.support else None
 
-    rng = np.random.default_rng(args.seed)
-    truth = rng.integers(0, args.codebook_size, size=(args.max_frames, args.layers), dtype=np.int32)
-    condition = rng.integers(0, 512, size=args.max_frames)
-
+    budget = args.max_frames - args.prompt_frames
     if args.ar == "oracle":
         ar = OracleArModel(truth[args.prompt_frames :, 0], args.codebook_size, margin=args.margin)
-    elif args.ar == "cycling":
-        ar = CyclingArModel(args.codebook_size, margin=args.margin)
+    elif args.ar == "cycling":  # code t % K at step t, never EOS within the budget
+        cycle = np.arange(budget) % args.codebook_size
+        ar = OracleArModel(cycle, args.codebook_size, margin=args.margin)
     else:
         train_streams = rvqio.read_token_streams(args.train_tokens)
         ar = train_ngram_ar(train_streams, order=args.ngram_order, smoothing=args.ngram_smoothing)
@@ -352,18 +355,8 @@ def cmd_arnar_sim(args) -> int:
     nar = OracleNarModel(
         truth[args.prompt_frames :], codebook_size=args.codebook_size, margin=args.margin
     )
-    prompt = TokenStream(
-        frames=truth[: args.prompt_frames],
-        token_rate_hz=args.token_rate,
-        layers=args.layers,
-        codebook_size=args.codebook_size,
-        source_id="arnar-sim",
-    )
-    config = GenConfig(
-        temperature=args.temperature,
-        max_frames=args.max_frames - args.prompt_frames,
-        rng_seed=args.seed,
-    )
+    prompt = make_stream(truth[: args.prompt_frames])
+    config = GenConfig(temperature=args.temperature, max_frames=budget, rng_seed=args.seed)
     stream, stats = generate_text_to_tokens(ar, nar, condition, prompt, config)
     rvqio.write_token_streams(args.out, [stream])
 

@@ -4,8 +4,9 @@ The first layer is decoded iteratively: every round scores the grid
 conditionally and unconditionally, combines the logits with an annealed
 guidance coefficient, samples all still-masked positions, and commits the
 most confident ones. Remaining layers are decoded greedily in a single
-argmax pass each, so a full grid costs iterations + (layers - 1)
-conditional forward passes.
+argmax pass each (`_rng.greedy_layers`, the pass that also fills
+`arnar.generate_nar`'s layers), so a full grid costs iterations +
+(layers - 1) conditional forward passes.
 
 Grids are (frames, layers) int32 arrays with MASKED (-1) at unknown
 positions. Layer indices are 0-based throughout. When a layer is being
@@ -21,7 +22,14 @@ from typing import Protocol
 
 import numpy as np
 
-from ._rng import as_generator, checked_logits, sample_rows
+from ._rng import (
+    as_generator,
+    checked_logits,
+    finite_margin,
+    greedy_layers,
+    peaked_logits,
+    sample_rows,
+)
 from .rvq import TokenStream
 
 MASKED = -1
@@ -190,16 +198,16 @@ def generate_parallel(
             committed = target
         commit_counts.append(count)
 
-    cond_passes = schedule.iterations_layer1
-    for layer in range(1, num_layers):
-        view = _scoring_view(grid, layer)
-        logits = model.score(view, layer, condition, CONDITIONAL)
-        logits = checked_logits(logits, shape, "conditional")
-        grid[p:, layer] = np.argmax(logits[p:], axis=1)
-        cond_passes += 1
+    greedy_layers(
+        grid,
+        slice(p, None),
+        lambda layer: model.score(_scoring_view(grid, layer), layer, condition, CONDITIONAL),
+        shape,
+        "conditional",
+    )
 
     stats = GenerationStats(
-        forward_passes=cond_passes,
+        forward_passes=schedule.iterations_layer1 + num_layers - 1,
         unconditional_passes=schedule.iterations_layer1,
         commit_counts=commit_counts,
     )
@@ -219,7 +227,8 @@ class OracleScoreModel:
     Conditional scores put `margin` on the true code; unconditional scores
     are flat. With an optional noise seed, a fixed jitter much smaller than
     the margin is baked in at construction so confidences are distinct while
-    score() stays deterministic.
+    score() stays deterministic. Margin 0 without noise gives flat scores in
+    both modes, so sampling is uniform over the codes.
     """
 
     def __init__(
@@ -232,9 +241,7 @@ class OracleScoreModel:
         self.truth = np.asarray(truth, dtype=np.int32)
         if self.truth.ndim != 2:
             raise ValueError("truth grid must be (frames, layers)")
-        self.margin = float(margin)
-        if not math.isfinite(self.margin):
-            raise ValueError("margin must be finite")
+        self.margin = finite_margin(margin)
         inferred = int(self.truth.max()) + 1 if self.truth.size else 1
         self.codebook_size = inferred if codebook_size is None else codebook_size
         if self.codebook_size < inferred:
@@ -261,21 +268,10 @@ class OracleScoreModel:
         return cls(truth, margin=margin, noise_seed=noise_seed, codebook_size=codebook_size)
 
     def score(self, grid, target_layer, condition, mode) -> np.ndarray:
-        t = self.truth.shape[0]
-        logits = np.zeros((t, self.codebook_size))
-        if mode == CONDITIONAL:
-            logits[np.arange(t), self.truth[:, target_layer]] = self.margin
-            if self._noise is not None:
-                logits = logits + self._noise[:, target_layer, :]
+        if mode != CONDITIONAL:
+            return np.zeros((self.truth.shape[0], self.codebook_size))
+        logits = peaked_logits(self.truth[:, target_layer], self.codebook_size, self.margin)
+        if self._noise is not None:
+            logits += self._noise[:, target_layer, :]
         return logits
 
-
-class UniformScoreModel:
-    """Flat logits in both modes; sampling becomes uniform over codes."""
-
-    def __init__(self, num_frames: int, codebook_size: int):
-        self.num_frames = num_frames
-        self.codebook_size = codebook_size
-
-    def score(self, grid, target_layer, condition, mode) -> np.ndarray:
-        return np.zeros((self.num_frames, self.codebook_size))

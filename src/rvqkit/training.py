@@ -68,6 +68,9 @@ class TrainConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.init not in ("kmeans", "random"):
             raise ValueError(f"unknown init {self.init!r}")
+        for name in ("num_layers", "codebook_size", "latent_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
@@ -79,6 +82,8 @@ class TrainConfig:
         if self.scheme == SCHEME_PROJECTED:
             if self.quant_dim is None:
                 raise ValueError("projected scheme requires quant_dim")
+            if self.quant_dim < 1:
+                raise ValueError("quant_dim must be >= 1")
             if self.quant_dim > self.latent_dim:
                 raise ValueError("quant_dim must be <= latent_dim")
         elif self.quant_dim is not None and self.quant_dim != self.latent_dim:
@@ -110,6 +115,8 @@ class CorpusSpec:
     def __post_init__(self):
         if self.num_components < 1:
             raise ValueError("num_components must be >= 1")
+        if self.dims < 1:
+            raise ValueError("dims must be >= 1")
         if not 0 < self.separation < math.inf:
             raise ValueError("separation must be positive and finite")
         if self.count < 1:

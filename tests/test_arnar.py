@@ -5,9 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from rvqkit import (
-    CyclingArModel,
     EmptyGenerationError,
-    EosArModel,
     GenConfig,
     NgramArModel,
     NumericalError,
@@ -22,6 +20,16 @@ from rvqkit import (
     train_ngram_ar,
 )
 from rvqkit._rng import sample_rows
+
+
+def eos_model(k, margin=50.0):
+    """An AR oracle with empty truth: EOS from the first step."""
+    return OracleArModel(np.empty(0, dtype=np.int64), k, margin=margin)
+
+
+def cycling_model(k, steps, margin=50.0):
+    """An AR oracle peaked at code t % k at step t, for `steps` steps."""
+    return OracleArModel(np.arange(steps) % k, k, margin=margin)
 
 
 def make_stream(codes, k, layers=1, rate=50.0, source="s"):
@@ -135,19 +143,19 @@ class TestSampleRows:
 
 class TestGenerateAr:
     def test_immediate_eos(self):
-        model = EosArModel(codebook_size=8)
+        model = eos_model(8)
         out = generate_ar(model, np.arange(3), [], GenConfig(rng_seed=0, max_frames=10))
         assert out.shape == (0,)
 
     def test_cycling_trace(self):
-        model = CyclingArModel(codebook_size=16)
+        model = cycling_model(16, steps=6)
         out = generate_ar(
             model, np.arange(3), [], GenConfig(temperature=1e-4, max_frames=6, rng_seed=1)
         )
         assert out.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_length_bound(self):
-        model = CyclingArModel(codebook_size=4)
+        model = cycling_model(4, steps=7)
         for seed in range(5):
             out = generate_ar(
                 model, np.arange(2), [], GenConfig(temperature=1.0, max_frames=7, rng_seed=seed)
@@ -228,7 +236,7 @@ class TestGenerateAr:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_scaled_logits_are_numerical_errors(self):
-        model = CyclingArModel(codebook_size=4, margin=1e308)
+        model = cycling_model(4, steps=6, margin=1e308)
         with pytest.raises(NumericalError):
             generate_ar(model, np.arange(2), [], GenConfig(temperature=0.5, max_frames=6))
 
@@ -355,7 +363,7 @@ class TestComposition:
         )
         with pytest.raises(EmptyGenerationError):
             generate_text_to_tokens(
-                EosArModel(8),
+                eos_model(8),
                 OracleNarModel(np.zeros((4, 2), dtype=int), codebook_size=8),
                 np.arange(2),
                 prompt,
@@ -437,9 +445,9 @@ class TestNgram:
             with pytest.raises(ValueError):
                 OracleArModel(truth[:, 0], 4, margin=bad)
             with pytest.raises(ValueError):
-                EosArModel(4, margin=bad)
+                eos_model(4, margin=bad)
             with pytest.raises(ValueError):
-                CyclingArModel(4, margin=bad)
+                cycling_model(4, steps=3, margin=bad)
             with pytest.raises(ValueError):
                 OracleNarModel(truth, 4, margin=bad)
 

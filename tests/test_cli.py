@@ -693,6 +693,86 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_encode_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        # Rejected before any file is read: neither input exists.
+        out = tmp_path / "t.jsonl"
+        code, _, err = run(capsys, "encode", "--codebook", str(tmp_path / "missing.rvqc"),
+                           "--input", str(tmp_path / "missing.rvqv"), "--threads", threads,
+                           "--out", str(out))
+        assert code == 2
+        assert err == "error: --threads must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1"])
+    def test_encode_token_rate_outside_open_interval_is_usage_error(
+        self, tmp_path, capsys, corpus_file, trained_codebook, rate
+    ):
+        out = tmp_path / "t.jsonl"
+        code, _, err = run(capsys, "encode", "--codebook", str(trained_codebook),
+                           "--input", str(corpus_file), "--token-rate", rate, "--out", str(out))
+        assert code == 2
+        assert err == "error: --token-rate must be positive and finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["--latent-dim", "0"], "latent_dim"),
+            (["--synth", "modes=4,dims=0", "--latent-dim", "0"], "latent_dim"),
+            (["--layers", "0"], "num_layers"),
+            (["--codebook-size", "0"], "codebook_size"),
+            (["--scheme", "projected", "--latent-dim", "8", "--quant-dim", "0"], "quant_dim"),
+        ],
+    )
+    def test_train_zero_sizes_are_data_errors(self, tmp_path, capsys, monkeypatch, args, name):
+        # Rejected before the corpus is drawn or a step runs.
+        def unreachable(*_):
+            raise AssertionError("work started on a zero size")
+
+        monkeypatch.setattr(rvqkit.cli, "make_corpus", unreachable)
+        monkeypatch.setattr(rvqkit.cli, "train_quantizer", unreachable)
+        if "--synth" not in args:
+            args = ["--synth", "modes=4", *args]
+        out = tmp_path / "q.rvqc"
+        code, _, err = run(capsys, "train", *args, "--steps", "5", "--out", str(out))
+        assert code == 3
+        assert err == f"error: {name} must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--codebook-size", "0"], "codebook_size must be >= 1"),
+            (["--codebook-size", "-2"], "codebook_size must be >= 1"),
+            (["--layers", "0"], "layers must be >= 1"),
+        ],
+    )
+    def test_mlm_sim_zero_sizes_are_data_errors(self, tmp_path, capsys, args, message):
+        out = tmp_path / "o.jsonl"
+        code, _, err = run(capsys, "mlm-sim", *args, "--out", str(out))
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+        # No frames at all is already a usage error.
+        assert run(capsys, "mlm-sim", "--frames", "0", "--out", str(out))[0] == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--codebook-size", "0"], "codebook_size must be >= 1"),
+            (["--ar", "cycling", "--codebook-size", "0"], "codebook_size must be >= 1"),
+            (["--layers", "0"], "layers must be >= 1"),
+        ],
+    )
+    def test_arnar_sim_zero_sizes_are_data_errors(self, tmp_path, capsys, args, message):
+        out = tmp_path / "o.jsonl"
+        code, _, err = run(capsys, "arnar-sim", *args, "--out", str(out))
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+        assert run(capsys, "arnar-sim", "--max-frames", "0", "--out", str(out))[0] == 2
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -9,13 +9,18 @@ from rvqkit import (
     NumericalError,
     OracleScoreModel,
     TokenStream,
-    UniformScoreModel,
     anneal_coeff,
     cfg_combine,
     confidence_select,
     cosine_unmask_fractions,
+    generate_nar,
     generate_parallel,
 )
+
+
+def uniform_model(frames, layers, k):
+    """An oracle with margin 0 and no noise: flat scores in both modes."""
+    return OracleScoreModel(np.zeros((frames, layers), dtype=np.int32), margin=0.0, codebook_size=k)
 
 
 def empty_prompt(layers, k, rate=50.0):
@@ -155,7 +160,7 @@ class TestGenerateParallel:
         np.testing.assert_array_equal(stream.frames[:6], model.truth[:6])
 
     def test_monotone_commitment(self):
-        model = UniformScoreModel(40, 8)
+        model = uniform_model(40, 2, 8)
         stream, stats = generate_parallel(
             model, np.arange(40), empty_prompt(2, 8), 40, DecodeSchedule(rng_seed=3)
         )
@@ -164,7 +169,7 @@ class TestGenerateParallel:
         assert not (stream.frames == MASKED).any()
 
     def test_determinism(self):
-        model = UniformScoreModel(25, 6)
+        model = uniform_model(25, 3, 6)
         runs = [
             generate_parallel(
                 model, np.arange(25), empty_prompt(3, 6), 25, DecodeSchedule(rng_seed=9)
@@ -192,7 +197,7 @@ class TestGenerateParallel:
         assert [l for l, _ in deeper] == [1, 2, 3]
 
     def test_zero_guidance_ignores_unconditional_branch(self):
-        class SpikedUncond(UniformScoreModel):
+        class SpikedUncond(OracleScoreModel):
             def score(self, grid, target_layer, condition, mode):
                 out = super().score(grid, target_layer, condition, mode)
                 if mode == "unconditional":
@@ -201,10 +206,14 @@ class TestGenerateParallel:
 
         schedule = DecodeSchedule(cfg_start=0.0, cfg_end=0.0, rng_seed=13)
         a, _ = generate_parallel(
-            UniformScoreModel(18, 7), np.arange(18), empty_prompt(2, 7), 18, schedule
+            uniform_model(18, 2, 7), np.arange(18), empty_prompt(2, 7), 18, schedule
         )
         b, _ = generate_parallel(
-            SpikedUncond(18, 7), np.arange(18), empty_prompt(2, 7), 18, schedule
+            SpikedUncond(np.zeros((18, 2), dtype=np.int32), margin=0.0, codebook_size=7),
+            np.arange(18),
+            empty_prompt(2, 7),
+            18,
+            schedule,
         )
         np.testing.assert_array_equal(a.frames, b.frames)
 
@@ -255,9 +264,41 @@ class TestGenerateParallel:
 
     def test_short_grid_commits_everything(self):
         # Fewer maskable frames than iterations: later rounds may commit zero.
-        model = UniformScoreModel(3, 4)
+        model = uniform_model(3, 1, 4)
         stream, stats = generate_parallel(
             model, np.arange(3), empty_prompt(1, 4), 3, DecodeSchedule(rng_seed=2)
         )
         assert sum(stats.commit_counts) == 3
         assert not (stream.frames == MASKED).any()
+
+
+class TestDeeperLayerPass:
+    def test_both_schedulers_share_one_greedy_pass(self):
+        # Fixed per-layer logits with many ties: both schedulers must write
+        # the same layer 2..N codes, each the lowest index of a row's maximum.
+        frames, layers, k, p = 9, 4, 5, 2
+        table = np.random.default_rng(31).integers(0, 3, size=(layers, frames, k)).astype(float)
+        expected = np.array(
+            [[np.flatnonzero(row == row.max())[0] for row in table[layer]] for layer in range(layers)]
+        ).T
+
+        class FixedScores:
+            def score(self, grid, target_layer, condition, mode):
+                return table[target_layer]
+
+        class FixedNar:
+            def layer_logits(self, condition, prompt, decoded_layers, target_layer):
+                return table[target_layer, p:]
+
+        prompt = TokenStream(
+            frames=expected[:p], token_rate_hz=50.0, layers=layers, codebook_size=k, source_id="p"
+        )
+        parallel, _ = generate_parallel(
+            FixedScores(), np.arange(frames), prompt, frames, DecodeSchedule(rng_seed=4)
+        )
+        nar = generate_nar(
+            FixedNar(), np.arange(frames), prompt, parallel.frames[p:, 0], layers, codebook_size=k
+        )
+        assert (table == table.max(axis=2, keepdims=True)).sum(axis=2).max() > 1  # ties exist
+        np.testing.assert_array_equal(parallel.frames[:, 1:], expected[:, 1:])
+        np.testing.assert_array_equal(nar.frames[:, 1:], expected[p:, 1:])

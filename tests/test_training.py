@@ -39,6 +39,9 @@ class TestMakeCorpus:
             CorpusSpec(num_components=0)
         with pytest.raises(ValueError):
             CorpusSpec(separation=0.0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="dims"):
+                CorpusSpec(dims=bad)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 CorpusSpec(separation=bad)
@@ -270,6 +273,12 @@ class TestProjectedTraining:
             TrainConfig(scheme="ema", latent_dim=8, quant_dim=4)
         with pytest.raises(ValueError):
             TrainConfig(steps=0)
+        for name in ("num_layers", "codebook_size", "latent_dim"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                TrainConfig(**{name: 0})
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="quant_dim must be >= 1"):
+                TrainConfig(scheme="projected", latent_dim=8, quant_dim=bad)
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="learning_rate"):
                 TrainConfig(learning_rate=bad)

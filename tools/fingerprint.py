@@ -5,7 +5,8 @@ directory and prints one `sha256 name` line per stdout, stderr, exit code and
 output file, named `<case>/<stream>`. The training outputs are the cases
 `train-*`, `lib/train-*` and `lib/kmeans-init*`, and demo 03, which trains.
 `projected-distinct-pairs` runs encode and decode on a projected codebook file
-whose layers' projection pairs differ. To see what a change moves, run it on
+whose layers' projection pairs differ. The `lib/generate-*` and
+`lib/text-to-tokens-*` cases run the schedulers on the toy oracles. To see what a change moves, run it on
 two checkouts and diff:
 
     python tools/fingerprint.py > new.txt
@@ -309,6 +310,39 @@ def _generation_cases(fp: Fingerprint) -> None:
            "--out", "cycling.jsonl", outputs=("cycling.jsonl",))
 
 
+def _generator_cases(fp: Fingerprint, rk) -> None:
+    """The library schedulers on the toy oracles, including the oracle forms
+    that stand for an always-EOS, a cycling and a flat-score model."""
+    k, layers = 16, 3
+    rng = np.random.default_rng(21)
+    truth = rng.integers(0, k, size=(24, layers)).astype(np.int32)
+    condition = np.arange(24)
+    prompt = rk.TokenStream(frames=truth[:3], token_rate_hz=50.0, layers=layers,
+                            codebook_size=k, source_id="fp")
+    eos = rk.OracleArModel(np.empty(0, dtype=np.int64), k)
+    fp.arrays("lib/generate-ar-empty-truth",
+              rk.generate_ar(eos, condition, truth[:3, 0], rk.GenConfig(max_frames=10)))
+    try:
+        rk.generate_text_to_tokens(eos, rk.OracleNarModel(truth, codebook_size=k), condition,
+                                   prompt, rk.GenConfig(rng_seed=1))
+        fp.emit("lib/text-to-tokens-empty-truth", b"<no exception>")
+    except Exception as exc:
+        fp.emit("lib/text-to-tokens-empty-truth", f"{type(exc).__name__}: {exc}".encode())
+    cycling = rk.OracleArModel(np.arange(30) % k, k)
+    fp.arrays("lib/generate-ar-cycling",
+              rk.generate_ar(cycling, condition, [], rk.GenConfig(temperature=0.7, max_frames=30,
+                                                                  rng_seed=5)))
+    flat = rk.OracleScoreModel(truth, margin=0.0, codebook_size=k)
+    stream, stats = rk.generate_parallel(flat, condition, prompt, 24,
+                                         rk.DecodeSchedule(temperature=0.7, rng_seed=6))
+    fp.arrays("lib/generate-parallel-flat", stream.frames, stats.forward_passes,
+              stats.unconditional_passes, stats.commit_counts)
+    for margin in (50.0, 0.0):
+        nar = rk.OracleNarModel(truth[3:], codebook_size=k, margin=margin)
+        stream = rk.generate_nar(nar, condition, prompt, truth[3:, 0], layers)
+        fp.arrays(f"lib/generate-nar-margin-{margin:g}", stream.frames)
+
+
 def _demo_cases(fp: Fingerprint) -> None:
     for demo in sorted((fp.repo / "demos").glob("*.py")):
         before = set(fp.work.iterdir())
@@ -333,6 +367,7 @@ def main(argv=None) -> int:
         _lookup_cases(fp, rk)
         _training_cases(fp, rk)
         _generation_cases(fp)
+        _generator_cases(fp, rk)
         _demo_cases(fp)
     return 0
 
