@@ -20,10 +20,11 @@ from rvqkit import (
 )
 
 T, N, K = 50, 8, 64
-model = OracleScoreModel.random(T, N, K, rng=3, noise_seed=3)
+truth = np.random.default_rng(3).integers(0, K, size=(T, N), dtype=np.int32)
+model = OracleScoreModel(truth, K, noise_seed=3)
 
 prompt = TokenStream(
-    frames=model.truth[:10],
+    frames=truth[:10],
     token_rate_hz=50.0,
     layers=N,
     codebook_size=K,
@@ -50,7 +51,7 @@ print()
 print(f"forward passes: {stats.forward_passes} conditional "
       f"(+{stats.unconditional_passes} unconditional for guidance)")
 print(f"  = {schedule.iterations_layer1} layer-1 iterations + {N - 1} greedy layer passes")
-exact = np.array_equal(stream.frames, model.truth)
+exact = np.array_equal(stream.frames, truth)
 print(f"oracle recovery: generated grid equals the hidden ground truth: {exact}")
 print(f"prompt passthrough: first 10 frames untouched: "
       f"{np.array_equal(stream.frames[:10], prompt.frames)}")

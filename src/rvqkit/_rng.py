@@ -3,7 +3,9 @@
 Every random draw in the toolkit goes through a `numpy.random.Generator`:
 `as_generator` turns a seed into one, `checked_logits` is the one check on
 what a generation model returns, and both token generators draw with
-`sample_rows` and fill layers 2..N with `greedy_layers`.
+`sample_rows` and fill layers 2..N with `greedy_layers`. The toy oracles
+check their inputs with `finite_margin` and `checked_truth` and build their
+logits with `peaked_logits`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,15 @@ def finite_margin(margin) -> float:
     if not math.isfinite(margin):
         raise ValueError("margin must be finite")
     return margin
+
+
+def checked_truth(truth, codebook_size: int, dtype) -> np.ndarray:
+    """A toy model's ground-truth codes as `dtype` (no copy when they already
+    are); ValueError unless every one lies in [0, codebook_size)."""
+    codes = np.asarray(truth)
+    if codes.size and not (codes.min() >= 0 and codes.max() < codebook_size):
+        raise ValueError(f"truth codes must lie in [0, {codebook_size})")
+    return codes.astype(dtype, copy=False)
 
 
 def peaked_logits(targets, classes: int, margin: float) -> np.ndarray:

@@ -5,12 +5,14 @@ temperature until an end-of-sequence symbol (the extra class K in the AR
 vocabulary) is drawn or the frame budget runs out. The NAR stage then fills
 layers 2..N in order, one greedy argmax pass per layer (the pass `mlm` ends
 with), each conditioned on everything already decoded. Layer indices are
-0-based in code; the NAR stage therefore targets layers 1..N-1.
+0-based in code; the NAR stage therefore targets layers 1..N-1. As in `mlm`,
+the prompt stream gives the output its layers, codebook size, rate and id.
 
 Model contracts are duck-typed: anything with the right method works. Toy
 implementations live here: one oracle per protocol, which with empty truth
 also stands for an always-EOS model, and an add-k smoothed n-gram AR model
-trainable from token streams.
+trainable from token streams. Every oracle takes its codebook size K and
+rejects truth codes outside [0, K) at construction.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from ._rng import (
     as_generator,
     checked_logits,
+    checked_truth,
     finite_margin,
     greedy_layers,
     peaked_logits,
@@ -47,7 +50,7 @@ class NarModel(Protocol):
     def layer_logits(
         self,
         condition: np.ndarray,
-        prompt: TokenStream | None,
+        prompt: TokenStream,
         decoded_layers: np.ndarray,
         target_layer: int,
     ) -> np.ndarray: ...
@@ -58,15 +61,12 @@ class GenConfig:
     temperature: float = 1.0
     max_frames: int = 256
     rng_seed: int = 0
-    top_k: int | None = None  # optional truncation; off by default
 
     def __post_init__(self):
         if not 0 < self.temperature < math.inf:
             raise ValueError("temperature must be positive and finite")
         if self.max_frames < 1:
             raise ValueError("max_frames must be >= 1")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1 when given")
 
 
 @dataclass
@@ -76,19 +76,13 @@ class ArNarStats:
     eos_terminated: bool
 
 
-def sample_with_temperature(logits, temperature: float, rng, top_k: int | None = None) -> int:
-    """Draw an index from softmax(logits / temperature).
-
-    With `top_k`, only the classes whose logit reaches the k-th largest
-    (ties included) can be drawn.
-    """
+def sample_with_temperature(logits, temperature: float, rng) -> int:
+    """Draw an index from softmax(logits / temperature)."""
     logits = np.array(logits, dtype=np.float64).ravel()
     if not 0 < temperature < math.inf:
         raise ValueError("temperature must be positive and finite")
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
-    if top_k is not None and top_k < len(logits):
-        logits[logits < np.sort(logits)[-top_k]] = -np.inf
     draws, _ = sample_rows(logits[None, :], temperature, as_generator(rng))
     return int(draws[0])
 
@@ -106,7 +100,7 @@ def generate_ar(model: ArModel, condition, prompt_codes, config: GenConfig) -> n
     while t < config.max_frames:
         logits = model.next_logits(condition, prompt_codes, drawn[:t])
         logits = checked_logits(logits, (None,), "AR")
-        idx = sample_with_temperature(logits, config.temperature, rng, config.top_k)
+        idx = sample_with_temperature(logits, config.temperature, rng)
         if idx == len(logits) - 1:  # EOS
             break
         drawn[t] = idx
@@ -114,30 +108,19 @@ def generate_ar(model: ArModel, condition, prompt_codes, config: GenConfig) -> n
     return drawn[:t].astype(np.int32)
 
 
-def generate_nar(
-    model: NarModel,
-    condition,
-    prompt: TokenStream | None,
-    layer1_codes,
-    num_layers: int,
-    *,
-    codebook_size: int | None = None,
-    token_rate_hz: float | None = None,
-    source_id: str = "generated",
-) -> TokenStream:
-    """Fill layers 1..num_layers-1 greedily around the given first-layer codes."""
+def generate_nar(model: NarModel, condition, prompt: TokenStream, layer1_codes) -> TokenStream:
+    """Fill layers 1..N-1 greedily around the given first-layer codes.
+
+    N, the codebook size, the rate and the id (`"generated"` if the
+    prompt's is empty) come from `prompt`, which may hold no frames.
+    """
     condition = np.asarray(condition)
     layer1 = np.asarray(layer1_codes, dtype=np.int32).ravel()
     if layer1.shape[0] < 1:
         raise ValueError("layer1_codes must contain at least one frame")
+    num_layers = prompt.layers
     if num_layers < 2:
         raise ValueError("generate_nar needs num_layers >= 2")
-    if codebook_size is None:
-        if prompt is None:
-            raise ValueError("codebook_size required when no prompt is given")
-        codebook_size = prompt.codebook_size
-    if token_rate_hz is None:
-        token_rate_hz = prompt.token_rate_hz if prompt is not None else 50.0
 
     t = layer1.shape[0]
     grid = np.zeros((t, num_layers), dtype=np.int32)
@@ -146,16 +129,16 @@ def generate_nar(
         grid,
         slice(None),
         lambda layer: model.layer_logits(condition, prompt, grid[:, :layer].copy(), layer),
-        (t, codebook_size),
+        (t, prompt.codebook_size),
         "NAR layer-{}",
     )
 
     return TokenStream(
         frames=grid,
-        token_rate_hz=token_rate_hz,
+        token_rate_hz=prompt.token_rate_hz,
         layers=num_layers,
-        codebook_size=codebook_size,
-        source_id=source_id,
+        codebook_size=prompt.codebook_size,
+        source_id=prompt.source_id or "generated",
     )
 
 
@@ -171,15 +154,7 @@ def generate_text_to_tokens(
     layer1 = generate_ar(ar, condition, prompt_layer1, config)
     if layer1.shape[0] == 0:
         raise EmptyGenerationError("AR stage produced an empty sequence")
-    stream = generate_nar(
-        nar,
-        condition,
-        prompt,
-        layer1,
-        prompt.layers,
-        codebook_size=prompt.codebook_size,
-        source_id=prompt.source_id or "generated",
-    )
+    stream = generate_nar(nar, condition, prompt, layer1)
     eos = layer1.shape[0] < config.max_frames
     stats = ArNarStats(
         ar_steps=layer1.shape[0] + (1 if eos else 0),
@@ -275,7 +250,7 @@ class OracleArModel:
     stops the AR stage at once, truth `arange(n) % K` cycles through the codes."""
 
     def __init__(self, truth_codes, codebook_size: int, margin: float = 50.0):
-        self.truth = np.asarray(truth_codes, dtype=np.int64).ravel()
+        self.truth = checked_truth(truth_codes, codebook_size, np.int64).ravel()
         self.codebook_size = codebook_size
         self.margin = finite_margin(margin)
 
@@ -288,13 +263,11 @@ class OracleArModel:
 class OracleNarModel:
     """Peaked at a fixed ground-truth grid, layer by layer."""
 
-    def __init__(self, truth_grid, codebook_size: int | None = None, margin: float = 50.0):
-        self.truth = np.asarray(truth_grid, dtype=np.int64)
+    def __init__(self, truth_grid, codebook_size: int, margin: float = 50.0):
+        self.truth = checked_truth(truth_grid, codebook_size, np.int64)
         if self.truth.ndim != 2:
             raise ValueError("truth grid must be (frames, layers)")
-        self.codebook_size = (
-            int(self.truth.max()) + 1 if codebook_size is None else codebook_size
-        )
+        self.codebook_size = codebook_size
         self.margin = finite_margin(margin)
 
     def layer_logits(self, condition, prompt, decoded_layers, target_layer) -> np.ndarray:

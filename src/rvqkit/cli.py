@@ -168,10 +168,10 @@ def _encode_frames(quantizer, vectors: np.ndarray, threads: int) -> np.ndarray:
 def cmd_encode(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    quantizer = rvqio.load_quantizer(args.codebook)
-    vectors = rvqio.read_vectors(args.input).astype(np.float64)
     if not 0 < args.token_rate < math.inf:
         raise UsageError("--token-rate must be positive and finite")
+    quantizer = rvqio.load_quantizer(args.codebook)
+    vectors = rvqio.read_vectors(args.input).astype(np.float64)
 
     frames = _encode_frames(quantizer, vectors, args.threads)
     stream = TokenStream(
@@ -361,7 +361,7 @@ def cmd_arnar_sim(args) -> int:
     rvqio.write_token_streams(args.out, [stream])
 
     _emit("ar_model", args.ar)
-    _emit("nar_model", args.nar)
+    _emit("nar_model", "oracle")
     _emit("temperature", float(args.temperature))
     _emit("frames", stream.num_frames)
     _emit("ar_steps", stats.ar_steps)
@@ -447,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arnar-sim", help="AR + NAR generation against toy models")
     p.add_argument("--ar", choices=["oracle", "ngram", "cycling"], default="oracle")
-    p.add_argument("--nar", choices=["oracle"], default="oracle")
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--max-frames", type=int, default=60)
     p.add_argument("--layers", type=int, default=8)

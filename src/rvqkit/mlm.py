@@ -3,15 +3,18 @@
 The first layer is decoded iteratively: every round scores the grid
 conditionally and unconditionally, combines the logits with an annealed
 guidance coefficient, samples all still-masked positions, and commits the
-most confident ones. Remaining layers are decoded greedily in a single
-argmax pass each (`_rng.greedy_layers`, the pass that also fills
+most confident ones, as many as a cosine ramp over the rounds allows
+(`cosine_unmask_fractions`). Remaining layers are decoded greedily in a
+single argmax pass each (`_rng.greedy_layers`, the pass that also fills
 `arnar.generate_nar`'s layers), so a full grid costs iterations +
 (layers - 1) conditional forward passes.
 
 Grids are (frames, layers) int32 arrays with MASKED (-1) at unknown
 positions. Layer indices are 0-based throughout. When a layer is being
 scored, every deeper layer is hidden from the model, prompt frames
-included; prompt tokens are copied through to the output untouched.
+included; prompt tokens are copied through to the output untouched. The
+prompt stream gives the output its layers, codebook size, rate and id, as
+in `arnar.generate_nar`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from ._rng import (
     as_generator,
     checked_logits,
+    checked_truth,
     finite_margin,
     greedy_layers,
     peaked_logits,
@@ -59,18 +63,16 @@ def cosine_unmask_fractions(iterations: int) -> np.ndarray:
 
 @dataclass
 class DecodeSchedule:
-    """Knobs of the iterative first-layer pass.
-
-    unmask_fractions defaults to a cosine ramp over iterations_layer1 and
-    must be positive and sum to one.
-    """
+    """Knobs of the iterative first-layer pass: its number of rounds (their
+    commits follow `cosine_unmask_fractions(iterations_layer1)`), the
+    guidance coefficient at its start and end, and the sampling temperature
+    and seed."""
 
     iterations_layer1: int = 5
     cfg_start: float = 0.0
     cfg_end: float = 2.0
     temperature: float = 1.0
     rng_seed: int = 0
-    unmask_fractions: np.ndarray | None = None
 
     def __post_init__(self):
         if self.iterations_layer1 < 1:
@@ -79,16 +81,6 @@ class DecodeSchedule:
             raise ValueError("temperature must be positive and finite")
         if not (math.isfinite(self.cfg_start) and math.isfinite(self.cfg_end)):
             raise ValueError("cfg_start and cfg_end must be finite")
-        if self.unmask_fractions is None:
-            self.unmask_fractions = cosine_unmask_fractions(self.iterations_layer1)
-        else:
-            self.unmask_fractions = np.asarray(self.unmask_fractions, dtype=np.float64)
-            if self.unmask_fractions.shape != (self.iterations_layer1,):
-                raise ValueError("unmask_fractions must have one entry per iteration")
-            if np.any(self.unmask_fractions <= 0):
-                raise ValueError("unmask fractions must be positive")
-            if abs(self.unmask_fractions.sum() - 1.0) > 1e-9:
-                raise ValueError("unmask fractions must sum to 1")
 
 
 @dataclass
@@ -170,7 +162,7 @@ def generate_parallel(
     masked[:p] = False
 
     total = num_frames - p
-    targets = _commit_targets(total, schedule.unmask_fractions)
+    targets = _commit_targets(total, cosine_unmask_fractions(schedule.iterations_layer1))
     commit_counts: list[int] = []
     committed = 0
 
@@ -234,38 +226,21 @@ class OracleScoreModel:
     def __init__(
         self,
         truth: np.ndarray,
+        codebook_size: int,
         margin: float = 50.0,
         noise_seed: int | None = None,
-        codebook_size: int | None = None,
     ):
-        self.truth = np.asarray(truth, dtype=np.int32)
+        self.truth = checked_truth(truth, codebook_size, np.int32)
         if self.truth.ndim != 2:
             raise ValueError("truth grid must be (frames, layers)")
         self.margin = finite_margin(margin)
-        inferred = int(self.truth.max()) + 1 if self.truth.size else 1
-        self.codebook_size = inferred if codebook_size is None else codebook_size
-        if self.codebook_size < inferred:
-            raise ValueError("codebook_size smaller than the largest truth code")
+        self.codebook_size = codebook_size
         self._noise = None
         if noise_seed is not None:
             rng = as_generator(noise_seed)
             self._noise = rng.normal(
                 0.0, 1e-3, size=(self.truth.shape[0], self.truth.shape[1], self.codebook_size)
             )
-
-    @classmethod
-    def random(
-        cls,
-        num_frames: int,
-        num_layers: int,
-        codebook_size: int,
-        rng=0,
-        margin: float = 50.0,
-        noise_seed: int | None = None,
-    ) -> "OracleScoreModel":
-        rng = as_generator(rng)
-        truth = rng.integers(0, codebook_size, size=(num_frames, num_layers), dtype=np.int32)
-        return cls(truth, margin=margin, noise_seed=noise_seed, codebook_size=codebook_size)
 
     def score(self, grid, target_layer, condition, mode) -> np.ndarray:
         if mode != CONDITIONAL:

@@ -72,7 +72,8 @@ def empty_prompt(layers, k):
 
 def test_criterion_1_forward_pass_accounting():
     with criterion(1, "MLM default schedule, N=8: exactly 12 forward passes"):
-        model = OracleScoreModel.random(60, 8, 64, rng=0)
+        truth = np.random.default_rng(0).integers(0, 64, size=(60, 8), dtype=np.int32)
+        model = OracleScoreModel(truth, 64)
         _, stats = generate_parallel(
             model, np.arange(60), empty_prompt(8, 64), 60, DecodeSchedule(rng_seed=0)
         )

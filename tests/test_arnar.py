@@ -11,6 +11,7 @@ from rvqkit import (
     NumericalError,
     OracleArModel,
     OracleNarModel,
+    OracleScoreModel,
     TokenStream,
     generate_ar,
     generate_nar,
@@ -37,6 +38,11 @@ def make_stream(codes, k, layers=1, rate=50.0, source="s"):
     return TokenStream(
         frames=frames, token_rate_hz=rate, layers=layers, codebook_size=k, source_id=source
     )
+
+
+def empty_prompt(layers, k):
+    """A zero-frame prompt: it gives generate_nar only its shape."""
+    return make_stream(np.empty(0), k, layers=layers)
 
 
 class TestSampleWithTemperature:
@@ -121,8 +127,8 @@ class TestSampleRows:
         for temperature in (0.2, 0.7, 1.0, 2.5):
             self.assert_matches_choice(logits, temperature, 85)
 
-    def test_top_k_rows_match_generator_choice(self):
-        # Truncated rows carry -inf outside the kept classes.
+    def test_rows_with_minus_inf_match_generator_choice(self):
+        # Rows carry -inf outside a few classes: those get probability 0.
         logits = np.random.default_rng(86).normal(size=(300, 40)) * 3.0
         logits[logits < np.sort(logits, axis=1)[:, [-5]]] = -np.inf
         draws, probs = self.assert_matches_choice(logits, 1.3, 87)
@@ -167,25 +173,6 @@ class TestGenerateAr:
         model = OracleArModel(truth, codebook_size=8)
         out = generate_ar(model, np.arange(2), [], GenConfig(temperature=1e-4, max_frames=20, rng_seed=2))
         assert out.tolist() == truth.tolist()
-
-    def test_top_k_truncation_excludes_tail(self):
-        # Three strong classes, the rest weak: top_k=3 must never emit the tail.
-        class ThreePeaks:
-            def next_logits(self, condition, prompt_codes, generated_prefix):
-                logits = np.zeros(9)
-                logits[[1, 4, 6]] = 5.0
-                return logits
-
-        out = generate_ar(
-            ThreePeaks(), np.arange(2), [],
-            GenConfig(temperature=2.0, max_frames=300, rng_seed=3, top_k=3),
-        )
-        assert set(np.unique(out)) <= {1, 4, 6}
-        unrestricted = generate_ar(
-            ThreePeaks(), np.arange(2), [],
-            GenConfig(temperature=2.0, max_frames=300, rng_seed=3),
-        )
-        assert len(set(np.unique(unrestricted)) - {1, 4, 6}) > 0
 
     def test_model_sees_exactly_the_codes_drawn_so_far(self):
         seen = []
@@ -246,9 +233,7 @@ class TestGenerateNar:
         rng = np.random.default_rng(83)
         truth = rng.integers(0, 12, size=(14, 4)).astype(np.int32)
         model = OracleNarModel(truth, codebook_size=12)
-        stream = generate_nar(
-            model, np.arange(3), None, truth[:, 0], 4, codebook_size=12, token_rate_hz=50.0
-        )
+        stream = generate_nar(model, np.arange(3), empty_prompt(4, 12), truth[:, 0])
         np.testing.assert_array_equal(stream.frames, truth)
 
     def test_single_call_for_two_layers(self):
@@ -259,7 +244,7 @@ class TestGenerateNar:
                 calls.append((target_layer, decoded.shape))
                 return np.zeros((decoded.shape[0], 6))
 
-        generate_nar(Spy(), np.arange(2), None, [1, 2, 3], 2, codebook_size=6)
+        generate_nar(Spy(), np.arange(2), empty_prompt(2, 6), [1, 2, 3])
         assert calls == [(1, (3, 1))]
 
     def test_layer_order_and_single_visit(self):
@@ -270,7 +255,7 @@ class TestGenerateNar:
                 calls.append((target_layer, decoded.shape[1]))
                 return np.zeros((decoded.shape[0], 6))
 
-        generate_nar(Spy(), np.arange(2), None, [0, 1], 5, codebook_size=6)
+        generate_nar(Spy(), np.arange(2), empty_prompt(5, 6), [0, 1])
         assert calls == [(1, 1), (2, 2), (3, 3), (4, 4)]
 
     def test_argmax_matches_reference(self):
@@ -283,7 +268,7 @@ class TestGenerateNar:
                     tables[target_layer] = rng.normal(size=(decoded.shape[0], 9))
                 return tables[target_layer]
 
-        stream = generate_nar(Fixed(), np.arange(2), None, [0, 1, 2, 3], 3, codebook_size=9)
+        stream = generate_nar(Fixed(), np.arange(2), empty_prompt(3, 9), [0, 1, 2, 3])
         for layer, table in tables.items():
             np.testing.assert_array_equal(stream.frames[:, layer], np.argmax(table, axis=1))
 
@@ -292,7 +277,7 @@ class TestGenerateNar:
             def layer_logits(self, condition, prompt, decoded, target_layer):
                 return np.zeros((decoded.shape[0], 7))
 
-        stream = generate_nar(Tied(), np.arange(1), None, [5, 6], 2, codebook_size=7)
+        stream = generate_nar(Tied(), np.arange(1), empty_prompt(2, 7), [5, 6])
         assert stream.frames[:, 1].tolist() == [0, 0]
 
     def test_non_finite_logits_are_numerical_errors(self):
@@ -303,7 +288,7 @@ class TestGenerateNar:
                 return logits
 
         with pytest.raises(NumericalError):
-            generate_nar(Broken(), np.arange(1), None, [5, 6], 3, codebook_size=7)
+            generate_nar(Broken(), np.arange(1), empty_prompt(3, 7), [5, 6])
 
     def test_wrong_logits_shape_is_a_value_error(self):
         class Narrow:
@@ -311,7 +296,7 @@ class TestGenerateNar:
                 return np.zeros((decoded.shape[0], 6))
 
         with pytest.raises(ValueError, match="shape"):
-            generate_nar(Narrow(), np.arange(1), None, [5, 6], 2, codebook_size=7)
+            generate_nar(Narrow(), np.arange(1), empty_prompt(2, 7), [5, 6])
 
 
 class TestComposition:
@@ -450,6 +435,25 @@ class TestNgram:
                 cycling_model(4, steps=3, margin=bad)
             with pytest.raises(ValueError):
                 OracleNarModel(truth, 4, margin=bad)
+
+    @pytest.mark.parametrize("code", [4, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda truth: OracleArModel(truth[:, 0], 4),
+            lambda truth: OracleNarModel(truth, 4),
+            lambda truth: OracleScoreModel(truth, 4),
+        ],
+        ids=["ar", "nar", "score"],
+    )
+    def test_oracles_reject_truth_codes_outside_the_codebook(self, build, code):
+        truth = np.zeros((3, 2), dtype=np.int64)
+        truth[1, 0] = code
+        with pytest.raises(ValueError, match=r"truth codes must lie in \[0, 4\)"):
+            build(truth)
+        # Empty truth with K given still builds: for the AR oracle it is the
+        # always-EOS model of `eos_model`.
+        build(np.empty((0, 2), dtype=np.int64))
 
 
 class TestHallucinationAnalog:

@@ -715,6 +715,17 @@ class TestExitCodes:
         assert err == "error: --token-rate must be positive and finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["0", "nan"])
+    def test_encode_token_rate_is_checked_before_any_file_is_read(self, tmp_path, capsys, rate):
+        # Neither input exists: the usage error wins over the file error.
+        out = tmp_path / "t.jsonl"
+        code, _, err = run(capsys, "encode", "--codebook", str(tmp_path / "missing.rvqc"),
+                           "--input", str(tmp_path / "missing.rvqv"), "--token-rate", rate,
+                           "--out", str(out))
+        assert code == 2
+        assert err == "error: --token-rate must be positive and finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args, name",
         [
@@ -772,6 +783,14 @@ class TestExitCodes:
         assert err == f"error: {message}\n"
         assert not out.exists()
         assert run(capsys, "arnar-sim", "--max-frames", "0", "--out", str(out))[0] == 2
+
+    def test_arnar_sim_one_layer_is_data_error(self, tmp_path, capsys):
+        # The NAR stage needs a second layer to fill.
+        out = tmp_path / "o.jsonl"
+        code, _, err = run(capsys, "arnar-sim", "--layers", "1", "--out", str(out))
+        assert code == 3
+        assert err == "error: generate_nar needs num_layers >= 2\n"
+        assert not out.exists()
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -6,8 +6,10 @@ output file, named `<case>/<stream>`. The training outputs are the cases
 `train-*`, `lib/train-*` and `lib/kmeans-init*`, and demo 03, which trains.
 `projected-distinct-pairs` runs encode and decode on a projected codebook file
 whose layers' projection pairs differ. The `lib/generate-*` and
-`lib/text-to-tokens-*` cases run the schedulers on the toy oracles. To see what a change moves, run it on
-two checkouts and diff:
+`lib/text-to-tokens-*` cases run the schedulers on the toy oracles, and the
+`lib/oracle-truth-check-*` cases build each oracle on a truth code outside
+[0, K) and call it once. To see what a change moves, run it on two checkouts
+and diff:
 
     python tools/fingerprint.py > new.txt
     python tools/fingerprint.py --repo ../old-checkout > old.txt
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import os
 import struct
 import subprocess
@@ -337,10 +340,43 @@ def _generator_cases(fp: Fingerprint, rk) -> None:
                                          rk.DecodeSchedule(temperature=0.7, rng_seed=6))
     fp.arrays("lib/generate-parallel-flat", stream.frames, stats.forward_passes,
               stats.unconditional_passes, stats.commit_counts)
+    # Checkouts where generate_nar takes the layer count besides the prompt
+    # still run, with the prompt's.
+    extra = (layers,) if "num_layers" in inspect.signature(rk.generate_nar).parameters else ()
     for margin in (50.0, 0.0):
         nar = rk.OracleNarModel(truth[3:], codebook_size=k, margin=margin)
-        stream = rk.generate_nar(nar, condition, prompt, truth[3:, 0], layers)
+        stream = rk.generate_nar(nar, condition, prompt, truth[3:, 0], *extra)
         fp.arrays(f"lib/generate-nar-margin-{margin:g}", stream.frames)
+    empty = rk.TokenStream(frames=np.empty((0, layers), dtype=np.int32), token_rate_hz=25.0,
+                           layers=layers, codebook_size=k)
+    stream = rk.generate_nar(rk.OracleNarModel(truth, codebook_size=k), condition, empty,
+                             truth[:, 0], *extra)
+    fp.arrays("lib/generate-nar-empty-prompt", stream.frames, stream.token_rate_hz,
+              stream.layers, stream.codebook_size)
+    fp.emit("lib/generate-nar-empty-prompt/id", stream.source_id.encode())
+    _oracle_check_cases(fp, rk)
+
+
+def _oracle_check_cases(fp: Fingerprint, rk) -> None:
+    """Each oracle built on a truth grid with one code of K, or of -1, and
+    called once: the logits it returns, or the error it raises."""
+    k = 4
+    first_call = {
+        "ar": lambda truth: rk.OracleArModel(truth[:, 0], k).next_logits(None, [], []),
+        "nar": lambda truth: rk.OracleNarModel(truth, codebook_size=k).layer_logits(
+            None, None, truth[:, :1], 1),
+        "score": lambda truth: rk.OracleScoreModel(truth, codebook_size=k).score(
+            truth, 1, None, "conditional"),
+    }
+    for code, label in ((k, "above"), (-1, "negative")):
+        truth = np.zeros((3, 2), dtype=np.int64)
+        truth[0] = code
+        for name, call in first_call.items():
+            case = f"lib/oracle-truth-check-{name}-{label}"
+            try:
+                fp.arrays(case, call(truth))
+            except Exception as exc:
+                fp.emit(case, f"{type(exc).__name__}: {exc}".encode())
 
 
 def _demo_cases(fp: Fingerprint) -> None:
