@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._rng import (
     as_generator,
@@ -187,7 +188,7 @@ class NgramArModel:
         width = self.order - 1
         if width == 0:
             return ()
-        return tuple(int(c) for c in seq[-width:])
+        return tuple(seq[-width:].tolist())
 
     def probabilities(self, condition, prompt_codes, generated_prefix) -> np.ndarray:
         prompt_codes = np.asarray(prompt_codes, dtype=np.int64).ravel()
@@ -205,7 +206,16 @@ class NgramArModel:
 
 
 def train_ngram_ar(streams: list[TokenStream], order: int = 2, smoothing: float = 0.1) -> NgramArModel:
-    """Count n-gram transitions over the first layer of each stream."""
+    """Count n-gram transitions over the first layer of each stream.
+
+    Each stream's codes, left-padded with -1 and followed by EOS (K), give
+    one window per token: its context (up to order-1 codes, shorter near the
+    start) and the token. One lexsort of the windows groups equal contexts
+    and one bincount fills a float64 (contexts, K+1) table: one row per
+    context, the memory of a dict of per-context count vectors. The counts
+    map each context tuple to its row of that table. While counting, the
+    windows also hold min(order, longest stream + 1) int32 codes per token.
+    """
     if not streams:
         raise ValueError("train_ngram_ar requires at least one stream")
     if order < 1:
@@ -215,17 +225,29 @@ def train_ngram_ar(streams: list[TokenStream], order: int = 2, smoothing: float 
         if s.codebook_size != k:
             raise ValueError("streams must share codebook_size")
     classes = k + 1  # EOS
-    width = order - 1
-    counts: dict[tuple, np.ndarray] = {}
-    for s in streams:
-        seq = [int(c) for c in s.frames[:, 0]] + [k]
-        for i, tok in enumerate(seq):
-            ctx = tuple(seq[max(0, i - width) : i])
-            vec = counts.get(ctx)
-            if vec is None:
-                vec = np.zeros(classes)
-                counts[ctx] = vec
-            vec[tok] += 1
+    # No context is longer than the longest stream, whatever the order.
+    width = min(order - 1, max(s.num_frames for s in streams))
+    # int32 like the frames: a K past int32 would need 16 GiB a table row.
+    pad = np.full(width, -1, dtype=np.int32)
+    eos = np.array([k], dtype=np.int32)
+    seq = np.concatenate([part for s in streams for part in (pad, s.frames[:, 0], eos)])
+    # The window ending at each code or EOS; padding never ends one.
+    windows = sliding_window_view(seq, width + 1)[np.flatnonzero(seq >= 0) - width]
+    contexts = windows[:, :width]
+    perm = np.lexsort(contexts.T[::-1]) if width else np.arange(len(windows))
+    contexts = contexts[perm]
+    first = np.ones(len(contexts), dtype=bool)
+    np.any(contexts[1:] != contexts[:-1], axis=1, out=first[1:])
+    group = np.cumsum(first) - 1
+    table = np.bincount(
+        group * classes + windows[perm, width],
+        weights=np.ones(len(group)),
+        minlength=(group[-1] + 1) * classes,
+    ).reshape(-1, classes)
+    firsts = contexts[first]
+    pads = (firsts < 0).sum(axis=1)
+    keys = [tuple(row[p:]) for row, p in zip(firsts.tolist(), pads.tolist())]
+    counts = dict(zip(keys, table))
     return NgramArModel(order=order, smoothing=smoothing, codebook_size=k, counts=counts)
 
 

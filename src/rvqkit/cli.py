@@ -367,11 +367,10 @@ def cmd_arnar_sim(args) -> int:
     _emit("ar_steps", stats.ar_steps)
     _emit("nar_passes", stats.nar_passes)
     if support_streams is not None:
-        support = set()
-        for s in support_streams:
-            support.update(int(c) for c in s.frames[:, 0])
         layer1 = stream.frames[:, 0]
-        outside = sum(1 for c in layer1 if int(c) not in support)
+        support = [s.frames[:, 0] for s in support_streams]
+        inside = np.isin(layer1, np.concatenate(support) if support else [])
+        outside = int(np.count_nonzero(~inside))
         _emit("out_of_support_rate", outside / max(1, len(layer1)))
     _emit("out", args.out)
     return EXIT_OK

@@ -40,6 +40,24 @@ def make_stream(codes, k, layers=1, rate=50.0, source="s"):
     )
 
 
+def reference_train_ngram_ar(streams, order):
+    """The counts of `train_ngram_ar`, one token at a time: context tuple ->
+    float64 vector over K codes plus EOS."""
+    k = streams[0].codebook_size
+    width = order - 1
+    counts = {}
+    for s in streams:
+        seq = [int(c) for c in s.frames[:, 0]] + [k]
+        for i, tok in enumerate(seq):
+            ctx = tuple(seq[max(0, i - width) : i])
+            vec = counts.get(ctx)
+            if vec is None:
+                vec = np.zeros(k + 1)
+                counts[ctx] = vec
+            vec[tok] += 1
+    return counts
+
+
 def empty_prompt(layers, k):
     """A zero-frame prompt: it gives generate_nar only its shape."""
     return make_stream(np.empty(0), k, layers=layers)
@@ -375,6 +393,30 @@ class TestComposition:
 
 
 class TestNgram:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_counts_match_reference(self, order):
+        rng = np.random.default_rng(90 + order)
+        cases = [[make_stream([], k=3)], [make_stream([], k=1), make_stream([0], k=1)]]
+        for _ in range(40):
+            k = int(rng.integers(1, 13))
+            lengths = rng.integers(0, 31, size=rng.integers(1, 4))
+            cases.append([make_stream(rng.integers(0, k, size=n), k=k) for n in lengths])
+        for streams in cases:
+            self._assert_reference_counts(streams, order)
+
+    def test_huge_order_counts_match_reference(self):
+        codes = np.random.default_rng(95).integers(0, 3, size=10)
+        self._assert_reference_counts([make_stream(codes, k=3)], 10**12)
+
+    @staticmethod
+    def _assert_reference_counts(streams, order):
+        counts = train_ngram_ar(streams, order=order)._counts
+        expected = reference_train_ngram_ar(streams, order)
+        assert counts.keys() == expected.keys()
+        for ctx, vec in expected.items():
+            assert counts[ctx].dtype == np.float64
+            np.testing.assert_array_equal(counts[ctx], vec)
+
     def test_alternating_sequence_peaks(self):
         codes = np.array([0, 1] * 50)
         model = train_ngram_ar([make_stream(codes, k=4)], order=2, smoothing=1e-9)

@@ -517,6 +517,22 @@ class TestArnarSim:
         assert "out_of_support_rate" in stats
         assert 0.0 <= float(stats["out_of_support_rate"]) <= 1.0
 
+    def test_ngram_with_empty_support_file_is_all_outside(self, tmp_path, capsys):
+        train = tmp_path / "train.jsonl"
+        write_token_streams(str(train), [TokenStream(
+            frames=np.arange(40).reshape(40, 1) % 8, token_rate_hz=50.0, layers=1,
+            codebook_size=8, source_id="t",
+        )])
+        support = tmp_path / "empty.jsonl"
+        support.write_text("")
+        code, stdout, _ = run(
+            capsys, "arnar-sim", "--ar", "ngram", "--train-tokens", str(train),
+            "--support", str(support), "--max-frames", "20", "--layers", "2",
+            "--codebook-size", "8", "--seed", "6", "--out", str(tmp_path / "gen.jsonl"),
+        )
+        assert code == 0
+        assert parse_stats(stdout)["out_of_support_rate"] == "1.0"
+
 
 class TestExitCodes:
     @pytest.mark.filterwarnings("ignore:overflow")

@@ -6,7 +6,8 @@ output file, named `<case>/<stream>`. The training outputs are the cases
 `train-*`, `lib/train-*` and `lib/kmeans-init*`, and demo 03, which trains.
 `projected-distinct-pairs` runs encode and decode on a projected codebook file
 whose layers' projection pairs differ. The `lib/generate-*` and
-`lib/text-to-tokens-*` cases run the schedulers on the toy oracles, and the
+`lib/text-to-tokens-*` cases run the schedulers on the toy oracles, the
+`lib/train-ngram-order-*` cases hash the n-gram AR model's counts, and the
 `lib/oracle-truth-check-*` cases build each oracle on a truth code outside
 [0, K) and call it once. To see what a change moves, run it on two checkouts
 and diff:
@@ -354,7 +355,23 @@ def _generator_cases(fp: Fingerprint, rk) -> None:
     fp.arrays("lib/generate-nar-empty-prompt", stream.frames, stream.token_rate_hz,
               stream.layers, stream.codebook_size)
     fp.emit("lib/generate-nar-empty-prompt/id", stream.source_id.encode())
+    _ngram_cases(fp, rk)
     _oracle_check_cases(fp, rk)
+
+
+def _ngram_cases(fp: Fingerprint, rk) -> None:
+    """The n-gram counts of `train_ngram_ar` on one stream and one empty
+    stream: each context, led by its length, then its count vector, in
+    sorted context order."""
+    k = 6
+    codes = np.random.default_rng(22).integers(0, k, size=(25, 1))
+    streams = [rk.TokenStream(frames=frames, token_rate_hz=50.0, layers=1, codebook_size=k)
+               for frames in (codes, codes[:0])]
+    for order, label in ((1, "1"), (2, "2"), (3, "3"), (10**12, "huge")):
+        counts = rk.train_ngram_ar(streams, order=order)._counts
+        pairs = sorted(counts.items(), key=lambda pair: pair[0])
+        fp.arrays(f"lib/train-ngram-order-{label}",
+                  *(a for ctx, vec in pairs for a in (np.array([len(ctx), *ctx]), vec)))
 
 
 def _oracle_check_cases(fp: Fingerprint, rk) -> None:
