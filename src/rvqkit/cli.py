@@ -199,8 +199,6 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     quantizer = rvqio.load_quantizer(args.codebook)
     streams = rvqio.read_token_streams(args.tokens)
-    total = 0
-    parts = []
     for stream in streams:
         if stream.layers != quantizer.num_layers:
             raise FormatError(
@@ -212,17 +210,19 @@ def cmd_decode(args) -> int:
                 f"stream {stream.source_id!r} codebook_size {stream.codebook_size} does not "
                 f"match codebook {quantizer.codebook_size}"
             )
+    total = sum(stream.num_frames for stream in streams)
+    # Each stream is decoded on its own, straight into its rows of the
+    # file's float32 array (the assignment rounds as `astype` does), where a
+    # sum past float32's range would read as inf.
+    vectors = np.empty((total, quantizer.latent_dim), dtype="<f4")
+    start = 0
+    for stream in streams:
         if stream.num_frames:
-            parts.append(rvq_decode_batch(stream.frames, quantizer))
-            total += stream.num_frames
-    if parts:
-        vectors = np.concatenate(parts, axis=0)
-    else:
-        vectors = np.empty((0, quantizer.latent_dim))
-    # The file holds float32, where a sum past its range would read as inf.
-    vectors = vectors.astype("<f4")
-    if not np.isfinite(vectors).all():
-        raise NumericalError("decoded vectors exceed the float32 range of the vector file")
+            rows = vectors[start : start + stream.num_frames]
+            rows[:] = rvq_decode_batch(stream.frames, quantizer)
+            if not np.isfinite(rows).all():
+                raise NumericalError("decoded vectors exceed the float32 range of the vector file")
+            start += stream.num_frames
     rvqio.write_vectors(args.out, vectors)
     _emit("frames", total)
     _emit("dim", quantizer.latent_dim)

@@ -18,7 +18,10 @@ Token stream file: one JSON object per line with keys
 where codes is a list of frames, each a list of `layers` integers.
 
 Payload lengths must match the header exactly; a save of a loaded file
-reproduces it byte for byte.
+reproduces it byte for byte. A vector payload is written straight from the
+array's own buffer (one float32 copy only when the array is not already
+C-contiguous `<f4`) and read into one array, after the file size has been
+checked against the header.
 """
 
 from __future__ import annotations
@@ -47,12 +50,15 @@ _SCHEMES_BY_TAG = {v: k for k, v in _SCHEME_TAGS.items()}
 _METRICS_BY_TAG = {v: k for k, v in _METRIC_TAGS.items()}
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def _atomic_write_bytes(path: str, chunks) -> None:
+    """Write the byte-like `chunks`, in order, to a temporary file beside
+    `path`, then rename it over `path`; on any failure the temporary file is
+    removed and `path` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rvqkit-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,8 +66,10 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def _f32_bytes(array: np.ndarray) -> bytes:
-    return np.ascontiguousarray(array, dtype="<f4").tobytes()
+def _f32_buffer(array: np.ndarray) -> np.ndarray:
+    """The array as little-endian float32 bytes, row-major: a uint8 view of
+    the array itself when it already is C-contiguous `<f4`, else of one copy."""
+    return np.ascontiguousarray(array, dtype="<f4").reshape(-1).view(np.uint8)
 
 
 def write_vectors(path: str, vectors) -> None:
@@ -69,25 +77,30 @@ def write_vectors(path: str, vectors) -> None:
     vectors = np.atleast_2d(np.asarray(vectors))
     count, dim = vectors.shape
     header = _VECTOR_HEADER.pack(VECTOR_MAGIC, FORMAT_VERSION, count, dim)
-    _atomic_write_bytes(path, header + _f32_bytes(vectors))
+    _atomic_write_bytes(path, (header, _f32_buffer(vectors)))
 
 
 def read_vectors(path: str) -> np.ndarray:
     """Read a vector file back as a (count, dim) float32 array."""
     with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < _VECTOR_HEADER.size:
-        raise FormatError(f"{path}: truncated vector file header")
-    magic, version, count, dim = _VECTOR_HEADER.unpack_from(data)
-    if magic != VECTOR_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {VECTOR_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = _VECTOR_HEADER.size + 4 * count * dim
-    if len(data) != expected:
-        raise FormatError(f"{path}: payload is {len(data)} bytes, header implies {expected}")
-    payload = np.frombuffer(data, dtype="<f4", offset=_VECTOR_HEADER.size)
-    return payload.reshape(count, dim).copy()
+        size = os.fstat(handle.fileno()).st_size
+        header = handle.read(_VECTOR_HEADER.size)
+        if len(header) < _VECTOR_HEADER.size:
+            raise FormatError(f"{path}: truncated vector file header")
+        magic, version, count, dim = _VECTOR_HEADER.unpack(header)
+        if magic != VECTOR_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {VECTOR_MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        # Checked before anything is allocated, so a header that claims more
+        # rows than the file holds is a format error, not a MemoryError.
+        expected = _VECTOR_HEADER.size + 4 * count * dim
+        if size != expected:
+            raise FormatError(f"{path}: payload is {size} bytes, header implies {expected}")
+        vectors = np.empty((count, dim), dtype="<f4")
+        if handle.readinto(vectors) != vectors.nbytes:
+            raise FormatError(f"{path}: file changed while it was read")
+    return vectors
 
 
 def save_quantizer(path: str, quantizer: RvqQuantizer) -> None:
@@ -108,11 +121,11 @@ def save_quantizer(path: str, quantizer: RvqQuantizer) -> None:
     chunks = [header]
     for i, layer in enumerate(quantizer.layers):
         if quantizer.scheme == PROJECTED:
-            chunks.append(_f32_bytes(quantizer.projections[i].proj_in))
-        chunks.append(_f32_bytes(layer.entries))
+            chunks.append(_f32_buffer(quantizer.projections[i].proj_in))
+        chunks.append(_f32_buffer(layer.entries))
         if quantizer.scheme == PROJECTED:
-            chunks.append(_f32_bytes(quantizer.projections[i].proj_out))
-    _atomic_write_bytes(path, b"".join(chunks))
+            chunks.append(_f32_buffer(quantizer.projections[i].proj_out))
+    _atomic_write_bytes(path, chunks)
 
 
 def load_quantizer(path: str) -> RvqQuantizer:
@@ -180,8 +193,7 @@ def _stream_record(stream: TokenStream) -> str:
 
 def write_token_streams(path: str, streams: list[TokenStream]) -> None:
     """Write streams as JSON lines, one utterance per line."""
-    text = "".join(_stream_record(s) + "\n" for s in streams)
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write_bytes(path, ((_stream_record(s) + "\n").encode("utf-8") for s in streams))
 
 
 def _frames(codes, layers: int, line: str) -> np.ndarray:

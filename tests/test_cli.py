@@ -323,6 +323,97 @@ class TestEncodeDecode:
         assert outs[0] == outs[1]
 
 
+# Empty streams first, in the middle and last, among streams of 1, 700 and
+# 2,049 frames.
+MULTI_STREAM_FRAMES = (0, 700, 0, 1, 2049, 0)
+
+
+def _multi_stream_quantizer(scheme):
+    rng = np.random.default_rng(2049)
+    if scheme == "plain":
+        return RvqQuantizer(
+            layers=[Codebook.from_entries(rng.normal(size=(64, 8)) / (n + 1)) for n in range(3)],
+            latent_dim=8,
+        )
+    pair = ProjectionPair(rng.normal(size=(8, 4)) / 4, rng.normal(size=(4, 8)) / 2)
+    return RvqQuantizer(
+        layers=[Codebook.from_entries(rng.normal(size=(64, 4)), metric="cosine")
+                for _ in range(3)],
+        latent_dim=8,
+        scheme="projected",
+        projections=[pair] * 3,
+    )
+
+
+def _streams(frames_per_stream, layers, k, rng):
+    return [
+        TokenStream(frames=rng.integers(0, k, size=(n, layers)).astype(np.int32),
+                    token_rate_hz=50.0, layers=layers, codebook_size=k, source_id=f"s{i}")
+        for i, n in enumerate(frames_per_stream)
+    ]
+
+
+class TestMultiStreamDecode:
+    @pytest.mark.parametrize("scheme", ["plain", "projected"])
+    def test_output_matches_per_stream_decode(self, tmp_path, capsys, scheme):
+        book = tmp_path / "cb.rvqc"
+        save_quantizer(book, _multi_stream_quantizer(scheme))
+        quantizer = rvqkit.load_quantizer(book)
+        streams = _streams(MULTI_STREAM_FRAMES, 3, 64, np.random.default_rng(7))
+        tokens, out = tmp_path / "t.jsonl", tmp_path / "r.rvqv"
+        write_token_streams(tokens, streams)
+        code, stdout, _ = run(capsys, "decode", "--codebook", str(book), "--tokens", str(tokens),
+                              "--out", str(out))
+        assert code == 0
+        total = sum(MULTI_STREAM_FRAMES)
+        assert parse_stats(stdout)["frames"] == str(total)
+        decoded = np.concatenate([rvqkit.rvq_decode_batch(s.frames, quantizer)
+                                  for s in streams if s.num_frames])
+        header = struct.pack("<4sIQI", b"RVQV", 1, total, 8)
+        assert out.read_bytes() == header + decoded.astype("<f4").tobytes()
+
+    @staticmethod
+    def _overflow_book(tmp_path):
+        # Code 1 in both layers sums past float32's range; code 0 does not.
+        entries = np.zeros((2, 3))
+        entries[1] = 3e38
+        book = tmp_path / "big.rvqc"
+        layer = Codebook.from_entries(entries)
+        save_quantizer(book, RvqQuantizer(layers=[layer, layer], latent_dim=3))
+        return book
+
+    def _decode_keeps_old_out(self, tmp_path, capsys, book, streams):
+        tokens, out = tmp_path / "t.jsonl", tmp_path / "r.rvqv"
+        write_token_streams(tokens, streams)
+        out.write_bytes(b"old output")
+        code, stdout, err = run(capsys, "decode", "--codebook", str(book),
+                                "--tokens", str(tokens), "--out", str(out))
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_bytes() == b"old output"
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".rvqkit-")] == []
+        return code, err
+
+    def test_overflow_in_a_middle_stream_is_exit_4(self, tmp_path, capsys):
+        book = self._overflow_book(tmp_path)
+        frames = [np.zeros((5, 2)), np.array([[0, 0], [1, 1], [0, 1]]), np.zeros((0, 2)),
+                  np.zeros((4, 2))]
+        streams = [TokenStream(frames=f.astype(np.int32), token_rate_hz=50.0, layers=2,
+                               codebook_size=2, source_id=f"s{i}") for i, f in enumerate(frames)]
+        code, err = self._decode_keeps_old_out(tmp_path, capsys, book, streams)
+        assert code == 4 and "float32" in err
+
+    @pytest.mark.parametrize("layers, k", [(3, 2), (2, 4)])
+    def test_later_mismatch_is_exit_3_before_an_overflow(self, tmp_path, capsys, layers, k):
+        book = self._overflow_book(tmp_path)
+        overflow = TokenStream(frames=np.ones((2, 2), dtype=np.int32), token_rate_hz=50.0,
+                               layers=2, codebook_size=2, source_id="overflow")
+        streams = _streams((0, 3), 2, 2, np.random.default_rng(1))
+        streams += [overflow] + _streams((4,), layers, k, np.random.default_rng(2))
+        code, err = self._decode_keeps_old_out(tmp_path, capsys, book, streams)
+        assert code == 3
+        assert ("layers" if layers != 2 else "codebook_size") in err
+
+
 class TestAnalyze:
     def test_concatenation_matches_sum(self, tmp_path, corpus_file, trained_codebook, capsys):
         t1 = tmp_path / "t1.jsonl"

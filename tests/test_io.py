@@ -1,6 +1,7 @@
 """File formats: headers, exact round-trips, corruption handling."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -67,6 +68,46 @@ class TestVectorFile:
         data = path.read_bytes()
         path.write_bytes(data[:-3])
         with pytest.raises(FormatError):
+            read_vectors(path)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: np.empty((0, 6)),
+        lambda rng: rng.normal(size=(11, 6)),
+        lambda rng: rng.normal(size=(22, 9))[::2, 1:7].astype(np.float32),
+        lambda rng: np.asfortranarray(rng.normal(size=(11, 6)).astype(np.float32)),
+        lambda rng: rng.normal(size=(11, 6)).astype(">f4"),
+    ], ids=["empty", "float64", "sliced", "fortran", "big-endian"])
+    def test_payload_is_the_contiguous_float32_rows(self, tmp_path, make):
+        vectors = make(np.random.default_rng(102))
+        path = tmp_path / "v.rvqv"
+        write_vectors(path, vectors)
+        header = struct.pack("<4sIQI", b"RVQV", 1, *vectors.shape)
+        assert path.read_bytes() == header + np.ascontiguousarray(vectors, "<f4").tobytes()
+        loaded = read_vectors(path)
+        assert loaded.dtype == np.dtype("<f4") and loaded.flags.c_contiguous
+        np.testing.assert_array_equal(loaded, vectors.astype(np.float32))
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "long.rvqv"
+        write_vectors(path, np.zeros((4, 4)))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="payload is 85 bytes, header implies 84"):
+            read_vectors(path)
+
+    def test_huge_row_count_is_a_format_error(self, tmp_path):
+        # Checked against the file size before the payload is allocated.
+        path = tmp_path / "huge.rvqv"
+        path.write_bytes(struct.pack("<4sIQI", b"RVQV", 1, 2**40, 64) + bytes(16))
+        with pytest.raises(FormatError, match=f"payload is 36 bytes, header implies {20 + 2**48}"):
+            read_vectors(path)
+
+    def test_truncated_header_and_version(self, tmp_path):
+        path = tmp_path / "v.rvqv"
+        path.write_bytes(b"RVQV\1\0")
+        with pytest.raises(FormatError, match="truncated vector file header"):
+            read_vectors(path)
+        path.write_bytes(struct.pack("<4sIQI", b"RVQV", 2, 0, 3))
+        with pytest.raises(FormatError, match="unsupported version 2"):
             read_vectors(path)
 
 
@@ -336,6 +377,27 @@ def test_token_reader_rejects_or_keeps_any_field_value(tmp_path_factory, field, 
 
 
 class TestAtomicity:
+    @pytest.mark.parametrize("write", [
+        lambda path: write_vectors(path, np.ones((300, 7))),
+        lambda path: save_quantizer(path, projected_quantizer(np.random.default_rng(103))),
+        lambda path: write_token_streams(path, [
+            TokenStream(frames=np.zeros((n, 2), dtype=np.int32), token_rate_hz=50.0, layers=2,
+                        codebook_size=4, source_id=str(n)) for n in (3, 0, 5)]),
+    ], ids=["vectors", "codebook", "tokens"])
+    def test_failed_rename_keeps_target_and_removes_temp(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "target"
+        path.write_bytes(b"old contents")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            write(path)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+        assert path.read_bytes() == b"old contents"
+
     def test_overwrite_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "v.rvqv"
         write_vectors(path, np.zeros((2, 2)))

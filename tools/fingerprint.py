@@ -5,7 +5,8 @@ directory and prints one `sha256 name` line per stdout, stderr, exit code and
 output file, named `<case>/<stream>`. The training outputs are the cases
 `train-*`, `lib/train-*` and `lib/kmeans-init*`, and demo 03, which trains.
 `projected-distinct-pairs` runs encode and decode on a projected codebook file
-whose layers' projection pairs differ. The `lib/generate-*` and
+whose layers' projection pairs differ, and `*/decode-multi-stream` decodes a
+token file with empty streams among long ones. The `lib/generate-*` and
 `lib/text-to-tokens-*` cases run the schedulers on the toy oracles, the
 `lib/train-ngram-order-*` cases hash the n-gram AR model's counts, and the
 `lib/oracle-truth-check-*` cases build each oracle on a truth code outside
@@ -129,6 +130,7 @@ def _codebook_cases(fp: Fingerprint, rk, extra: list[Path]) -> None:
         queries = rk.make_corpus(rk.CorpusSpec(dims=quantizer.latent_dim, count=300, seed=8))
         fp.arrays(f"lib/encode-batch-{name}", *rk.rvq_encode_batch(queries, quantizer))
     _distinct_pairs_case(fp, books["projected"])
+    _multi_stream_decode_case(fp, rk, books)
 
 
 def _distinct_pairs_case(fp: Fingerprint, quantizer) -> None:
@@ -146,6 +148,25 @@ def _distinct_pairs_case(fp: Fingerprint, quantizer) -> None:
            "--out", f"{case}.jsonl", outputs=(f"{case}.jsonl",))
     fp.cli(f"{case}/decode", "decode", "--codebook", book, "--tokens", "projected-t1.jsonl",
            "--out", f"{case}.rvqv", outputs=(f"{case}.rvqv",))
+
+
+def _multi_stream_decode_case(fp: Fingerprint, rk, books: dict) -> None:
+    """Decode of one token file whose streams have 0, 700, 0, 1, 2,049 and 0
+    frames, on the fixed plain and projected codebooks."""
+    for name in ("plain", "projected"):
+        quantizer = books[name]
+        rng = np.random.default_rng(2049)
+        streams = [rk.TokenStream(frames=rng.integers(0, quantizer.codebook_size,
+                                                      size=(n, quantizer.num_layers)),
+                                  token_rate_hz=50.0, layers=quantizer.num_layers,
+                                  codebook_size=quantizer.codebook_size, source_id=f"s{i}")
+                   for i, n in enumerate((0, 700, 0, 1, 2049, 0))]
+        case, tokens, out = (f"{name}/decode-multi-stream", f"{name}-multi-stream.jsonl",
+                             f"{name}-decode-multi-stream.rvqv")
+        rk.write_token_streams(str(fp.work / tokens), streams)
+        fp.emit(f"{case}/{tokens}", (fp.work / tokens).read_bytes())
+        fp.cli(case, "decode", "--codebook", f"{name}.rvqc", "--tokens", tokens, "--out", out,
+               outputs=(out,))
 
 
 def _lookup_cases(fp: Fingerprint, rk) -> None:
