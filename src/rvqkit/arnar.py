@@ -184,11 +184,13 @@ class NgramArModel:
         self._counts = counts
 
     def _context(self, prompt_codes: np.ndarray, generated_prefix: np.ndarray) -> tuple:
-        seq = np.concatenate([prompt_codes, generated_prefix]) if len(prompt_codes) else generated_prefix
+        """The last order-1 codes of prompt + prefix, reading only those tails."""
         width = self.order - 1
         if width == 0:
             return ()
-        return tuple(seq[-width:].tolist())
+        tail = generated_prefix[-width:].tolist()
+        missing = width - len(tail)
+        return tuple((prompt_codes[-missing:].tolist() if missing else []) + tail)
 
     def probabilities(self, condition, prompt_codes, generated_prefix) -> np.ndarray:
         prompt_codes = np.asarray(prompt_codes, dtype=np.int64).ravel()

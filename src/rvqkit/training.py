@@ -19,7 +19,6 @@ makes every loss term an ordinary smooth function of the parameters; see
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +50,8 @@ class TrainConfig:
     num_layers: int = 1
     codebook_size: int = 64
     latent_dim: int = 16
-    quant_dim: int | None = None  # projected scheme only; defaults to latent_dim otherwise
-    metric: str | None = None  # defaults: euclidean for EMA schemes, cosine for projected
+    quant_dim: int | None = None  # required by the projected scheme; None: latent_dim
+    metric: str | None = None  # None: euclidean for EMA schemes, cosine for projected
     decay: float = DEFAULT_DECAY
     commitment_weight: float = 0.25
     codebook_weight: float = 1.0
@@ -90,16 +89,10 @@ class TrainConfig:
             raise ValueError("quant_dim only applies to the projected scheme")
         if self.restart_period < 1:
             raise ValueError("restart_period must be >= 1")
-
-    @property
-    def resolved_metric(self) -> str:
-        if self.metric is not None:
-            return self.metric
-        return COSINE if self.scheme == SCHEME_PROJECTED else EUCLIDEAN
-
-    @property
-    def resolved_quant_dim(self) -> int:
-        return self.latent_dim if self.quant_dim is None else self.quant_dim
+        if self.quant_dim is None:
+            self.quant_dim = self.latent_dim
+        if self.metric is None:
+            self.metric = COSINE if self.scheme == SCHEME_PROJECTED else EUCLIDEAN
 
 
 @dataclass
@@ -125,13 +118,16 @@ class CorpusSpec:
 
 @dataclass
 class TrainReport:
-    """Per-step loss series plus final utilization, one entry per step."""
+    """Per-step loss series, one entry per step, plus final utilization.
+
+    `codebook` is also the commitment term's value: with stop-gradients both
+    are |quantized - projected input|^2 and differ only in which parameters
+    they move. In the EMA schemes both equal the quantization MSE.
+    """
 
     mse: np.ndarray
     codebook: np.ndarray
-    commitment: np.ndarray
     utilization: np.ndarray  # per-layer used-code fraction over the corpus
-    wall_clock: float
 
 
 def make_corpus(spec: CorpusSpec) -> np.ndarray:
@@ -155,13 +151,6 @@ class ProjectedParams:
     proj_in: np.ndarray  # (d, q)
     proj_out: np.ndarray  # (q, d)
     entries: list[np.ndarray]  # per layer, (K, q)
-
-    def copy(self) -> "ProjectedParams":
-        return ProjectedParams(
-            proj_in=self.proj_in.copy(),
-            proj_out=self.proj_out.copy(),
-            entries=[e.copy() for e in self.entries],
-        )
 
 
 def _assign_codes(residual: np.ndarray, entries: list[np.ndarray], metric: str) -> np.ndarray:
@@ -213,19 +202,20 @@ def projected_grads(
     codebook_weight: float,
     commitment_weight: float,
 ) -> ProjectedParams:
-    """Analytic gradients of `projected_loss` at the step's base point."""
-    b = batch.shape[0]
-    z = batch @ params.proj_in
-    q = entry_sum(params.entries, codes)
+    """Analytic gradients of `projected_loss` at the step's base point.
 
-    st = z + (q_ref - z_ref)  # straight-through composite in quantization space
+    At the base point the projected inputs and quantized sums are the
+    snapshots z_ref and q_ref themselves, so they are not recomputed.
+    """
+    b = batch.shape[0]
+    st = z_ref + (q_ref - z_ref)  # straight-through composite in quantization space
     resid = st @ params.proj_out - batch
     g_recon = (2.0 / b) * resid
     g_proj_out = st.T @ g_recon
     g_proj_in = batch.T @ (g_recon @ params.proj_out.T)
-    g_proj_in += batch.T @ ((2.0 * commitment_weight / b) * (z - q_ref))
+    g_proj_in += batch.T @ ((2.0 * commitment_weight / b) * (z_ref - q_ref))
 
-    g_q = (2.0 * codebook_weight / b) * (q - z_ref)
+    g_q = (2.0 * codebook_weight / b) * (q_ref - z_ref)
     g_entries = []
     for n, entries in enumerate(params.entries):
         g = np.zeros_like(entries)
@@ -284,13 +274,13 @@ def _layer_utilization(corpus: np.ndarray, quantizer: RvqQuantizer) -> np.ndarra
     return np.array([len(np.unique(column)) for column in codes.T]) / quantizer.codebook_size
 
 
-def _check_finite(value: float, step: int, what: str) -> None:
-    if not np.isfinite(value):
+def _check_finite(step: int, what: str, *values) -> None:
+    if not all(np.isfinite(value).all() for value in values):
         raise NumericalError(f"{what} became non-finite at step {step}; aborting training")
 
 
 def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator):
-    metric = config.resolved_metric
+    metric = config.metric
     init_n = _init_sample_size(len(corpus), config)
     layers = _init_layer_codebooks(corpus[:init_n], config, rng, metric)
 
@@ -312,32 +302,31 @@ def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator
         for n in range(config.num_layers):
             layers[n] = ema_update(layers[n], layer_inputs[n], codes[:, n], decay=config.decay)
         mse[step] = float((residual**2).sum()) / config.batch_size
-        _check_finite(mse[step], step, "quantization MSE")
+        _check_finite(step, "quantization MSE", mse[step])
 
         if with_restart and (step + 1) % config.restart_period == 0:
             for n in range(config.num_layers):
                 layers[n], _ = restart_dead_codes(layers[n], layer_inputs[n], rng=rng)
 
     quantizer = RvqQuantizer(layers=layers, latent_dim=config.latent_dim, scheme=PLAIN)
-    # For the plain scheme the codebook/commitment values coincide with the MSE.
-    return quantizer, mse, mse.copy(), mse.copy()
+    # For the plain scheme the codebook term's value coincides with the MSE.
+    return quantizer, mse, mse.copy()
 
 
 def _train_projected(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator):
-    metric = config.resolved_metric
-    d, q = config.latent_dim, config.resolved_quant_dim
+    metric = config.metric
+    d, q = config.latent_dim, config.quant_dim
     proj_in = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, q))
     proj_out = rng.normal(0.0, 1.0 / np.sqrt(q), size=(q, d))
 
     init_n = _init_sample_size(len(corpus), config)
     init_cbs = _init_layer_codebooks(corpus[:init_n] @ proj_in, config, rng, metric)
     params = ProjectedParams(
-        proj_in=proj_in, proj_out=proj_out, entries=[cb.entries.copy() for cb in init_cbs]
+        proj_in=proj_in, proj_out=proj_out, entries=[cb.entries for cb in init_cbs]
     )
 
     mse = np.empty(config.steps)
     cb_series = np.empty(config.steps)
-    cm_series = np.empty(config.steps)
     lr = config.learning_rate
     for step in range(config.steps):
         picks = rng.choice(len(corpus), size=config.batch_size, replace=False)
@@ -349,13 +338,13 @@ def _train_projected(corpus: np.ndarray, config: TrainConfig, rng: np.random.Gen
         recon = quant @ params.proj_out
         mse[step] = float(((recon - batch) ** 2).sum()) / config.batch_size
         cb_series[step] = float(((quant - z) ** 2).sum()) / config.batch_size
-        cm_series[step] = cb_series[step]
+        # The commitment term has the codebook term's value.
         total = (
             mse[step]
             + config.codebook_weight * cb_series[step]
-            + config.commitment_weight * cm_series[step]
+            + config.commitment_weight * cb_series[step]
         )
-        _check_finite(total, step, "total loss")
+        _check_finite(step, "total loss", total)
 
         grads = projected_grads(
             params,
@@ -370,6 +359,7 @@ def _train_projected(corpus: np.ndarray, config: TrainConfig, rng: np.random.Gen
         params.proj_out -= lr * grads.proj_out
         for n in range(config.num_layers):
             params.entries[n] -= lr * grads.entries[n]
+        _check_finite(step, "parameters", params.proj_in, params.proj_out, *params.entries)
 
     pair = ProjectionPair(proj_in=params.proj_in, proj_out=params.proj_out)
     layers = [Codebook.from_entries(e, metric=metric) for e in params.entries]
@@ -379,7 +369,7 @@ def _train_projected(corpus: np.ndarray, config: TrainConfig, rng: np.random.Gen
         scheme=PROJECTED,
         projections=[pair] * config.num_layers,
     )
-    return quantizer, mse, cb_series, cm_series
+    return quantizer, mse, cb_series
 
 
 def train_quantizer(corpus, config: TrainConfig) -> tuple[RvqQuantizer, TrainReport]:
@@ -405,13 +395,7 @@ def train_quantizer(corpus, config: TrainConfig) -> tuple[RvqQuantizer, TrainRep
         raise ValueError("corpus smaller than batch_size")
 
     rng = as_generator(config.seed)
-    start = time.perf_counter()
-    if config.scheme == SCHEME_PROJECTED:
-        quantizer, mse, cb, cm = _train_projected(corpus, config, rng)
-    else:
-        quantizer, mse, cb, cm = _train_ema(corpus, config, rng)
-    utilization = _layer_utilization(corpus, quantizer)
-    wall = time.perf_counter() - start
-
-    report = TrainReport(mse=mse, codebook=cb, commitment=cm, utilization=utilization, wall_clock=wall)
+    train = _train_projected if config.scheme == SCHEME_PROJECTED else _train_ema
+    quantizer, mse, codebook = train(corpus, config, rng)
+    report = TrainReport(mse=mse, codebook=codebook, utilization=_layer_utilization(corpus, quantizer))
     return quantizer, report

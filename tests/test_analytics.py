@@ -14,6 +14,21 @@ def stream_from_codes(codes, k=4, layers=1, rate=50.0, source="s"):
 
 
 class TestUtilization:
+    @pytest.mark.parametrize(
+        "streams, message",
+        [
+            ([], "utilization requires at least one stream"),
+            (
+                [stream_from_codes([0, 1]), stream_from_codes([0, 1, 2, 3], layers=2)],
+                "mixed layer counts across streams: 1 vs 2",
+            ),
+        ],
+        ids=["no-streams", "mixed-layers"],
+    )
+    def test_rejects_bad_streams(self, streams, message):
+        with pytest.raises(ValueError, match=message):
+            utilization(streams, layer=0)
+
     def test_hand_counted_example(self):
         report = utilization([stream_from_codes([0, 1, 1, 3])], layer=0)
         assert report.counts.tolist() == [1, 2, 0, 1]

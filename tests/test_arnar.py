@@ -254,6 +254,11 @@ class TestGenerateNar:
         stream = generate_nar(model, np.arange(3), empty_prompt(4, 12), truth[:, 0])
         np.testing.assert_array_equal(stream.frames, truth)
 
+    def test_oracle_rejects_more_frames_than_truth(self):
+        model = OracleNarModel(np.zeros((3, 2), dtype=np.int32), codebook_size=4)
+        with pytest.raises(ValueError, match="more frames requested than the oracle's ground truth"):
+            model.layer_logits(None, None, np.zeros((4, 1), dtype=np.int32), 1)
+
     def test_single_call_for_two_layers(self):
         calls = []
 
@@ -416,6 +421,29 @@ class TestNgram:
         for ctx, vec in expected.items():
             assert counts[ctx].dtype == np.float64
             np.testing.assert_array_equal(counts[ctx], vec)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_prompt_and_prefix_form_one_context(self, order):
+        rng = np.random.default_rng(96)
+        model = train_ngram_ar([make_stream(rng.integers(0, 3, size=60), k=3)], order=order)
+        for p in range(5):
+            for g in range(5):
+                prompt, prefix = rng.integers(0, 3, size=p), rng.integers(0, 3, size=g)
+                np.testing.assert_array_equal(
+                    model.next_logits(None, prompt, prefix),
+                    model.next_logits(None, [], np.concatenate([prompt, prefix])),
+                )
+
+    def test_mixed_codebook_sizes_rejected(self):
+        with pytest.raises(ValueError, match="streams must share codebook_size"):
+            train_ngram_ar([make_stream([0, 1], k=3), make_stream([0, 1], k=4)])
+
+    @pytest.mark.parametrize("prompt, prefix", [([], []), ([2, 0], [1])], ids=["bare", "prompted"])
+    def test_unigram_logits_ignore_context(self, prompt, prefix):
+        # Order 1 has the one empty context: codes 0, 1, 1, 2 and EOS, smoothed by 0.5.
+        model = train_ngram_ar([make_stream([0, 1, 1, 2], k=3)], order=1, smoothing=0.5)
+        expected = np.log(np.array([1.5, 2.5, 1.5, 1.5]) / 7.0)
+        np.testing.assert_allclose(model.next_logits(None, prompt, prefix), expected, rtol=1e-15)
 
     def test_alternating_sequence_peaks(self):
         codes = np.array([0, 1] * 50)

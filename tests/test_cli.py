@@ -638,6 +638,23 @@ class TestExitCodes:
         assert code == 4
         assert "non-finite" in err
 
+    # A huge codebook weight blows up the entries, a huge commitment weight the
+    # input projection; either update must be caught before the next lookup.
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("weight", ["--codebook-weight", "--commitment-weight"])
+    def test_diverging_parameter_update_is_exit_4(self, tmp_path, capsys, weight):
+        out = tmp_path / "x.rvqc"
+        code, _, err = run(
+            capsys,
+            "train", "--synth", "modes=4,count=256", "--scheme", "projected",
+            "--latent-dim", "16", "--quant-dim", "4", "--codebook-size", "16",
+            "--steps", "20", weight, "1e300", "--learning-rate", "1e10", "--out", str(out),
+        )
+        assert code == 4, err
+        assert "parameters became non-finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "encode", "--codebook", str(tmp_path / "none.rvqc"),

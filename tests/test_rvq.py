@@ -157,6 +157,12 @@ class TestDecode:
         with pytest.raises(ValueError):
             rvq_decode([0, 8, 0], qz)
 
+    @pytest.mark.parametrize("num_layers", [0, 4])
+    def test_batch_layer_count_out_of_range(self, num_layers):
+        qz = random_plain_quantizer(np.random.default_rng(25), num_layers=3, k=8)
+        with pytest.raises(ValueError, match=r"num_layers must lie in \[1, 3\]"):
+            rvq_decode_batch(np.zeros((2, 3), dtype=np.int64), qz, num_layers=num_layers)
+
     def test_identity_projection_reduces_to_plain(self):
         rng = np.random.default_rng(25)
         k, dim, n = 16, 5, 3
@@ -292,6 +298,34 @@ class TestBitrate:
 
 
 class TestQuantizerValidation:
+    @pytest.mark.parametrize(
+        "metrics, kwargs, message",
+        [
+            (["euclidean", "cosine"], {"latent_dim": 2}, "layer 1 metric differs from layer 0"),
+            (["euclidean"], {"latent_dim": 2, "scheme": "bogus"}, "unknown scheme 'bogus'"),
+            (
+                ["euclidean"],
+                {"latent_dim": 2, "projections": [ProjectionPair.identity(2)]},
+                "plain scheme does not take projections",
+            ),
+            (
+                ["euclidean"],
+                {
+                    "latent_dim": 4,
+                    "scheme": "projected",
+                    "projections": [ProjectionPair(proj_in=np.eye(4, 3), proj_out=np.eye(3, 4))],
+                },
+                "projection pair dims do not match the quantizer",
+            ),
+        ],
+        ids=["mixed-metrics", "unknown-scheme", "plain-with-projections", "pair-dims"],
+    )
+    def test_rejects_inconsistent_quantizers(self, metrics, kwargs, message):
+        rng = np.random.default_rng(36)
+        layers = [Codebook.from_entries(rng.normal(size=(4, 2)), metric=m) for m in metrics]
+        with pytest.raises(ValueError, match=message):
+            RvqQuantizer(layers=layers, **kwargs)
+
     def test_mixed_layer_shapes_rejected(self):
         a = Codebook.from_entries(np.zeros((4, 2)))
         b = Codebook.from_entries(np.zeros((8, 2)))

@@ -235,7 +235,7 @@ class TestProjectedTraining:
         )
         _, report = train_quantizer(corpus, config)
         total = report.mse + config.codebook_weight * report.codebook + (
-            config.commitment_weight * report.commitment
+            config.commitment_weight * report.codebook
         )
         smoothed = np.convolve(total, np.ones(100) / 100, mode="valid")
         assert smoothed[-1] < smoothed[0]

@@ -531,6 +531,20 @@ class TestExactKernel:
 
 
 class TestEmaUpdate:
+    @pytest.mark.parametrize(
+        "vectors, indices, kwargs, message",
+        [
+            (np.eye(3), [0, 1, 2], {"decay": 1.0}, r"decay must lie in \[0, 1\)"),
+            (np.eye(3), [0, 1, 2], {"decay": -0.1}, r"decay must lie in \[0, 1\)"),
+            (np.eye(3), [0, 1, 2], {"epsilon": 0.0}, "epsilon must be positive"),
+            (np.eye(3), [0, 1], {}, "vectors and indices must have matching lengths"),
+        ],
+        ids=["decay-one", "decay-negative", "epsilon-zero", "length-mismatch"],
+    )
+    def test_rejects_bad_arguments(self, vectors, indices, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ema_update(Codebook.from_entries(np.eye(3)), vectors, indices, **kwargs)
+
     def test_converges_to_constant_batch(self):
         # Fixed point of the recurrence: with every vector equal to v and
         # assigned to code 0, entries[0] must approach v. Statistics start
@@ -618,6 +632,18 @@ class TestEmaUpdate:
 
 
 class TestRestartDeadCodes:
+    @pytest.mark.parametrize(
+        "batch, threshold, message",
+        [
+            (np.empty((0, 3)), 1, "requires a non-empty batch"),
+            (np.eye(3), -1, "threshold must be non-negative"),
+        ],
+        ids=["empty-batch", "negative-threshold"],
+    )
+    def test_rejects_bad_arguments(self, batch, threshold, message):
+        with pytest.raises(ValueError, match=message):
+            restart_dead_codes(Codebook.from_entries(np.eye(3)), batch, threshold=threshold)
+
     def test_no_dead_codes_unchanged(self):
         cb = Codebook.from_entries(np.eye(3))
         cb = ema_update(cb, np.eye(3), [0, 1, 2])
@@ -738,6 +764,16 @@ def assert_same_codebooks(got, want):
 
 
 class TestKmeansInit:
+    @pytest.mark.parametrize(
+        "num_codes, iterations, message",
+        [(0, 10, "num_codes must be >= 1"), (4, -1, "iterations must be non-negative")],
+        ids=["no-codes", "negative-iterations"],
+    )
+    def test_rejects_bad_arguments(self, num_codes, iterations, message):
+        data = np.random.default_rng(7).normal(size=(8, 2))
+        with pytest.raises(ValueError, match=message):
+            kmeans_init(data, num_codes, iterations=iterations)
+
     def test_k_points_recovered(self):
         rng = np.random.default_rng(6)
         points = rng.normal(size=(5, 3)) * 10

@@ -265,6 +265,14 @@ def _training_cases(fp: Fingerprint, rk) -> None:
            "--scheme", "projected", "--quant-dim", "4", "--init", "random", "--layers", "3",
            "--codebook-size", "32", "--steps", "80", "--seed", "5", "--out", "proj.rvqc",
            outputs=("proj.rvqc",))
+    # Parameter updates that overflow the entries (codebook weight) or the
+    # input projection (commitment weight): numerical failures, no output.
+    for term in ("codebook", "commitment"):
+        fp.cli(f"train-projected-diverging-{term}", "train", "--synth", "modes=4,count=256",
+               "--scheme", "projected", "--latent-dim", "16", "--quant-dim", "4",
+               "--codebook-size", "16", "--steps", "20", f"--{term}-weight", "1e300",
+               "--learning-rate", "1e10", "--out", f"diverging-{term}.rvqc",
+               outputs=(f"diverging-{term}.rvqc",))
 
     # Cosine codebooks with zero entries, and a corpus whose layer-2 residuals
     # are zero where the last restart copied its rows into layer 1: both
@@ -311,8 +319,8 @@ def _training_cases(fp: Fingerprint, rk) -> None:
         config = rk.TrainConfig(scheme=scheme, num_layers=3, codebook_size=64, latent_dim=8,
                                 steps=60, seed=44, **extra)
         quantizer, report = rk.train_quantizer(corpus, config)
-        fp.arrays(f"lib/train-{scheme}", report.mse, report.codebook, report.commitment,
-                  report.utilization, *(layer.entries for layer in quantizer.layers))
+        fp.arrays(f"lib/train-{scheme}", report.mse, report.codebook, report.utilization,
+                  *(layer.entries for layer in quantizer.layers))
 
 
 def _generation_cases(fp: Fingerprint) -> None:
