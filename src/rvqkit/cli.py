@@ -231,11 +231,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.layer < 1:
+        raise UsageError("--layer is 1-based and must be >= 1")
     streams = []
     for path in args.tokens:
         streams.extend(rvqio.read_token_streams(path))
-    if args.layer < 1:
-        raise UsageError("--layer is 1-based and must be >= 1")
     report = utilization(streams, args.layer - 1)
     table = rank_frequency(report)
 

@@ -15,7 +15,11 @@ Codebook file ("RVQC"):
 
 Token stream file: one JSON object per line with keys
     id, token_rate_hz, layers, codebook_size, codes
-where codes is a list of frames, each a list of `layers` integers.
+where codes is a list of frames, each a list of `layers` integers. The
+writer puts codes last, in the compact form `"codes":[[1,2],[3,4]]}`; on
+such a line the reader parses the codes in one vectorized pass over their
+bytes and the rest of the line with `json`. Any other valid JSON layout is
+parsed by `json` alone, with the same results and the same errors.
 
 Payload lengths must match the header exactly; a save of a loaded file
 reproduces it byte for byte. A vector payload is written straight from the
@@ -214,6 +218,87 @@ def _frames(codes, layers: int, line: str) -> np.ndarray:
     return np.asarray(codes)
 
 
+_CODES_KEY = '"codes":['
+_DIGITS = b"0123456789"
+_MAX_DIGITS = 9  # every 9-digit code fits an int32
+
+
+def _compact_codes(text: str, layers: int) -> np.ndarray | None:
+    """The (T, layers) int32 grid spelled by `text` when it is exactly the
+    compact form `write_token_streams` writes, `[[1,2],[3,4]]` with T >= 1
+    and codes in canonical decimal of at most 9 digits; otherwise None.
+
+    The brackets and commas must be exactly those of T frames. Then the
+    digit runs must be T*layers, each in a slot of a frame: none right
+    after a `]` or right before a `[`, none with a leading zero."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    skeleton = data.translate(None, _DIGITS)
+    frames, rest = divmod(len(skeleton) - 1, layers + 2)
+    if frames < 1 or rest:
+        return None
+    frame = b"[" + b"," * (layers - 1) + b"]"
+    if skeleton != b"[" + b",".join([frame] * frames) + b"]":
+        return None
+    # Non-digits wrap around to 10..255 in uint8; the text starts with `[`
+    # and ends with `]`, so the mask's edges pair up as (start, end) of runs.
+    raw = np.frombuffer(data, dtype=np.uint8)
+    digits = raw - np.uint8(ord("0"))
+    is_digit = digits < 10
+    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    if len(starts) != frames * layers:
+        return None
+    lengths = ends - starts
+    longest = int(lengths.max())
+    if (
+        longest > _MAX_DIGITS
+        or (raw[starts - 1] == ord("]")).any()
+        or (raw[ends] == ord("[")).any()
+        or ((lengths > 1) & (digits[starts] == 0)).any()
+    ):
+        return None
+    values = np.zeros(len(starts), dtype=np.int32)
+    for column in range(longest):
+        digit = np.where(lengths > column, digits[ends - 1 - column], 0).astype(np.int32)
+        values += digit * np.int32(10**column)
+    return values.reshape(frames, layers)
+
+
+def _compact_record(line: str) -> dict | None:
+    """The record on `line` with its codes already an int32 grid, when the
+    line ends in a compact `"codes":[[...]]}` member; otherwise None, and
+    the line takes the full `json.loads` path.
+
+    This returns exactly what `json.loads(line)` would, with the codes as an
+    array, which `_frames` passes through. The head, the line with the
+    codes value replaced by `[]`, is parsed by `json`. The `"` that starts
+    the split follows a `,` or a `{`, so it is not escaped: it either closes
+    a string, and then `codes` follows a closing quote and the head does
+    not parse, or it opens the key `codes`, whose value `[]` is followed by
+    the head's last `}`. So a head that parses is one object whose last key
+    is `codes`. When the codes text also passes `_compact_codes`, it is a
+    valid JSON array of those integers, the whole line is valid JSON, and
+    `json` keeps the last of duplicated keys, which is this one."""
+    split = line.rfind(_CODES_KEY)
+    if split < 1 or line[split - 1] not in ",{" or not line.endswith("]]}"):
+        return None
+    value = split + len(_CODES_KEY) - 1
+    try:
+        record = json.loads(line[:value] + "[]}")
+    except json.JSONDecodeError:
+        return None
+    layers = record.get("layers")
+    if type(layers) is not int or layers < 1:
+        return None
+    codes = _compact_codes(line[value:-1], layers)
+    if codes is None:
+        return None
+    record["codes"] = codes
+    return record
+
+
 def read_token_streams(path: str) -> list[TokenStream]:
     """Parse a token stream file, validating ranges and frame widths."""
     streams = []
@@ -222,10 +307,12 @@ def read_token_streams(path: str) -> list[TokenStream]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            record = _compact_record(line)
+            if record is None:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
                 layers, codebook_size = record["layers"], record["codebook_size"]
                 rate, source_id = record["token_rate_hz"], record["id"]

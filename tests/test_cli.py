@@ -828,6 +828,15 @@ class TestExitCodes:
         assert err == "error: --threads must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("layer", ["0", "-2"])
+    def test_analyze_layer_is_checked_before_any_file_is_read(self, tmp_path, capsys, layer):
+        # The token file does not exist: the usage error wins over the file error.
+        code, out, err = run(capsys, "analyze", "--tokens", str(tmp_path / "missing.jsonl"),
+                             "--layer", layer)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --layer is 1-based and must be >= 1\n"
+
     @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1"])
     def test_encode_token_rate_outside_open_interval_is_usage_error(
         self, tmp_path, capsys, corpus_file, trained_codebook, rate

@@ -3,12 +3,14 @@
 import json
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rvqkit.io
 from rvqkit import (
     Codebook,
     FormatError,
@@ -352,17 +354,21 @@ CODE_GRIDS = st.lists(
     field=st.sampled_from([*VALID_RECORD, "one code"]),
     value=JSON_VALUES | CODE_GRIDS,
     where=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    separators=st.sampled_from([None, (",", ":")]),
 )
-def test_token_reader_rejects_or_keeps_any_field_value(tmp_path_factory, field, value, where):
+def test_token_reader_rejects_or_keeps_any_field_value(
+    tmp_path_factory, field, value, where, separators
+):
     """One field of a valid record replaced by any JSON value: the reader
-    raises FormatError or returns exactly what the record says."""
+    raises FormatError or returns exactly what the record says. Compact
+    separators are the layout the writer uses and the byte parser reads."""
     record = json.loads(json.dumps(VALID_RECORD))
     if field == "one code":
         record["codes"][where[0]][where[1]] = value
     else:
         record[field] = value
     path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
-    path.write_text(json.dumps(record) + "\n")
+    path.write_text(json.dumps(record, separators=separators) + "\n")
     try:
         [stream] = read_token_streams(path)
     except FormatError:
@@ -374,6 +380,174 @@ def test_token_reader_rejects_or_keeps_any_field_value(tmp_path_factory, field, 
     assert stream.source_id == record["id"]
     assert stream.token_rate_hz == record["token_rate_hz"]
     assert (stream.layers, stream.codebook_size) == (record["layers"], record["codebook_size"])
+
+
+def _read_outcome(path):
+    """What reading `path` gives: each stream's fields and frames, or the
+    exception's type and message."""
+    try:
+        streams = read_token_streams(path)
+    except Exception as exc:  # noqa: BLE001 -- the comparison covers every failure
+        return type(exc).__name__, str(exc)
+    return [
+        (s.frames.dtype.str, s.frames.shape, s.frames.tobytes(), s.source_id,
+         s.token_rate_hz, s.layers, s.codebook_size)
+        for s in streams
+    ]
+
+
+def _reference_outcome(path):
+    """The same, with every line through `json.loads`, `_frames` and the
+    `TokenStream` checks: the reader without its compact byte pass."""
+    with mock.patch.object(rvqkit.io, "_compact_record", lambda line: None):
+        return _read_outcome(path)
+
+
+HEAD = '{"id":"u","token_rate_hz":50.0,"layers":2,"codebook_size":1000000000,'
+
+
+class TestCompactCodesParser:
+    """The byte pass over compact codes against the reference path: equal
+    frames, dtype and fields, or the same error and message."""
+
+    def check(self, tmp_path, text, fast):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = _read_outcome(path)
+        assert outcome == _reference_outcome(path)
+        lines = [line.strip() for line in text.splitlines() if line.strip()]
+        assert any(rvqkit.io._compact_record(line) is not None for line in lines) is fast
+        return outcome
+
+    def test_written_files_take_the_byte_pass(self, tmp_path):
+        rng = np.random.default_rng(108)
+        streams = [
+            TokenStream(frames=rng.integers(0, k, size=(n, layers)), token_rate_hz=75.0,
+                        layers=layers, codebook_size=k, source_id=f"utt-{n}")
+            for n, layers, k in ((1, 1, 1), (7, 3, 10), (40, 8, 1024), (3, 2, 999_999_999))
+        ]
+        path = tmp_path / "t.jsonl"
+        write_token_streams(path, streams)
+        lines = path.read_text().splitlines()
+        assert all(rvqkit.io._compact_record(line) is not None for line in lines)
+        loaded = read_token_streams(path)
+        for a, b in zip(loaded, streams):
+            assert a.frames.dtype == np.int32
+            np.testing.assert_array_equal(a.frames, b.frames)
+        assert _read_outcome(path) == _reference_outcome(path)
+
+    @pytest.mark.parametrize("line, fast", [
+        # Ids that hold the key, escaped quotes or non-ASCII text.
+        (HEAD + '"codes":[[1,2]]}', True),
+        ('{"id":"x\\"codes\\":[[7,7]]}","token_rate_hz":50.0,"layers":2,'
+         '"codebook_size":10,"codes":[[1,2]]}', True),
+        ('{"id":"say \\"hi\\"","token_rate_hz":50.0,"layers":2,"codebook_size":10,'
+         '"codes":[[1,2],[3,4]]}', True),
+        ('{"id":"\\u00e9\\u2603","token_rate_hz":50.0,"layers":1,"codebook_size":4,"codes":[[3]]}',
+         True),
+        ('{"id":"é☃","token_rate_hz":50.0,"layers":1,"codebook_size":4,"codes":[[3]]}', True),
+        ('{"id":"é","token_rate_hz":50.0,"layers":1,"codebook_size":4,"codes":[[3é]]}', False),
+        # The last `"codes":[` opens a key `a"codes`, not `codes`: the escaped
+        # quote sends the line to json, which reads the earlier codes.
+        (HEAD + '"codes":[[1,2]],"a\\"codes":[[5,6]]}', False),
+        (HEAD + '"a\\"codes":[[5,6]]}', False),
+        (HEAD + '"codes":[[1,2]],"a\\\\"codes":[[5,6]]}', False),
+        # Duplicated keys: json keeps the last.
+        (HEAD + '"codes":[[3,3]],"codes":[[1,2]]}', True),
+        ('{"codes":[[3,3]],' + HEAD[1:] + '"codes":[[1,2]]}', True),
+        (HEAD + '"codes":[[1,2]],"codes":[[3]]}', False),
+        (HEAD + '"codes":[[1,2]],"codes":"x"}', False),
+        (HEAD + '"codes":[[1,2]],"layers":1}', False),
+        ('{"layers":3,' + HEAD[1:] + '"codes":[[1,2]]}', True),
+        # Keys in another order.
+        ('{"codes":[[1,2]],"layers":2,"codebook_size":4,"token_rate_hz":50.0,"id":"u"}', False),
+        ('{"layers":2,"codes":[[1,2]],"codebook_size":4,"id":"u","token_rate_hz":50}', False),
+        ('{"codebook_size":4,"token_rate_hz":50,"id":"u","layers":2,"codes":[[1,2]]}', True),
+        # Codes that are not canonical decimal integers.
+        (HEAD + '"codes":[[01,2]]}', False),
+        (HEAD + '"codes":[[0,00]]}', False),
+        (HEAD + '"codes":[[-0,2]]}', False),
+        (HEAD + '"codes":[[1e2,2]]}', False),
+        (HEAD + '"codes":[[1.0,2]]}', False),
+        (HEAD + '"codes":[[1,1234567890]]}', False),
+        (HEAD + '"codes":[[1,99999999999999999999999]]}', False),
+        (HEAD + '"codes":[[0,999999999]]}', True),
+        (HEAD + '"codes":[[1,2],[3,4]]}', True),
+        # Whitespace, line ends and empty codes.
+        (HEAD + '"codes":[[1, 2]]}', False),
+        (HEAD + '"codes": [[1,2]]}', False),
+        (HEAD + '"codes":[[1,2] ]}', False),
+        (HEAD + '"codes":[[1,2]]} ', True),
+        (HEAD + '"codes":[[1,2]]}\r\n' + HEAD + '"codes":[[3,4]]}\r\n', True),
+        (HEAD + '"codes":[]}', False),
+        (HEAD + '"codes":[[]]}', False),
+        # Digits outside a frame's slots, with as many runs as slots or not,
+        # and broken brackets.
+        (HEAD + '"codes":[[1,]5]}', False),
+        (HEAD + '"codes":[5[,2]]}', False),
+        (HEAD + '"codes":[[1,2]3,[,4]]}', False),
+        (HEAD + '"codes":[[1,2],3[4,]]}', False),
+        (HEAD + '"codes":[5[1,2]]}', False),
+        (HEAD + '"codes":[[1,2]5]}', False),
+        (HEAD + '"codes":[[1,2]5,[3,4]]}', False),
+        (HEAD + '"codes":[[1,2],5[3,4]]}', False),
+        (HEAD + '"codes":[[1,2],[3,4]]]}', False),
+        (HEAD + '"codes":[[1,2],[3,4]}', False),
+        (HEAD + '"codes":[[1,2][3,4]]}', False),
+        (HEAD + '"codes":[[1,,2]]}', False),
+        (HEAD + '"codes":[[1,2,3]]}', False),
+        # Bad heads and bad metadata behind a compact codes member.
+        ('{"id":"u","token_rate_hz":50.0,"layers":2.0,"codebook_size":4,"codes":[[1,2]]}', False),
+        ('{"id":"u","token_rate_hz":50.0,"layers":0,"codebook_size":4,"codes":[[1,2]]}', False),
+        ('{"id":"u","token_rate_hz":50.0,"layers":true,"codebook_size":4,"codes":[[1,2]]}', False),
+        ('{"id":"u","token_rate_hz":50.0,"codebook_size":4,"codes":[[1,2]]}', False),
+        ('{"id":7,"token_rate_hz":50.0,"layers":2,"codebook_size":4,"codes":[[1,2]]}', True),
+        ('{"id":"u","token_rate_hz":0,"layers":2,"codebook_size":4,"codes":[[1,2]]}', True),
+        ('{"id":"u","token_rate_hz":50,"layers":2,"codebook_size":4,"codes":[[1,4]]}', True),
+        ('{"id":"u","token_rate_hz":50,"layers":2,"codebook_size":0,"codes":[[1,2]]}', True),
+        ('{"id":"u","token_rate_hz":50,"layers":2,"codebook_size":4,"codes":[[1,2]]}}', False),
+        ('{"id":"u","token_rate_hz":50,"layers":2,"codebook_size":4,"x":{"codes":[[1,2]]}', False),
+        ('["codes":[[1,2]]}', False),
+        ('"codes":[[1,2]]}', False),
+    ])
+    def test_line_matches_reference(self, tmp_path, line, fast):
+        self.check(tmp_path, line + "\n", fast)
+
+    def test_escaped_key_keeps_the_real_codes(self, tmp_path):
+        [stream] = self.check(tmp_path, HEAD + '"codes":[[1,2]],"a\\"codes":[[5,6]]}\n', False)
+        assert np.frombuffer(stream[2], dtype=np.int32).tolist() == [1, 2]
+
+    def test_mutations_match_reference(self, tmp_path):
+        """Compact records with one or two characters replaced, inserted or
+        deleted, half of them inside the codes text."""
+        rng = np.random.default_rng(109)
+        alphabet = '0123456789[],-. e"tf{}:\\'
+        ids = ["u", 'a"codes":[[1]]', "say \"hi\"", "é☃", "true false", ""]
+        path = tmp_path / "t.jsonl"
+        fast = 0
+        for case in range(1500):
+            layers = int(rng.integers(1, 4))
+            k = int(rng.choice([1, 10, 1024, 10**9]))
+            codes = rng.integers(0, k, size=(int(rng.integers(1, 4)), layers)).tolist()
+            record = {"id": ids[case % len(ids)], "token_rate_hz": 50.0, "layers": layers,
+                      "codebook_size": k, "codes": codes}
+            line = json.dumps(record, separators=(",", ":"), ensure_ascii=bool(case % 2))
+            split = line.rfind('"codes":[')
+            for _ in range(int(rng.integers(1, 3))):
+                low = split if rng.random() < 0.5 else 0
+                pos = int(rng.integers(low, len(line) + 1))
+                char = alphabet[int(rng.integers(len(alphabet)))]
+                op = int(rng.integers(3))
+                if op == 0 and pos < len(line):
+                    line = line[:pos] + char + line[pos + 1:]
+                elif op == 1:
+                    line = line[:pos] + char + line[pos:]
+                else:
+                    line = line[:pos] + line[pos + 1:]
+            path.write_bytes((line + "\n").encode("utf-8"))
+            assert _read_outcome(path) == _reference_outcome(path), line
+            fast += rvqkit.io._compact_record(line.strip()) is not None
+        assert 100 < fast < 1400
 
 
 class TestAtomicity:

@@ -6,12 +6,14 @@ output file, named `<case>/<stream>`. The training outputs are the cases
 `train-*`, `lib/train-*` and `lib/kmeans-init*`, and demo 03, which trains.
 `projected-distinct-pairs` runs encode and decode on a projected codebook file
 whose layers' projection pairs differ, and `*/decode-multi-stream` decodes a
-token file with empty streams among long ones. The `lib/generate-*` and
-`lib/text-to-tokens-*` cases run the schedulers on the toy oracles, the
-`lib/train-ngram-order-*` cases hash the n-gram AR model's counts, and the
-`lib/oracle-truth-check-*` cases build each oracle on a truth code outside
-[0, K) and call it once. To see what a change moves, run it on two checkouts
-and diff:
+token file with empty streams among long ones. The `tokens-*` cases decode
+and analyze one token file rewritten with spaces, reordered keys and `"codes"`
+inside the id or another key, and with a leading zero or a 10-digit code. The
+`lib/generate-*` and `lib/text-to-tokens-*` cases run the schedulers on the
+toy oracles, the `lib/train-ngram-order-*` cases hash the n-gram AR model's
+counts, and the `lib/oracle-truth-check-*` cases build each oracle on a truth
+code outside [0, K) and call it once. To see what a change moves, run it on
+two checkouts and diff:
 
     python tools/fingerprint.py > new.txt
     python tools/fingerprint.py --repo ../old-checkout > old.txt
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
+import json
 import os
 import struct
 import subprocess
@@ -131,6 +134,7 @@ def _codebook_cases(fp: Fingerprint, rk, extra: list[Path]) -> None:
         fp.arrays(f"lib/encode-batch-{name}", *rk.rvq_encode_batch(queries, quantizer))
     _distinct_pairs_case(fp, books["projected"])
     _multi_stream_decode_case(fp, rk, books)
+    _token_layout_cases(fp)
 
 
 def _distinct_pairs_case(fp: Fingerprint, quantizer) -> None:
@@ -167,6 +171,35 @@ def _multi_stream_decode_case(fp: Fingerprint, rk, books: dict) -> None:
         fp.emit(f"{case}/{tokens}", (fp.work / tokens).read_bytes())
         fp.cli(case, "decode", "--codebook", f"{name}.rvqc", "--tokens", tokens, "--out", out,
                outputs=(out,))
+
+
+def _token_layout_cases(fp: Fingerprint) -> None:
+    """Decode and analyze of `plain-t1.jsonl` rewritten in layouts that the
+    writer does not use, and with one code made malformed."""
+    line = (fp.work / "plain-t1.jsonl").read_text().rstrip("\n")
+    record = json.loads(line)
+    codes_last = {key: record[key] for key in ("codebook_size", "id", "layers", "token_rate_hz")}
+    first = f'"codes":[[{record["codes"][0][0]},'
+    layouts = {
+        "spaces": json.dumps(record),
+        "codes-first": json.dumps({"codes": record["codes"], **codes_last},
+                                  separators=(",", ":")),
+        "keys-reordered": json.dumps({**codes_last, "codes": record["codes"]},
+                                     separators=(",", ":")),
+        "codes-in-id": json.dumps({**record, "id": 'a"codes":[[0,0,0]]}'},
+                                  separators=(",", ":")),
+        # Ends in `"b\"codes":[[1,1,1]]}`: the last `"codes":[` is not the codes key.
+        "codes-in-key": json.dumps({**record, 'b"codes': [[1, 1, 1]]}, separators=(",", ":")),
+        "leading-zero": line.replace(first, first.replace("[[", "[[0"), 1),
+        "long-code": line.replace(first, '"codes":[[1234567890,', 1),
+    }
+    for name, text in layouts.items():
+        case, tokens = f"tokens-{name}", f"tokens-{name}.jsonl"
+        (fp.work / tokens).write_text(text + "\n")
+        fp.emit(f"{case}/{tokens}", (fp.work / tokens).read_bytes())
+        fp.cli(f"{case}/decode", "decode", "--codebook", "plain.rvqc", "--tokens", tokens,
+               "--out", f"{case}.rvqv", outputs=(f"{case}.rvqv",))
+        fp.cli(f"{case}/analyze", "analyze", "--tokens", tokens, "--layer", "3")
 
 
 def _lookup_cases(fp: Fingerprint, rk) -> None:
