@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._rng import (
     as_generator,
@@ -211,12 +210,13 @@ def train_ngram_ar(streams: list[TokenStream], order: int = 2, smoothing: float 
     """Count n-gram transitions over the first layer of each stream.
 
     Each stream's codes, left-padded with -1 and followed by EOS (K), give
-    one window per token: its context (up to order-1 codes, shorter near the
-    start) and the token. One lexsort of the windows groups equal contexts
-    and one bincount fills a float64 (contexts, K+1) table: one row per
-    context, the memory of a dict of per-context count vectors. The counts
-    map each context tuple to its row of that table. While counting, the
-    windows also hold min(order, longest stream + 1) int32 codes per token.
+    one context (up to order-1 codes, shorter near the start) per token.
+    Prefix doubling, as in suffix-array construction, ranks the contexts in
+    at most ceil(log2(order-1)) np.unique passes over one int64 key, in
+    O(tokens) memory at any order. One bincount fills a float64 (contexts,
+    K+1) table, the memory of a dict of per-context count vectors. The
+    counts map each context tuple to its row of that table, in the
+    lexicographic order of the padded contexts.
     """
     if not streams:
         raise ValueError("train_ngram_ar requires at least one stream")
@@ -229,26 +229,28 @@ def train_ngram_ar(streams: list[TokenStream], order: int = 2, smoothing: float 
     classes = k + 1  # EOS
     # No context is longer than the longest stream, whatever the order.
     width = min(order - 1, max(s.num_frames for s in streams))
-    # int32 like the frames: a K past int32 would need 16 GiB a table row.
-    pad = np.full(width, -1, dtype=np.int32)
-    eos = np.array([k], dtype=np.int32)
+    pad = np.full(width, -1, dtype=np.int64)
+    eos = np.array([k], dtype=np.int64)
     seq = np.concatenate([part for s in streams for part in (pad, s.frames[:, 0], eos)])
-    # The window ending at each code or EOS; padding never ends one.
-    windows = sliding_window_view(seq, width + 1)[np.flatnonzero(seq >= 0) - width]
-    contexts = windows[:, :width]
-    perm = np.lexsort(contexts.T[::-1]) if width else np.arange(len(windows))
-    contexts = contexts[perm]
-    first = np.ones(len(contexts), dtype=bool)
-    np.any(contexts[1:] != contexts[:-1], axis=1, out=first[1:])
-    group = np.cumsum(first) - 1
+    # rank[j] ranks the m codes from j lexicographically: two runs of
+    # m + step <= 2m codes are equal exactly when both their m-code halves,
+    # from j and j + step, are. Ranks are at most K + 1, then below len(seq),
+    # so (max rank + 1)^2 < 2^63 while len(seq) and K stay below 3*10^9.
+    rank, m = seq + 1, 1
+    while m < width:
+        step = min(m, width - m)
+        rank = np.unique(rank[:-step] * (rank.max() + 1) + rank[step:], return_inverse=True)[1]
+        m += step
+    # Each code or EOS ends one window; its context starts width codes back.
+    ends = np.flatnonzero(seq >= 0)
+    context = rank[ends - width] if width else np.zeros(len(ends), dtype=np.int64)
+    _, first, group = np.unique(context, return_index=True, return_inverse=True)
     table = np.bincount(
-        group * classes + windows[perm, width],
+        group * classes + seq[ends],
         weights=np.ones(len(group)),
-        minlength=(group[-1] + 1) * classes,
+        minlength=len(first) * classes,
     ).reshape(-1, classes)
-    firsts = contexts[first]
-    pads = (firsts < 0).sum(axis=1)
-    keys = [tuple(row[p:]) for row, p in zip(firsts.tolist(), pads.tolist())]
+    keys = [tuple(c for c in seq[e - width : e].tolist() if c >= 0) for e in ends[first].tolist()]
     counts = dict(zip(keys, table))
     return NgramArModel(order=order, smoothing=smoothing, codebook_size=k, counts=counts)
 

@@ -103,8 +103,6 @@ def _parse_cfg_range(text: str) -> tuple[float, float]:
 
 
 def cmd_train(args) -> int:
-    if (args.corpus is None) == (args.synth is None):
-        raise UsageError("exactly one of --corpus or --synth is required")
     scheme = args.scheme.replace("-", "_")
     if scheme != SCHEME_PROJECTED and args.quant_dim is not None:
         raise UsageError("--quant-dim only applies to --scheme projected")
@@ -385,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a quantizer on a corpus")
-    src = p.add_mutually_exclusive_group()
+    src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--corpus", help="vector file to train on")
     src.add_argument("--synth", help="synthetic mixture spec: modes=..,dims=..,sep=..,count=..")
     p.add_argument("--scheme", choices=["ema", "ema-restart", "projected"], default="ema")

@@ -30,6 +30,7 @@ from .vq import (
     COSINE,
     DEFAULT_DECAY,
     EUCLIDEAN,
+    METRICS,
     Codebook,
     ProjectionPair,
     assign_batch,
@@ -67,6 +68,8 @@ class TrainConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.init not in ("kmeans", "random"):
             raise ValueError(f"unknown init {self.init!r}")
+        if self.metric not in (None, *METRICS):
+            raise ValueError(f"unknown metric {self.metric!r}")
         for name in ("num_layers", "codebook_size", "latent_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

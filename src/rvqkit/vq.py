@@ -479,13 +479,15 @@ def nearest_codes(queries, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
     a float32 GEMM screens the entries, and every entry its rounding bound
     cannot rule out is rescored with exact differences (see
     `_euclidean_block`). Cosine distance is 1 - cos(query, entry), clamped
-    at 0 (rounding can put an exact match just below it), with ties likewise
-    to the lowest index; a zero query or entry has cosine 0 with every
-    vector, so a zero query gets code 0 at distance 1, and a zero entry wins
-    only when no entry has a positive cosine. Non-finite queries are
-    rejected with ValueError, since no entry is nearest to them. The first
-    lookup makes the codebook's entries read-only (see
-    `Codebook._lookup_tables`).
+    at 0 (rounding can put an exact match just below it), from one float64
+    GEMM: ties go to the lowest index only among entries whose unit vectors
+    are bitwise equal, and other near-ties follow the GEMM's rounding, so a
+    one-row and a batched lookup can disagree. A zero query or entry has
+    cosine 0 with every vector, so a zero query gets code 0 at distance 1,
+    and a zero entry wins only when no entry has a positive cosine.
+    Non-finite queries are rejected with ValueError, since no entry is
+    nearest to them. The first lookup makes the codebook's entries
+    read-only (see `Codebook._lookup_tables`).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != codebook.code_dim:

@@ -1,5 +1,7 @@
 """AR + NAR generation: temperature sampling, toy models, n-gram training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -398,13 +400,18 @@ class TestComposition:
 
 
 class TestNgram:
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    # Orders 6 to 33 rank their contexts in several doubling steps, on
+    # streams of up to 40 frames (orders 1 to 4 keep their 30). At orders 4
+    # and 6, and wherever the longest stream caps the context width below
+    # order - 1, the last step pairs two overlapping halves.
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 9, 17, 33])
     def test_counts_match_reference(self, order):
         rng = np.random.default_rng(90 + order)
         cases = [[make_stream([], k=3)], [make_stream([], k=1), make_stream([0], k=1)]]
+        longest = 30 if order <= 4 else 40
         for _ in range(40):
             k = int(rng.integers(1, 13))
-            lengths = rng.integers(0, 31, size=rng.integers(1, 4))
+            lengths = rng.integers(0, longest + 1, size=rng.integers(1, 4))
             cases.append([make_stream(rng.integers(0, k, size=n), k=k) for n in lengths])
         for streams in cases:
             self._assert_reference_counts(streams, order)
@@ -413,11 +420,26 @@ class TestNgram:
         codes = np.random.default_rng(95).integers(0, 3, size=10)
         self._assert_reference_counts([make_stream(codes, k=3)], 10**12)
 
+    def test_working_memory_flat_in_order(self):
+        # 64 laps of one 1024-code cycle: the order-256 contexts repeat, so
+        # counting them needs O(tokens) memory, not O(tokens * order).
+        stream = make_stream(np.arange(65536) % 1024, k=1024)
+        tracemalloc.start()
+        try:
+            model = train_ngram_ar([stream], order=256)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model._counts) == 1024 + 255
+        assert peak - held <= 8 * 2**20
+
     @staticmethod
     def _assert_reference_counts(streams, order):
         counts = train_ngram_ar(streams, order=order)._counts
         expected = reference_train_ngram_ar(streams, order)
-        assert counts.keys() == expected.keys()
+        # Keys come in the lexicographic order of the contexts left-padded with -1.
+        longest = max(map(len, expected))
+        assert list(counts) == sorted(expected, key=lambda ctx: (-1,) * (longest - len(ctx)) + ctx)
         for ctx, vec in expected.items():
             assert counts[ctx].dtype == np.float64
             np.testing.assert_array_equal(counts[ctx], vec)

@@ -159,6 +159,12 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_corpus_or_synth_required(self, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--out", str(tmp_path / "x.rvqc"))
+        assert code == 2
+        assert "--corpus" in err and "--synth" in err
+        assert not (tmp_path / "x.rvqc").exists()
+
     def test_byte_identical_across_runs(self, tmp_path, corpus_file, capsys):
         outputs = []
         stdouts = []
@@ -607,6 +613,25 @@ class TestArnarSim:
         stats = parse_stats(stdout)
         assert "out_of_support_rate" in stats
         assert 0.0 <= float(stats["out_of_support_rate"]) <= 1.0
+
+    def test_ngram_order_past_training_length_is_deterministic(self, tmp_path, capsys):
+        frames = 300
+        train = tmp_path / "train.jsonl"
+        codes = np.random.default_rng(11).integers(0, 4, size=(frames, 1))
+        write_token_streams(str(train), [TokenStream(
+            frames=codes, token_rate_hz=50.0, layers=1, codebook_size=4, source_id="t",
+        )])
+        outputs = []
+        for name in ("a.jsonl", "b.jsonl"):
+            out = tmp_path / name
+            code, stdout, _ = run(
+                capsys, "arnar-sim", "--ar", "ngram", "--train-tokens", str(train),
+                "--ngram-order", str(frames + 1), "--max-frames", "40", "--layers", "2",
+                "--codebook-size", "4", "--seed", "3", "--out", str(out),
+            )
+            assert code == 0
+            outputs.append((out.read_bytes(), stdout.replace(name, "OUT")))
+        assert outputs[0] == outputs[1]
 
     def test_ngram_with_empty_support_file_is_all_outside(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"

@@ -287,3 +287,11 @@ class TestProjectedTraining:
                 TrainConfig(commitment_weight=bad)
             with pytest.raises(ValueError, match="loss weights"):
                 TrainConfig(codebook_weight=bad)
+
+    @pytest.mark.parametrize("scheme", ["ema", "ema_restart", "projected"])
+    def test_unknown_metric_rejected_at_construction(self, scheme):
+        dims = {"latent_dim": 8, "quant_dim": 4 if scheme == "projected" else None}
+        with pytest.raises(ValueError, match="unknown metric 'manhattan'"):
+            TrainConfig(scheme=scheme, metric="manhattan", **dims)
+        for metric in ("euclidean", "cosine"):
+            assert TrainConfig(scheme=scheme, metric=metric, **dims).metric == metric

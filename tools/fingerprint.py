@@ -10,7 +10,7 @@ token file with empty streams among long ones. The `tokens-*` cases decode
 and analyze one token file rewritten with spaces, reordered keys and `"codes"`
 inside the id or another key, and with a leading zero or a 10-digit code. The
 `lib/generate-*` and `lib/text-to-tokens-*` cases run the schedulers on the
-toy oracles, the `lib/train-ngram-order-*` cases hash the n-gram AR model's
+toy oracles, the `lib/train-ngram-*` cases hash the n-gram AR model's
 counts, and the `lib/oracle-truth-check-*` cases build each oracle on a truth
 code outside [0, K) and call it once. To see what a change moves, run it on
 two checkouts and diff:
@@ -422,18 +422,29 @@ def _generator_cases(fp: Fingerprint, rk) -> None:
 
 
 def _ngram_cases(fp: Fingerprint, rk) -> None:
-    """The n-gram counts of `train_ngram_ar` on one stream and one empty
-    stream: each context, led by its length, then its count vector, in
-    sorted context order."""
+    """The n-gram counts of `train_ngram_ar`: each context, led by its length,
+    then its count vector. The `order-*` cases count one stream and one empty
+    stream, in sorted context order. The `streams-order-*` cases count a
+    random stream, an empty one and one that laps a 13-code cycle, so that
+    long contexts recur, in the model's own order."""
     k = 6
     codes = np.random.default_rng(22).integers(0, k, size=(25, 1))
-    streams = [rk.TokenStream(frames=frames, token_rate_hz=50.0, layers=1, codebook_size=k)
-               for frames in (codes, codes[:0])]
-    for order, label in ((1, "1"), (2, "2"), (3, "3"), (10**12, "huge")):
-        counts = rk.train_ngram_ar(streams, order=order)._counts
-        pairs = sorted(counts.items(), key=lambda pair: pair[0])
-        fp.arrays(f"lib/train-ngram-order-{label}",
-                  *(a for ctx, vec in pairs for a in (np.array([len(ctx), *ctx]), vec)))
+    rng = np.random.default_rng(23)
+    laps = np.tile(rng.integers(0, k, size=(13, 1)), (16, 1))[:200]
+    cases = (
+        ("order", (codes, codes[:0]), ((1, "1"), (2, "2"), (3, "3"), (10**12, "huge")), True),
+        ("streams-order", (rng.integers(0, k, size=(40, 1)), codes[:0], laps),
+         ((5, "5"), (17, "17"), (33, "33"), (10**12, "huge")), False),
+    )
+    for name, frames_list, orders, in_sorted_order in cases:
+        streams = [rk.TokenStream(frames=frames, token_rate_hz=50.0, layers=1, codebook_size=k)
+                   for frames in frames_list]
+        for order, label in orders:
+            pairs = rk.train_ngram_ar(streams, order=order)._counts.items()
+            if in_sorted_order:
+                pairs = sorted(pairs, key=lambda pair: pair[0])
+            fp.arrays(f"lib/train-ngram-{name}-{label}",
+                      *(a for ctx, vec in pairs for a in (np.array([len(ctx), *ctx]), vec)))
 
 
 def _oracle_check_cases(fp: Fingerprint, rk) -> None:
