@@ -51,9 +51,7 @@ for name, config in [
 print("\nrank-frequency head and tail (tokens from encoding the corpus):")
 for name, qz in quantizers.items():
     codes, _ = rvq_encode_batch(corpus, qz)
-    stream = TokenStream(
-        frames=codes, token_rate_hz=50.0, layers=1, codebook_size=K, source_id=name
-    )
+    stream = TokenStream(frames=codes, token_rate_hz=50.0, codebook_size=K, source_id=name)
     report = utilization([stream], layer=0)
     table = rank_frequency(report)
     zeros = [rank for rank, count in table if count == 0]

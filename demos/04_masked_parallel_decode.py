@@ -26,7 +26,6 @@ model = OracleScoreModel(truth, K, noise_seed=3)
 prompt = TokenStream(
     frames=truth[:10],
     token_rate_hz=50.0,
-    layers=N,
     codebook_size=K,
     source_id="demo",
 )

@@ -31,7 +31,6 @@ for i in range(6):
         TokenStream(
             frames=codes.reshape(-1, 1).astype(np.int32),
             token_rate_hz=50.0,
-            layers=1,
             codebook_size=K,
             source_id=f"train-{i}",
         )
@@ -67,7 +66,6 @@ nar = OracleNarModel(truth, codebook_size=K)
 prompt = TokenStream(
     frames=np.empty((0, N), dtype=np.int32),
     token_rate_hz=50.0,
-    layers=N,
     codebook_size=K,
     source_id="demo",
 )

@@ -11,35 +11,33 @@ from .rvq import TokenStream
 
 @dataclass
 class UtilizationReport:
-    """Code-usage counts for one layer across a set of streams."""
+    """Code-usage counts for one layer across a set of streams; the statistics derive from them."""
 
     layer: int
     counts: np.ndarray  # (K,) int64
-    total_frames: int
-    used_codes: int
-    utilization_fraction: float
-    entropy_bits: float
-    perplexity: float
 
-    @classmethod
-    def from_counts(cls, layer: int, counts: np.ndarray) -> "UtilizationReport":
-        counts = np.asarray(counts, dtype=np.int64)
-        total = int(counts.sum())
-        used = int((counts > 0).sum())
-        if total > 0:
-            p = counts[counts > 0] / total
-            entropy = float(-(p * np.log2(p)).sum())
-        else:
-            entropy = 0.0
-        return cls(
-            layer=layer,
-            counts=counts,
-            total_frames=total,
-            used_codes=used,
-            utilization_fraction=used / counts.shape[0],
-            entropy_bits=entropy,
-            perplexity=float(2.0**entropy),
-        )
+    @property
+    def total_frames(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def used_codes(self) -> int:
+        return int((self.counts > 0).sum())
+
+    @property
+    def utilization_fraction(self) -> float:
+        return self.used_codes / self.counts.shape[0]
+
+    @property
+    def entropy_bits(self) -> float:
+        if not self.total_frames:
+            return 0.0
+        p = self.counts[self.counts > 0] / self.total_frames
+        return float(-(p * np.log2(p)).sum())
+
+    @property
+    def perplexity(self) -> float:
+        return float(2.0**self.entropy_bits)
 
 
 def utilization(streams: list[TokenStream], layer: int) -> UtilizationReport:
@@ -62,7 +60,7 @@ def utilization(streams: list[TokenStream], layer: int) -> UtilizationReport:
     for s in streams:
         if s.num_frames:
             counts += np.bincount(s.frames[:, layer], minlength=k)
-    return UtilizationReport.from_counts(layer, counts)
+    return UtilizationReport(layer, counts)
 
 
 def rank_frequency(report: UtilizationReport) -> list[tuple[int, int]]:

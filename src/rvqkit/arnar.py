@@ -18,7 +18,7 @@ rejects truth codes outside [0, K) at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 import numpy as np
@@ -133,13 +133,7 @@ def generate_nar(model: NarModel, condition, prompt: TokenStream, layer1_codes) 
         "NAR layer-{}",
     )
 
-    return TokenStream(
-        frames=grid,
-        token_rate_hz=prompt.token_rate_hz,
-        layers=num_layers,
-        codebook_size=prompt.codebook_size,
-        source_id=prompt.source_id or "generated",
-    )
+    return replace(prompt, frames=grid, source_id=prompt.source_id or "generated")
 
 
 def generate_text_to_tokens(

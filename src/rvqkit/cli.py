@@ -82,7 +82,11 @@ def _parse_synth_spec(text: str, seed: int, latent_dim: int) -> CorpusSpec:
         key, raw = part.split("=", 1)
         if key not in fields:
             raise UsageError(f"--synth key {key!r} unknown (use modes,dims,sep,count)")
-        fields[key] = float(raw) if key == "sep" else int(raw)
+        try:
+            fields[key] = float(raw) if key == "sep" else int(raw)
+        except ValueError as exc:
+            kind = "a number" if key == "sep" else "an integer"
+            raise UsageError(f"--synth {key} must be {kind}, got {raw!r}") from exc
     if fields["dims"] != latent_dim:
         raise UsageError(f"--synth dims={fields['dims']} conflicts with --latent-dim {latent_dim}")
     return CorpusSpec(
@@ -172,13 +176,7 @@ def cmd_encode(args) -> int:
     vectors = rvqio.read_vectors(args.input).astype(np.float64)
 
     frames = _encode_frames(quantizer, vectors, args.threads)
-    stream = TokenStream(
-        frames=frames,
-        token_rate_hz=args.token_rate,
-        layers=quantizer.num_layers,
-        codebook_size=quantizer.codebook_size,
-        source_id=args.id,
-    )
+    stream = TokenStream(frames, args.token_rate, quantizer.codebook_size, args.id)
     rvqio.write_token_streams(args.out, [stream])
 
     k = quantizer.codebook_size
@@ -278,7 +276,6 @@ def _sim_inputs(args, num_frames: int, source_id: str):
     make_stream = partial(
         TokenStream,
         token_rate_hz=args.token_rate,
-        layers=args.layers,
         codebook_size=args.codebook_size,
         source_id=source_id,
     )

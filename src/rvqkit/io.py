@@ -188,7 +188,7 @@ def _stream_record(stream: TokenStream) -> str:
     record = {
         "id": stream.source_id,
         "token_rate_hz": float(stream.token_rate_hz),
-        "layers": int(stream.layers),
+        "layers": stream.layers,
         "codebook_size": int(stream.codebook_size),
         "codes": stream.frames.tolist(),
     }
@@ -202,7 +202,7 @@ def write_token_streams(path: str, streams: list[TokenStream]) -> None:
 
 def _frames(codes, layers: int, line: str) -> np.ndarray:
     """A record's codes as an array; an empty JSON list is zero `layers`-wide
-    frames. `TokenStream` checks the shape, the dtype and the range.
+    frames. The reader checks the width, `TokenStream` the rest.
 
     `np.asarray` turns booleans mixed with integers into integers, so they
     are looked for in the frames first, but only in lines that spell a JSON
@@ -316,19 +316,17 @@ def read_token_streams(path: str) -> list[TokenStream]:
             try:
                 layers, codebook_size = record["layers"], record["codebook_size"]
                 rate, source_id = record["token_rate_hz"], record["id"]
-                if type(layers) is not int or type(codebook_size) is not int:
+                # Checks on what a record declares but a stream does not store.
+                if type(layers) is not int:
                     raise ValueError("layers and codebook_size must be integers")
                 if type(rate) not in (int, float):
                     raise ValueError("token_rate_hz must be a number")
-                if type(source_id) is not str:
-                    raise ValueError("id must be a string")
-                stream = TokenStream(
-                    frames=_frames(record["codes"], layers, line),
-                    token_rate_hz=float(rate),
-                    layers=layers,
-                    codebook_size=codebook_size,
-                    source_id=source_id,
-                )
+                if layers < 1:
+                    raise ValueError("layers must be >= 1")
+                frames = _frames(record["codes"], layers, line)
+                if frames.ndim == 2 and frames.shape[1] != layers:
+                    raise ValueError(f"frame width {frames.shape[1]} does not match {layers=}")
+                stream = TokenStream(frames, float(rate), codebook_size, source_id)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
             streams.append(stream)

@@ -20,7 +20,7 @@ in `arnar.generate_nar`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 import numpy as np
@@ -203,14 +203,7 @@ def generate_parallel(
         unconditional_passes=schedule.iterations_layer1,
         commit_counts=commit_counts,
     )
-    stream = TokenStream(
-        frames=grid,
-        token_rate_hz=prompt.token_rate_hz,
-        layers=num_layers,
-        codebook_size=k,
-        source_id=prompt.source_id or "generated",
-    )
-    return stream, stats
+    return replace(prompt, frames=grid, source_id=prompt.source_id or "generated"), stats
 
 
 class OracleScoreModel:

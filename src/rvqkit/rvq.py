@@ -8,8 +8,8 @@ decode time the sum of the looked-up entries is mapped back once through the
 out-projection. Encode and decode are pure over an immutable quantizer and
 safe to parallelize across frames.
 
-A token frame is a plain length-N integer array of per-layer codes; streams
-bundle frames with their rate metadata.
+A token frame is a plain length-N integer array of per-layer codes; a stream
+is a (T, N) grid of frames with its rate metadata.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from .vq import Codebook, ProjectionPair, nearest_codes
 PLAIN = "plain"
 PROJECTED = "projected"
 SCHEMES = (PLAIN, PROJECTED)
-
-# A token frame is just a 1-D integer array of length num_layers.
-TokenFrame = np.ndarray
 
 
 @dataclass
@@ -101,13 +98,14 @@ class RvqQuantizer:
 class TokenStream:
     """Per-utterance token frames plus rate metadata.
 
-    frames is a (T, num_layers) int32 array; T may be zero. It is given as
-    any integer array, checked against [0, codebook_size) before the cast.
+    frames is a (T, layers) int32 array; T may be zero, `layers` may not.
+    It is given as any integer array, checked against [0, codebook_size)
+    before the cast. A stream that passes `validate` reads back equal from
+    the token file it is written to.
     """
 
     frames: np.ndarray
     token_rate_hz: float
-    layers: int
     codebook_size: int
     source_id: str = ""
 
@@ -120,19 +118,25 @@ class TokenStream:
     def num_frames(self) -> int:
         return self.frames.shape[0]
 
+    @property
+    def layers(self) -> int:
+        return self.frames.shape[1]
+
     def validate(self) -> None:
+        if isinstance(self.codebook_size, bool) or not isinstance(
+            self.codebook_size, (int, np.integer)
+        ):
+            raise ValueError("layers and codebook_size must be integers")
+        if not isinstance(self.source_id, str):
+            raise ValueError("id must be a string")
         if not 0 < self.token_rate_hz < math.inf:
             raise ValueError("token_rate_hz must be positive and finite")
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
         if self.codebook_size < 1:
             raise ValueError("codebook_size must be >= 1")
         if self.frames.ndim != 2:
             raise ValueError(f"frames must be a (T, layers) matrix, got shape {self.frames.shape}")
-        if self.frames.shape[1] != self.layers:
-            raise ValueError(
-                f"frame width {self.frames.shape[1]} does not match layers={self.layers}"
-            )
+        if self.layers < 1:
+            raise ValueError("layers must be >= 1")
         if self.frames.dtype.kind not in "iu":
             raise ValueError(f"codes must be integers, got {self.frames.dtype}")
         if self.frames.size and (self.frames.min() < 0 or self.frames.max() >= self.codebook_size):
@@ -150,23 +154,20 @@ class EncodeTrace:
     residual_norms: np.ndarray
 
 
-def residual_codes(residual, entries, nearest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def residual_codes(residual, entries, nearest) -> tuple[np.ndarray, np.ndarray]:
     """The residual recursion over (rows, q) residuals.
 
     Layer n looks up one code per row with `nearest(residual, n)` and
     subtracts those rows of `entries[n]`, its (K, q) entry matrix, from the
-    running residual. Returns the (rows, N) int32 codes, the (rows, N)
-    residual norms after each layer and the final (rows, q) residual.
+    running residual. Returns the (rows, N) int32 codes and the final
+    (rows, q) residual.
     """
     codes = np.empty((residual.shape[0], len(entries)), dtype=np.int32)
-    norms = np.empty((residual.shape[0], len(entries)))
     for n, layer_entries in enumerate(entries):
         idx = nearest(residual, n)
         residual = residual - layer_entries[idx]
         codes[:, n] = idx
-        # Row-wise dot products, summed as `np.linalg.norm` sums one vector.
-        norms[:, n] = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0])
-    return codes, norms, residual
+    return codes, residual
 
 
 def entry_sum(entries, codes: np.ndarray) -> np.ndarray:
@@ -177,21 +178,26 @@ def entry_sum(entries, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _encode_rows(latents: np.ndarray, quantizer: RvqQuantizer):
-    """Run the recursion on (T, d) latents, in quantization space when projected."""
+def _encode_rows(latents: np.ndarray, quantizer: RvqQuantizer, layer_inputs=None):
+    """Run the recursion on (T, d) latents, in quantization space when
+    projected, appending each layer's input residual to `layer_inputs` if given."""
     if quantizer.scheme == PROJECTED:
         # Projecting would turn Inf into NaN; the lookup rejects the rest.
         if not np.isfinite(latents).all():
             raise ValueError("latents must be finite")
         latents = latents @ quantizer.projections[0].proj_in
     layers = quantizer.layers
-    return residual_codes(
-        latents, [layer.entries for layer in layers], lambda r, n: nearest_codes(r, layers[n])[0]
-    )
+
+    def nearest(residual, n):
+        if layer_inputs is not None:
+            layer_inputs.append(residual)
+        return nearest_codes(residual, layers[n])[0]
+
+    return residual_codes(latents, [layer.entries for layer in layers], nearest)
 
 
-def rvq_encode(latent, quantizer: RvqQuantizer) -> tuple[TokenFrame, EncodeTrace]:
-    """Quantize one latent vector into per-layer codes.
+def rvq_encode(latent, quantizer: RvqQuantizer) -> tuple[np.ndarray, EncodeTrace]:
+    """Quantize one latent vector into its frame of per-layer codes.
 
     Plain scheme: the residual starts at the latent and each layer subtracts
     its looked-up entry. Projected scheme: the latent is projected once into
@@ -202,8 +208,13 @@ def rvq_encode(latent, quantizer: RvqQuantizer) -> tuple[TokenFrame, EncodeTrace
         raise ValueError(
             f"latent shape {latent.shape} does not match latent_dim {quantizer.latent_dim}"
         )
-    codes, norms, _ = _encode_rows(latent[None, :], quantizer)
-    return codes[0], EncodeTrace(residual_norms=norms[0])
+    layer_inputs = []
+    codes, residual = _encode_rows(latent[None, :], quantizer, layer_inputs)
+    # The residual after layer n is layer n+1's input; after the last, the final one.
+    after = np.concatenate(layer_inputs[1:] + [residual])
+    # Row-wise dot products, summed as `np.linalg.norm` sums one vector.
+    norms = np.sqrt(np.matmul(after[:, None, :], after[:, :, None])[:, 0, 0])
+    return codes[0], EncodeTrace(residual_norms=norms)
 
 
 def rvq_encode_batch(latents, quantizer: RvqQuantizer) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +224,7 @@ def rvq_encode_batch(latents, quantizer: RvqQuantizer) -> tuple[np.ndarray, np.n
         raise ValueError(
             f"latent dim {latents.shape[1]} does not match latent_dim {quantizer.latent_dim}"
         )
-    codes, _, residual = _encode_rows(latents, quantizer)
-    return codes, residual
+    return _encode_rows(latents, quantizer)
 
 
 def rvq_decode(frame, quantizer: RvqQuantizer, num_layers: int | None = None) -> np.ndarray:

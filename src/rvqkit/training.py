@@ -301,7 +301,7 @@ def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator
 
         # No lookup reads an updated codebook (layer n+1 never sees layer n's
         # update), so updating every layer after the recursion is exact.
-        codes, _, residual = residual_codes(batch, entries, nearest)
+        codes, residual = residual_codes(batch, entries, nearest)
         for n in range(config.num_layers):
             layers[n] = ema_update(layers[n], layer_inputs[n], codes[:, n], decay=config.decay)
         mse[step] = float((residual**2).sum()) / config.batch_size

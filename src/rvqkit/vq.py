@@ -98,7 +98,8 @@ class Codebook:
     entries:          (K, q) code vectors in quantization space
     ema_cluster_size: (K,) moving average of per-code assignment counts
     ema_embed_sum:    (K, q) moving average of per-code assigned-vector sums
-    usage_counts:     (K,) integer assignments since the last counter reset
+    usage_counts:     (K,) integer assignments, summed by every `ema_update`;
+                      only a restart of that code clears its count
     metric:           "euclidean" or "cosine"
     """
 
@@ -571,7 +572,9 @@ def restart_dead_codes(
     threshold: int = 1,
     rng=0,
 ) -> tuple[Codebook, int]:
-    """Replace codes used fewer than `threshold` times since the last reset.
+    """Replace codes used fewer than `threshold` times in all updates since
+    the codebook was built or the code last restarted: `ema_update` only
+    adds to a count, so a code ever assigned stays above threshold 1.
 
     Replacement entries are drawn uniformly from `batch` (without replacement
     while the batch lasts). Each restarted code gets EMA statistics (1, entry)

@@ -64,7 +64,6 @@ def empty_prompt(layers, k):
     return TokenStream(
         frames=np.empty((0, layers), dtype=np.int32),
         token_rate_hz=50.0,
-        layers=layers,
         codebook_size=k,
         source_id="acceptance",
     )
@@ -236,7 +235,7 @@ def test_criterion_6b_rank_frequency_knee(collapse_runs):
 
             codes, _ = rvq_encode_batch(corpus, qz)
             stream = TokenStream(
-                frames=codes, token_rate_hz=50.0, layers=1, codebook_size=1024, source_id="c"
+                frames=codes, token_rate_hz=50.0, codebook_size=1024, source_id="c"
             )
             table = rank_frequency(utilization([stream], 0))
             zeros = [rank for rank, count in table if count == 0]
@@ -295,7 +294,6 @@ def test_criterion_9_temperature_hallucination_ordering():
                 TokenStream(
                     frames=codes.reshape(-1, 1).astype(np.int32),
                     token_rate_hz=50.0,
-                    layers=1,
                     codebook_size=k,
                     source_id=f"train-{i}",
                 )

@@ -1,16 +1,16 @@
 """Utilization counting, entropy, and rank-frequency ordering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rvqkit import TokenStream, rank_frequency, utilization
+from rvqkit import TokenStream, UtilizationReport, rank_frequency, utilization
 
 
 def stream_from_codes(codes, k=4, layers=1, rate=50.0, source="s"):
     frames = np.asarray(codes, dtype=np.int32).reshape(-1, layers)
-    return TokenStream(
-        frames=frames, token_rate_hz=rate, layers=layers, codebook_size=k, source_id=source
-    )
+    return TokenStream(frames=frames, token_rate_hz=rate, codebook_size=k, source_id=source)
 
 
 class TestUtilization:
@@ -35,6 +35,16 @@ class TestUtilization:
         assert report.used_codes == 3
         assert report.utilization_fraction == pytest.approx(0.75)
         assert report.total_frames == 4
+
+    def test_report_is_its_counts(self):
+        # Only the layer and the counts are stored; every statistic is
+        # derived from the counts, as the Python number the CLI prints.
+        report = UtilizationReport(0, np.array([1, 2, 0, 1], dtype=np.int64))
+        assert [f.name for f in dataclasses.fields(report)] == ["layer", "counts"]
+        stats = (report.total_frames, report.used_codes, report.utilization_fraction,
+                 report.entropy_bits, report.perplexity)
+        assert stats == (4, 3, 0.75, 1.5, 2.0**1.5)
+        assert [type(v) for v in stats] == [int, int, float, float, float]
 
     def test_uniform_entropy_approaches_log2k(self):
         k = 64
@@ -77,7 +87,7 @@ class TestUtilization:
 
     def test_layer_slicing(self):
         frames = np.array([[0, 3], [1, 3], [0, 2]], dtype=np.int32)
-        stream = TokenStream(frames=frames, token_rate_hz=50.0, layers=2, codebook_size=4)
+        stream = TokenStream(frames=frames, token_rate_hz=50.0, codebook_size=4)
         assert utilization([stream], layer=0).counts.tolist() == [2, 1, 0, 0]
         assert utilization([stream], layer=1).counts.tolist() == [0, 0, 1, 2]
 

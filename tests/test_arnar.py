@@ -37,9 +37,7 @@ def cycling_model(k, steps, margin=50.0):
 
 def make_stream(codes, k, layers=1, rate=50.0, source="s"):
     frames = np.asarray(codes, dtype=np.int32).reshape(-1, layers)
-    return TokenStream(
-        frames=frames, token_rate_hz=rate, layers=layers, codebook_size=k, source_id=source
-    )
+    return TokenStream(frames=frames, token_rate_hz=rate, codebook_size=k, source_id=source)
 
 
 def reference_train_ngram_ar(streams, order):
@@ -337,7 +335,6 @@ class TestComposition:
         prompt = TokenStream(
             frames=np.empty((0, 4), dtype=np.int32),
             token_rate_hz=50.0,
-            layers=4,
             codebook_size=10,
             source_id="t",
         )
@@ -354,7 +351,6 @@ class TestComposition:
         prompt = TokenStream(
             frames=np.empty((0, 8), dtype=np.int32),
             token_rate_hz=50.0,
-            layers=8,
             codebook_size=9,
             source_id="t",
         )
@@ -367,7 +363,6 @@ class TestComposition:
         prompt = TokenStream(
             frames=np.empty((0, 2), dtype=np.int32),
             token_rate_hz=50.0,
-            layers=2,
             codebook_size=8,
             source_id="t",
         )
@@ -390,7 +385,6 @@ class TestComposition:
         prompt = TokenStream(
             frames=np.empty((0, 3), dtype=np.int32),
             token_rate_hz=50.0,
-            layers=3,
             codebook_size=k,
             source_id="t",
         )

@@ -354,7 +354,7 @@ def _multi_stream_quantizer(scheme):
 def _streams(frames_per_stream, layers, k, rng):
     return [
         TokenStream(frames=rng.integers(0, k, size=(n, layers)).astype(np.int32),
-                    token_rate_hz=50.0, layers=layers, codebook_size=k, source_id=f"s{i}")
+                    token_rate_hz=50.0, codebook_size=k, source_id=f"s{i}")
         for i, n in enumerate(frames_per_stream)
     ]
 
@@ -403,8 +403,8 @@ class TestMultiStreamDecode:
         book = self._overflow_book(tmp_path)
         frames = [np.zeros((5, 2)), np.array([[0, 0], [1, 1], [0, 1]]), np.zeros((0, 2)),
                   np.zeros((4, 2))]
-        streams = [TokenStream(frames=f.astype(np.int32), token_rate_hz=50.0, layers=2,
-                               codebook_size=2, source_id=f"s{i}") for i, f in enumerate(frames)]
+        streams = [TokenStream(frames=f.astype(np.int32), token_rate_hz=50.0, codebook_size=2,
+                               source_id=f"s{i}") for i, f in enumerate(frames)]
         code, err = self._decode_keeps_old_out(tmp_path, capsys, book, streams)
         assert code == 4 and "float32" in err
 
@@ -412,7 +412,7 @@ class TestMultiStreamDecode:
     def test_later_mismatch_is_exit_3_before_an_overflow(self, tmp_path, capsys, layers, k):
         book = self._overflow_book(tmp_path)
         overflow = TokenStream(frames=np.ones((2, 2), dtype=np.int32), token_rate_hz=50.0,
-                               layers=2, codebook_size=2, source_id="overflow")
+                               codebook_size=2, source_id="overflow")
         streams = _streams((0, 3), 2, 2, np.random.default_rng(1))
         streams += [overflow] + _streams((4,), layers, k, np.random.default_rng(2))
         code, err = self._decode_keeps_old_out(tmp_path, capsys, book, streams)
@@ -619,7 +619,7 @@ class TestArnarSim:
         train = tmp_path / "train.jsonl"
         codes = np.random.default_rng(11).integers(0, 4, size=(frames, 1))
         write_token_streams(str(train), [TokenStream(
-            frames=codes, token_rate_hz=50.0, layers=1, codebook_size=4, source_id="t",
+            frames=codes, token_rate_hz=50.0, codebook_size=4, source_id="t",
         )])
         outputs = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -636,8 +636,8 @@ class TestArnarSim:
     def test_ngram_with_empty_support_file_is_all_outside(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
         write_token_streams(str(train), [TokenStream(
-            frames=np.arange(40).reshape(40, 1) % 8, token_rate_hz=50.0, layers=1,
-            codebook_size=8, source_id="t",
+            frames=np.arange(40).reshape(40, 1) % 8, token_rate_hz=50.0, codebook_size=8,
+            source_id="t",
         )])
         support = tmp_path / "empty.jsonl"
         support.write_text("")
@@ -910,6 +910,22 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "synth, message",
+        [
+            ("modes=abc", "--synth modes must be an integer, got 'abc'"),
+            ("modes=4,count=1e3", "--synth count must be an integer, got '1e3'"),
+            ("modes=4,sep=x", "--synth sep must be a number, got 'x'"),
+            ("modes=4,dims", "--synth entry 'dims' is not key=value"),
+            ("modes=4,size=3", "--synth key 'size' unknown (use modes,dims,sep,count)"),
+        ],
+    )
+    def test_train_bad_synth_spec_is_a_usage_error(self, tmp_path, capsys, synth, message):
+        out = tmp_path / "q.rvqc"
+        code, _, err = run(capsys, "train", "--synth", synth, "--out", str(out))
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             (["--codebook-size", "0"], "codebook_size must be >= 1"),
@@ -1025,7 +1041,7 @@ def _valid_files(root: Path, projected: bool) -> dict:
     save_quantizer(paths["rvqc"], quantizer)
     write_vectors(paths["rvqv"], rng.normal(size=(1100, d)))  # two chunks for --threads 2
     frames = rng.integers(0, 4, size=(5, 2))
-    write_token_streams(paths["jsonl"], [TokenStream(frames, 50.0, 2, 4, "t")])
+    write_token_streams(paths["jsonl"], [TokenStream(frames, 50.0, 4, "t")])
     return paths
 
 

@@ -230,7 +230,6 @@ class TestTokenStreamFile:
             TokenStream(
                 frames=rng.integers(0, 16, size=(n, 3)).astype(np.int32),
                 token_rate_hz=50.0,
-                layers=3,
                 codebook_size=16,
                 source_id=f"utt-{i}",
             )
@@ -247,6 +246,33 @@ class TestTokenStreamFile:
             assert a.token_rate_hz == b.token_rate_hz
         write_token_streams(path, loaded)
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("source_id, codebook_size, message", [
+        (5, 4, "id must be a string"),
+        (None, 4, "id must be a string"),
+        ("s", 4.5, "codebook_size must be integers"),
+        ("s", True, "codebook_size must be integers"),
+    ])
+    def test_unreadable_stream_is_not_built(self, source_id, codebook_size, message):
+        # The reader would reject its record, so the stream is never written.
+        with pytest.raises(ValueError, match=message):
+            TokenStream(np.zeros((2, 1), dtype=np.int32), 50.0, codebook_size, source_id)
+
+    @pytest.mark.parametrize("frames, rate, codebook_size, source_id", [
+        (np.array([[3], [0]], dtype=np.uint8), 50, np.int64(4), "np.int64 K"),
+        (np.empty((0, 3), dtype=np.int64), 12.5, 7, ""),
+        (np.array([[2, 0, 1]]), np.float32(75.5), np.uint16(3), "ü \"quoted\""),
+    ])
+    def test_every_built_stream_reads_back(self, tmp_path, frames, rate, codebook_size,
+                                           source_id):
+        stream = TokenStream(frames, rate, codebook_size, source_id)
+        path = tmp_path / "t.jsonl"
+        write_token_streams(path, [stream])
+        [loaded] = read_token_streams(path)
+        fields = ("token_rate_hz", "codebook_size", "source_id", "layers", "num_frames")
+        assert [getattr(loaded, f) for f in fields] == [getattr(stream, f) for f in fields]
+        assert loaded.frames.dtype == stream.frames.dtype == np.int32
+        np.testing.assert_array_equal(loaded.frames, stream.frames)
 
     def test_rejects_out_of_range_codes(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -423,7 +449,7 @@ class TestCompactCodesParser:
         rng = np.random.default_rng(108)
         streams = [
             TokenStream(frames=rng.integers(0, k, size=(n, layers)), token_rate_hz=75.0,
-                        layers=layers, codebook_size=k, source_id=f"utt-{n}")
+                        codebook_size=k, source_id=f"utt-{n}")
             for n, layers, k in ((1, 1, 1), (7, 3, 10), (40, 8, 1024), (3, 2, 999_999_999))
         ]
         path = tmp_path / "t.jsonl"
@@ -555,7 +581,7 @@ class TestAtomicity:
         lambda path: write_vectors(path, np.ones((300, 7))),
         lambda path: save_quantizer(path, projected_quantizer(np.random.default_rng(103))),
         lambda path: write_token_streams(path, [
-            TokenStream(frames=np.zeros((n, 2), dtype=np.int32), token_rate_hz=50.0, layers=2,
+            TokenStream(frames=np.zeros((n, 2), dtype=np.int32), token_rate_hz=50.0,
                         codebook_size=4, source_id=str(n)) for n in (3, 0, 5)]),
     ], ids=["vectors", "codebook", "tokens"])
     def test_failed_rename_keeps_target_and_removes_temp(self, tmp_path, monkeypatch, write):

@@ -33,7 +33,6 @@ def empty_prompt(layers, k, rate=50.0):
     return TokenStream(
         frames=np.empty((0, layers), dtype=np.int32),
         token_rate_hz=rate,
-        layers=layers,
         codebook_size=k,
         source_id="test",
     )
@@ -154,7 +153,6 @@ class TestGenerateParallel:
         prompt = TokenStream(
             frames=model.truth[:6],
             token_rate_hz=50.0,
-            layers=3,
             codebook_size=10,
             source_id="p",
         )
@@ -184,7 +182,7 @@ class TestGenerateParallel:
         inner = random_oracle(15, 4, 8, 5)
         model = RecordingModel(inner)
         prompt = TokenStream(
-            frames=inner.truth[:4], token_rate_hz=50.0, layers=4, codebook_size=8, source_id="p"
+            frames=inner.truth[:4], token_rate_hz=50.0, codebook_size=8, source_id="p"
         )
         generate_parallel(model, np.arange(15), prompt, 15, DecodeSchedule(rng_seed=5))
         for grid, target_layer, mode in model.calls:
@@ -242,7 +240,7 @@ class TestGenerateParallel:
     def test_prompt_too_long_rejected(self):
         model = random_oracle(10, 2, 4, 0)
         prompt = TokenStream(
-            frames=model.truth, token_rate_hz=50.0, layers=2, codebook_size=4, source_id="p"
+            frames=model.truth, token_rate_hz=50.0, codebook_size=4, source_id="p"
         )
         with pytest.raises(ValueError):
             generate_parallel(model, np.arange(10), prompt, 10, DecodeSchedule())
@@ -293,7 +291,7 @@ class TestDeeperLayerPass:
                 return table[target_layer, p:]
 
         prompt = TokenStream(
-            frames=expected[:p], token_rate_hz=50.0, layers=layers, codebook_size=k, source_id="p"
+            frames=expected[:p], token_rate_hz=50.0, codebook_size=k, source_id="p"
         )
         parallel, _ = generate_parallel(
             FixedScores(), np.arange(frames), prompt, frames, DecodeSchedule(rng_seed=4)

@@ -35,6 +35,22 @@ def reference_encode(latent, entries_per_layer):
     return codes, residual, norms
 
 
+def residual_chain(start, codes, entries_per_layer):
+    """`np.linalg.norm` of the residual after each layer, and the final
+    residual, when `codes` are subtracted from `start` layer by layer."""
+    residual = start
+    norms = []
+    for code, entries in zip(codes, entries_per_layer):
+        residual = residual - entries[code]
+        norms.append(float(np.linalg.norm(residual)))
+    return norms, residual
+
+
+def quantization_input(latents, qz):
+    """(T, d) latents as the recursion's (T, q) starting residuals."""
+    return latents @ qz.projections[0].proj_in if qz.scheme == "projected" else latents
+
+
 def random_plain_quantizer(rng, num_layers=3, k=16, dim=6, scale=1.0):
     layers = [
         Codebook.from_entries(rng.normal(size=(k, dim)) * scale) for _ in range(num_layers)
@@ -90,21 +106,28 @@ class TestEncode:
             codes, trace = rvq_encode(latent, qz)
             ref_codes, ref_residual, ref_norms = reference_encode(latent, entries)
             assert codes.tolist() == ref_codes
-            np.testing.assert_allclose(trace.residual_norms, ref_norms, rtol=1e-9)
+            assert trace.residual_norms.tolist() == ref_norms
 
     def test_batch_matches_single(self):
-        # Both schemes: plain Euclidean and projected cosine.
+        # Both schemes: plain Euclidean and projected cosine. A one-frame
+        # trace holds `np.linalg.norm` of the residual after every layer,
+        # bit for bit; the batch's final residuals are those of its own
+        # (T, q) starting rows, which the projection may round differently
+        # from a single row.
         rng = np.random.default_rng(22)
         for make_quantizer in (random_plain_quantizer, random_projected_cosine_quantizer):
             qz = make_quantizer(rng)
+            entries = [layer.entries for layer in qz.layers]
             latents = rng.normal(size=(40, 6))
             batch_codes, batch_residuals = rvq_encode_batch(latents, qz)
+            starts = quantization_input(latents, qz)
             for i, latent in enumerate(latents):
                 codes, trace = rvq_encode(latent, qz)
                 assert batch_codes[i].tolist() == codes.tolist()
-                assert np.linalg.norm(batch_residuals[i]) == pytest.approx(
-                    trace.residual_norms[-1], rel=1e-9, abs=1e-12
-                )
+                norms, _ = residual_chain(quantization_input(latent[None, :], qz)[0], codes, entries)
+                assert trace.residual_norms.tolist() == norms
+                _, residual = residual_chain(starts[i], codes, entries)
+                np.testing.assert_array_equal(batch_residuals[i], residual)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(0)
@@ -365,12 +388,12 @@ class TestTokenStream:
         # 2**32 + 1 would wrap to 1 and 1.9 truncate to 1 in an int32 cast.
         for frames in ([[0, 9]], [[2**32 + 1, 3]], [[-1, 3]], [[1.9, 3.2]], [[True, False]]):
             with pytest.raises(ValueError, match="codes must"):
-                TokenStream(frames=np.array(frames), token_rate_hz=50.0, layers=2, codebook_size=8)
+                TokenStream(frames=np.array(frames), token_rate_hz=50.0, codebook_size=8)
 
     def test_frames_are_int32(self):
         for dtype in (np.uint8, np.int32, np.int64, np.uint64):
             s = TokenStream(
-                frames=np.array([[0, 7]], dtype=dtype), token_rate_hz=50.0, layers=2, codebook_size=8
+                frames=np.array([[0, 7]], dtype=dtype), token_rate_hz=50.0, codebook_size=8
             )
             assert s.frames.dtype == np.int32 and s.frames.tolist() == [[0, 7]]
 
@@ -378,13 +401,24 @@ class TestTokenStream:
         s = TokenStream(
             frames=np.empty((0, 3), dtype=np.int32),
             token_rate_hz=50.0,
-            layers=3,
             codebook_size=16,
         )
         assert s.num_frames == 0
+
+    def test_layers_is_the_frame_width(self):
+        s = TokenStream(np.zeros((4, 3), dtype=np.int32), 50.0, 8)
+        assert s.layers == 3
+        with pytest.raises(ValueError, match="layers must be >= 1"):
+            TokenStream(np.zeros((4, 0), dtype=np.int32), 50.0, 8)
+        # There is no `layers` to give: a keyword or a stale positional call fails.
+        with pytest.raises(TypeError):
+            TokenStream(frames=np.zeros((4, 3), dtype=np.int32), token_rate_hz=50.0,
+                        layers=3, codebook_size=8)
+        with pytest.raises(TypeError):
+            TokenStream(np.zeros((4, 3), dtype=np.int32), 50.0, 3, 8, "t")
 
     def test_frames_must_be_two_dimensional(self):
         # No regrouping: flat or 3-D frames are rejected, not reshaped.
         for frames in ([0, 1, 2, 3], [[[0, 1]], [[2, 3]]], 5):
             with pytest.raises(ValueError, match="frames must be"):
-                TokenStream(frames=frames, token_rate_hz=50.0, layers=2, codebook_size=8)
+                TokenStream(frames=frames, token_rate_hz=50.0, codebook_size=8)

@@ -162,8 +162,8 @@ def _multi_stream_decode_case(fp: Fingerprint, rk, books: dict) -> None:
         rng = np.random.default_rng(2049)
         streams = [rk.TokenStream(frames=rng.integers(0, quantizer.codebook_size,
                                                       size=(n, quantizer.num_layers)),
-                                  token_rate_hz=50.0, layers=quantizer.num_layers,
-                                  codebook_size=quantizer.codebook_size, source_id=f"s{i}")
+                                  token_rate_hz=50.0, codebook_size=quantizer.codebook_size,
+                                  source_id=f"s{i}")
                    for i, n in enumerate((0, 700, 0, 1, 2049, 0))]
         case, tokens, out = (f"{name}/decode-multi-stream", f"{name}-multi-stream.jsonl",
                              f"{name}-decode-multi-stream.rvqv")
@@ -383,8 +383,7 @@ def _generator_cases(fp: Fingerprint, rk) -> None:
     rng = np.random.default_rng(21)
     truth = rng.integers(0, k, size=(24, layers)).astype(np.int32)
     condition = np.arange(24)
-    prompt = rk.TokenStream(frames=truth[:3], token_rate_hz=50.0, layers=layers,
-                            codebook_size=k, source_id="fp")
+    prompt = rk.TokenStream(frames=truth[:3], token_rate_hz=50.0, codebook_size=k, source_id="fp")
     eos = rk.OracleArModel(np.empty(0, dtype=np.int64), k)
     fp.arrays("lib/generate-ar-empty-truth",
               rk.generate_ar(eos, condition, truth[:3, 0], rk.GenConfig(max_frames=10)))
@@ -411,7 +410,7 @@ def _generator_cases(fp: Fingerprint, rk) -> None:
         stream = rk.generate_nar(nar, condition, prompt, truth[3:, 0], *extra)
         fp.arrays(f"lib/generate-nar-margin-{margin:g}", stream.frames)
     empty = rk.TokenStream(frames=np.empty((0, layers), dtype=np.int32), token_rate_hz=25.0,
-                           layers=layers, codebook_size=k)
+                           codebook_size=k)
     stream = rk.generate_nar(rk.OracleNarModel(truth, codebook_size=k), condition, empty,
                              truth[:, 0], *extra)
     fp.arrays("lib/generate-nar-empty-prompt", stream.frames, stream.token_rate_hz,
@@ -437,7 +436,7 @@ def _ngram_cases(fp: Fingerprint, rk) -> None:
          ((5, "5"), (17, "17"), (33, "33"), (10**12, "huge")), False),
     )
     for name, frames_list, orders, in_sorted_order in cases:
-        streams = [rk.TokenStream(frames=frames, token_rate_hz=50.0, layers=1, codebook_size=k)
+        streams = [rk.TokenStream(frames=frames, token_rate_hz=50.0, codebook_size=k)
                    for frames in frames_list]
         for order, label in orders:
             pairs = rk.train_ngram_ar(streams, order=order)._counts.items()
