@@ -51,7 +51,7 @@ print(f"  target was {target}\n")
 # --- Dead-code restart ------------------------------------------------------
 print(f"usage counts after the EMA run: {cb.usage_counts}")
 batch = target + 0.05 * rng.standard_normal((32, 2))
-cb2, revived = restart_dead_codes(cb, batch, threshold=1, rng=7)
+cb2, revived = restart_dead_codes(cb, batch, rng=7)
 print(f"restart revived {revived} dead codes; their entries are now batch members:")
 for i in (1, 2, 3):
     print(f"  code {i}: {np.round(cb2.entries[i], 4)}")

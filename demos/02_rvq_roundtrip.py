@@ -28,10 +28,10 @@ stack = [
 qz = RvqQuantizer(layers=stack, latent_dim=dim)
 
 latent = rng.normal(size=dim) * 2.0
-codes, trace = rvq_encode(latent, qz)
+codes, norms = rvq_encode(latent, qz)
 print(f"latent norm {np.linalg.norm(latent):.4f}")
 print(f"codes per layer: {codes.tolist()}")
-print("residual norm after each layer:", np.round(trace.residual_norms, 4))
+print("residual norm after each layer:", np.round(norms, 4))
 
 recon = rvq_decode(codes, qz)
 print(f"reconstruction error: {np.linalg.norm(latent - recon):.4f}")
@@ -51,9 +51,9 @@ proj_qz = RvqQuantizer(
     layers=proj_stack, latent_dim=d, scheme="projected", projections=[pair, pair]
 )
 x = rng.normal(size=d)
-codes, trace = rvq_encode(x, proj_qz)
+codes, norms = rvq_encode(x, proj_qz)
 print(f"projected scheme: {d}-dim latent quantized in a {q}-dim lookup space")
-print(f"codes {codes.tolist()}, q-space residual norms {np.round(trace.residual_norms, 4)}")
+print(f"codes {codes.tolist()}, q-space residual norms {np.round(norms, 4)}")
 print()
 
 # --- Bitrate table -------------------------------------------------------------

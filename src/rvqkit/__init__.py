@@ -46,7 +46,6 @@ from .mlm import (
     generate_parallel,
 )
 from .rvq import (
-    EncodeTrace,
     RvqQuantizer,
     TokenStream,
     bitrate_bps,
@@ -85,7 +84,6 @@ __all__ = [
     "CorpusSpec",
     "DecodeSchedule",
     "EmptyGenerationError",
-    "EncodeTrace",
     "FormatError",
     "GenConfig",
     "GenerationStats",

@@ -5,12 +5,14 @@ Every random draw in the toolkit goes through a `numpy.random.Generator`:
 what a generation model returns, and both token generators draw with
 `sample_rows` and fill layers 2..N with `greedy_layers`. The toy oracles
 check their inputs with `finite_margin` and `checked_truth` and build their
-logits with `peaked_logits`.
+logits with `peaked_logits`. `positive_finite` is the one check on every
+rate, temperature, learning rate, separation and smoothing value.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -51,6 +53,16 @@ def finite_margin(margin) -> float:
     if not math.isfinite(margin):
         raise ValueError("margin must be finite")
     return margin
+
+
+def positive_finite(value, name: str) -> float:
+    """`value` as a float; ValueError unless it is a real number, not a
+    bool, in (0, inf)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
 
 
 def checked_truth(truth, codebook_size: int, dtype) -> np.ndarray:

@@ -17,7 +17,6 @@ rejects truth codes outside [0, K) at construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Protocol
 
@@ -30,6 +29,7 @@ from ._rng import (
     finite_margin,
     greedy_layers,
     peaked_logits,
+    positive_finite,
     sample_rows,
 )
 from .errors import EmptyGenerationError
@@ -63,8 +63,7 @@ class GenConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.temperature < math.inf:
-            raise ValueError("temperature must be positive and finite")
+        self.temperature = positive_finite(self.temperature, "temperature")
         if self.max_frames < 1:
             raise ValueError("max_frames must be >= 1")
 
@@ -73,14 +72,12 @@ class GenConfig:
 class ArNarStats:
     ar_steps: int
     nar_passes: int
-    eos_terminated: bool
 
 
 def sample_with_temperature(logits, temperature: float, rng) -> int:
     """Draw an index from softmax(logits / temperature)."""
     logits = np.array(logits, dtype=np.float64).ravel()
-    if not 0 < temperature < math.inf:
-        raise ValueError("temperature must be positive and finite")
+    temperature = positive_finite(temperature, "temperature")
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
     draws, _ = sample_rows(logits[None, :], temperature, as_generator(rng))
@@ -150,11 +147,7 @@ def generate_text_to_tokens(
         raise EmptyGenerationError("AR stage produced an empty sequence")
     stream = generate_nar(nar, condition, prompt, layer1)
     eos = layer1.shape[0] < config.max_frames
-    stats = ArNarStats(
-        ar_steps=layer1.shape[0] + (1 if eos else 0),
-        nar_passes=prompt.layers - 1,
-        eos_terminated=eos,
-    )
+    stats = ArNarStats(ar_steps=layer1.shape[0] + (1 if eos else 0), nar_passes=prompt.layers - 1)
     return stream, stats
 
 
@@ -169,10 +162,8 @@ class NgramArModel:
     def __init__(self, order: int, smoothing: float, codebook_size: int, counts: dict):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if not 0 < smoothing < math.inf:
-            raise ValueError("smoothing must be positive and finite")
         self.order = order
-        self.smoothing = smoothing
+        self.smoothing = positive_finite(smoothing, "smoothing")
         self.codebook_size = codebook_size
         self._counts = counts
 

@@ -73,7 +73,7 @@ def _emit(key: str, value) -> None:
 
 
 def _parse_synth_spec(text: str, seed: int, latent_dim: int) -> CorpusSpec:
-    fields = {"modes": 8, "dims": latent_dim, "sep": 4.0, "count": 1024}
+    fields = {"modes": 8, "sep": 4.0, "count": 1024}
     for part in text.split(","):
         if not part:
             continue
@@ -81,17 +81,15 @@ def _parse_synth_spec(text: str, seed: int, latent_dim: int) -> CorpusSpec:
             raise UsageError(f"--synth entry {part!r} is not key=value")
         key, raw = part.split("=", 1)
         if key not in fields:
-            raise UsageError(f"--synth key {key!r} unknown (use modes,dims,sep,count)")
+            raise UsageError(f"--synth key {key!r} unknown (use modes,sep,count)")
         try:
             fields[key] = float(raw) if key == "sep" else int(raw)
         except ValueError as exc:
             kind = "a number" if key == "sep" else "an integer"
             raise UsageError(f"--synth {key} must be {kind}, got {raw!r}") from exc
-    if fields["dims"] != latent_dim:
-        raise UsageError(f"--synth dims={fields['dims']} conflicts with --latent-dim {latent_dim}")
     return CorpusSpec(
         num_components=fields["modes"],
-        dims=fields["dims"],
+        dims=latent_dim,
         separation=fields["sep"],
         count=fields["count"],
         seed=seed,
@@ -234,29 +232,25 @@ def cmd_analyze(args) -> int:
         streams.extend(rvqio.read_token_streams(path))
     report = utilization(streams, args.layer - 1)
     table = rank_frequency(report)
+    summary = {
+        "layer": args.layer,
+        "total_frames": report.total_frames,
+        "used_codes": report.used_codes,
+        "utilization_fraction": report.utilization_fraction,
+        "entropy_bits": report.entropy_bits,
+        "perplexity": report.perplexity,
+    }
 
     if args.format == "json-lines":
         import json
 
-        summary = {
-            "layer": args.layer,
-            "total_frames": report.total_frames,
-            "used_codes": report.used_codes,
-            "utilization_fraction": report.utilization_fraction,
-            "entropy_bits": report.entropy_bits,
-            "perplexity": report.perplexity,
-        }
         print(json.dumps(summary, separators=(",", ":")))
         for rank, count in table:
             print(json.dumps({"rank": rank, "count": count}, separators=(",", ":")))
         return EXIT_OK
 
-    _emit("layer", args.layer)
-    _emit("total_frames", report.total_frames)
-    _emit("used_codes", report.used_codes)
-    _emit("utilization_fraction", report.utilization_fraction)
-    _emit("entropy_bits", report.entropy_bits)
-    _emit("perplexity", report.perplexity)
+    for key, value in summary.items():
+        _emit(key, value)
     print("rank\tcount")
     for rank, count in table:
         print(f"{rank}\t{count}")
@@ -382,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a quantizer on a corpus")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--corpus", help="vector file to train on")
-    src.add_argument("--synth", help="synthetic mixture spec: modes=..,dims=..,sep=..,count=..")
+    src.add_argument(
+        "--synth", help="synthetic mixture spec modes=..,sep=..,count=.. in --latent-dim dims"
+    )
     p.add_argument("--scheme", choices=["ema", "ema-restart", "projected"], default="ema")
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--codebook-size", type=int, default=256)

@@ -187,7 +187,7 @@ def load_quantizer(path: str) -> RvqQuantizer:
 def _stream_record(stream: TokenStream) -> str:
     record = {
         "id": stream.source_id,
-        "token_rate_hz": float(stream.token_rate_hz),
+        "token_rate_hz": stream.token_rate_hz,
         "layers": stream.layers,
         "codebook_size": int(stream.codebook_size),
         "codes": stream.frames.tolist(),
@@ -319,14 +319,12 @@ def read_token_streams(path: str) -> list[TokenStream]:
                 # Checks on what a record declares but a stream does not store.
                 if type(layers) is not int:
                     raise ValueError("layers and codebook_size must be integers")
-                if type(rate) not in (int, float):
-                    raise ValueError("token_rate_hz must be a number")
                 if layers < 1:
                     raise ValueError("layers must be >= 1")
                 frames = _frames(record["codes"], layers, line)
                 if frames.ndim == 2 and frames.shape[1] != layers:
                     raise ValueError(f"frame width {frames.shape[1]} does not match {layers=}")
-                stream = TokenStream(frames, float(rate), codebook_size, source_id)
+                stream = TokenStream(frames, rate, codebook_size, source_id)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
             streams.append(stream)

@@ -32,6 +32,7 @@ from ._rng import (
     finite_margin,
     greedy_layers,
     peaked_logits,
+    positive_finite,
     sample_rows,
 )
 from .rvq import TokenStream
@@ -77,8 +78,7 @@ class DecodeSchedule:
     def __post_init__(self):
         if self.iterations_layer1 < 1:
             raise ValueError("iterations_layer1 must be >= 1")
-        if not 0 < self.temperature < math.inf:
-            raise ValueError("temperature must be positive and finite")
+        self.temperature = positive_finite(self.temperature, "temperature")
         if not (math.isfinite(self.cfg_start) and math.isfinite(self.cfg_end)):
             raise ValueError("cfg_start and cfg_end must be finite")
 

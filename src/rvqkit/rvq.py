@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rng import positive_finite
 from .vq import Codebook, ProjectionPair, nearest_codes
 
 PLAIN = "plain"
@@ -100,7 +101,8 @@ class TokenStream:
 
     frames is a (T, layers) int32 array; T may be zero, `layers` may not.
     It is given as any integer array, checked against [0, codebook_size)
-    before the cast. A stream that passes `validate` reads back equal from
+    before the cast, and token_rate_hz as any real number, stored as a
+    float. A stream that passes `validate` reads back equal from
     the token file it is written to.
     """
 
@@ -113,6 +115,7 @@ class TokenStream:
         self.frames = np.asarray(self.frames)
         self.validate()
         self.frames = self.frames.astype(np.int32, copy=False)
+        self.token_rate_hz = float(self.token_rate_hz)
 
     @property
     def num_frames(self) -> int:
@@ -129,8 +132,7 @@ class TokenStream:
             raise ValueError("layers and codebook_size must be integers")
         if not isinstance(self.source_id, str):
             raise ValueError("id must be a string")
-        if not 0 < self.token_rate_hz < math.inf:
-            raise ValueError("token_rate_hz must be positive and finite")
+        positive_finite(self.token_rate_hz, "token_rate_hz")
         if self.codebook_size < 1:
             raise ValueError("codebook_size must be >= 1")
         if self.frames.ndim != 2:
@@ -141,17 +143,6 @@ class TokenStream:
             raise ValueError(f"codes must be integers, got {self.frames.dtype}")
         if self.frames.size and (self.frames.min() < 0 or self.frames.max() >= self.codebook_size):
             raise ValueError("codes must lie in [0, codebook_size)")
-
-
-@dataclass
-class EncodeTrace:
-    """Residual norm after each layer of a one-frame encode.
-
-    Norms are taken in latent space for the plain scheme and in quantization
-    space for the projected scheme.
-    """
-
-    residual_norms: np.ndarray
 
 
 def residual_codes(residual, entries, nearest) -> tuple[np.ndarray, np.ndarray]:
@@ -196,12 +187,14 @@ def _encode_rows(latents: np.ndarray, quantizer: RvqQuantizer, layer_inputs=None
     return residual_codes(latents, [layer.entries for layer in layers], nearest)
 
 
-def rvq_encode(latent, quantizer: RvqQuantizer) -> tuple[np.ndarray, EncodeTrace]:
+def rvq_encode(latent, quantizer: RvqQuantizer) -> tuple[np.ndarray, np.ndarray]:
     """Quantize one latent vector into its frame of per-layer codes.
 
     Plain scheme: the residual starts at the latent and each layer subtracts
     its looked-up entry. Projected scheme: the latent is projected once into
-    quantization space and the recursion runs there.
+    quantization space and the recursion runs there. Returns the N codes and
+    the N residual norms after each layer, taken in latent space for the
+    plain scheme and in quantization space for the projected one.
     """
     latent = np.asarray(latent, dtype=np.float64)
     if latent.shape != (quantizer.latent_dim,):
@@ -214,7 +207,7 @@ def rvq_encode(latent, quantizer: RvqQuantizer) -> tuple[np.ndarray, EncodeTrace
     after = np.concatenate(layer_inputs[1:] + [residual])
     # Row-wise dot products, summed as `np.linalg.norm` sums one vector.
     norms = np.sqrt(np.matmul(after[:, None, :], after[:, :, None])[:, 0, 0])
-    return codes[0], EncodeTrace(residual_norms=norms)
+    return codes[0], norms
 
 
 def rvq_encode_batch(latents, quantizer: RvqQuantizer) -> tuple[np.ndarray, np.ndarray]:
@@ -267,6 +260,5 @@ def code_bits(codebook_size: int) -> int:
 
 def bitrate_bps(quantizer: RvqQuantizer, token_rate_hz: float) -> float:
     """Bits per second: num_layers * bits-per-code * token rate."""
-    if token_rate_hz <= 0:
-        raise ValueError("token_rate_hz must be positive")
+    token_rate_hz = positive_finite(token_rate_hz, "token_rate_hz")
     return quantizer.num_layers * code_bits(quantizer.codebook_size) * token_rate_hz

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import as_generator
+from ._rng import as_generator, positive_finite
+from .analytics import UtilizationReport
 from .errors import NumericalError
 from .rvq import PLAIN, PROJECTED, RvqQuantizer, entry_sum, residual_codes
 from .vq import (
@@ -77,8 +78,9 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
+        if not 0.0 <= self.decay < 1.0:
+            raise ValueError("decay must lie in [0, 1)")
+        self.learning_rate = positive_finite(self.learning_rate, "learning_rate")
         if not (0 <= self.commitment_weight < math.inf and 0 <= self.codebook_weight < math.inf):
             raise ValueError("loss weights must be non-negative and finite")
         if self.scheme == SCHEME_PROJECTED:
@@ -113,8 +115,7 @@ class CorpusSpec:
             raise ValueError("num_components must be >= 1")
         if self.dims < 1:
             raise ValueError("dims must be >= 1")
-        if not 0 < self.separation < math.inf:
-            raise ValueError("separation must be positive and finite")
+        self.separation = positive_finite(self.separation, "separation")
         if self.count < 1:
             raise ValueError("count must be >= 1")
 
@@ -274,7 +275,13 @@ def _layer_utilization(corpus: np.ndarray, quantizer: RvqQuantizer) -> np.ndarra
     if quantizer.scheme == PROJECTED:
         corpus = corpus @ quantizer.projections[0].proj_in
     codes = _assign_codes(corpus, [layer.entries for layer in quantizer.layers], quantizer.metric)
-    return np.array([len(np.unique(column)) for column in codes.T]) / quantizer.codebook_size
+    k = quantizer.codebook_size
+    return np.array(
+        [
+            UtilizationReport(n, np.bincount(codes[:, n], minlength=k)).utilization_fraction
+            for n in range(quantizer.num_layers)
+        ]
+    )
 
 
 def _check_finite(step: int, what: str, *values) -> None:

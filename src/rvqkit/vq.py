@@ -3,8 +3,8 @@
 Codebooks hold raw (unnormalized) code vectors together with the EMA
 statistics that drive training-time updates. Lookups are exhaustive over the
 codebook under either squared-Euclidean or cosine distance; updates cover the
-EMA rule with Laplace-smoothed normalization and the dead-code restart that
-resamples unused entries from a batch.
+EMA rule with Laplace-smoothed normalization (constant `EMA_EPSILON`) and
+the dead-code restart that resamples unused entries from a batch.
 
 Encoding (`nearest_codes`) and training (`assign_batch`) run one lookup per
 metric, in one loop over row blocks of at most 512 KB of scores (128 float32
@@ -63,7 +63,7 @@ METRICS = (EUCLIDEAN, COSINE)
 
 MAX_CODES = 65536  # exhaustive lookup only; no approximate indexing
 DEFAULT_DECAY = 0.99
-DEFAULT_EPSILON = 1e-5
+EMA_EPSILON = 1e-5  # Laplace smoothing of the EMA cluster sizes in `ema_update`
 
 # Cap on the (rows, K) score block of one lookup: 512 KB, which stays in one
 # core's L2 cache with room for the operands: 128 rows of float32 Euclidean
@@ -211,11 +211,6 @@ class ProjectionPair:
     @property
     def quant_dim(self) -> int:
         return self.proj_in.shape[1]
-
-    @classmethod
-    def identity(cls, dim: int) -> "ProjectionPair":
-        eye = np.eye(dim)
-        return cls(proj_in=eye, proj_out=eye.copy())
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -520,14 +515,14 @@ def ema_update(
     indices,
     *,
     decay: float = DEFAULT_DECAY,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> Codebook:
     """Fold one batch of (vector, assigned index) pairs into the codebook.
 
     Cluster sizes and embedding sums are blended with weight `decay`; entries
     are then recomputed as ema_embed_sum / smoothed cluster size, where the
     smoothing is Laplace over sizes: (size_i + eps) / (N + K*eps) * N with
-    N the total EMA mass. Returns a new codebook; usage counters accumulate.
+    eps the fixed constant `EMA_EPSILON` (1e-5) and N the total EMA mass.
+    Returns a new codebook; usage counters accumulate.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     indices = np.asarray(indices, dtype=np.int64).ravel()
@@ -544,8 +539,6 @@ def ema_update(
         raise ValueError(f"assigned index out of range [0, {k})")
     if not 0.0 <= decay < 1.0:
         raise ValueError("decay must lie in [0, 1)")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
 
     counts = np.bincount(indices, minlength=k).astype(np.float64)
     sums = np.zeros_like(codebook.ema_embed_sum)
@@ -554,7 +547,7 @@ def ema_update(
     new_size = decay * codebook.ema_cluster_size + (1.0 - decay) * counts
     new_sum = decay * codebook.ema_embed_sum + (1.0 - decay) * sums
     total = new_size.sum()
-    smoothed = (new_size + epsilon) / (total + k * epsilon) * total
+    smoothed = (new_size + EMA_EPSILON) / (total + k * EMA_EPSILON) * total
     entries = new_sum / smoothed[:, None]
 
     return Codebook(
@@ -569,12 +562,11 @@ def ema_update(
 def restart_dead_codes(
     codebook: Codebook,
     batch,
-    threshold: int = 1,
     rng=0,
 ) -> tuple[Codebook, int]:
-    """Replace codes used fewer than `threshold` times in all updates since
-    the codebook was built or the code last restarted: `ema_update` only
-    adds to a count, so a code ever assigned stays above threshold 1.
+    """Replace the dead codes: those that no `ema_update` has assigned since
+    the codebook was built or the code last restarted (`usage_counts` 0).
+    `ema_update` only adds to a count, so a code assigned once stays alive.
 
     Replacement entries are drawn uniformly from `batch` (without replacement
     while the batch lasts). Each restarted code gets EMA statistics (1, entry)
@@ -588,10 +580,8 @@ def restart_dead_codes(
         raise ValueError(
             f"batch dim {batch.shape[1]} does not match codebook dim {codebook.code_dim}"
         )
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
 
-    dead = np.flatnonzero(codebook.usage_counts < threshold)
+    dead = np.flatnonzero(codebook.usage_counts == 0)
     if dead.size == 0:
         return codebook, 0
 

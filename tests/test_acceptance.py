@@ -105,7 +105,7 @@ def test_criterion_4_rvq_oracle_equivalence():
         )
         latents = rng.normal(size=(1000, 16)) * 2.0
         for latent in latents:
-            codes, trace = rvq_encode(latent, qz)
+            codes, norms = rvq_encode(latent, qz)
             # Independent re-implementation: scan all entries, subtract, repeat.
             residual = latent.copy()
             ref_codes = []
@@ -116,7 +116,7 @@ def test_criterion_4_rvq_oracle_equivalence():
                 residual = residual - layer_entries[i]
             assert codes.tolist() == ref_codes
             ref_norm = np.linalg.norm(residual)
-            assert abs(trace.residual_norms[-1] - ref_norm) <= 1e-6 * max(ref_norm, 1e-12)
+            assert abs(norms[-1] - ref_norm) <= 1e-6 * max(ref_norm, 1e-12)
 
 
 def test_criterion_5_projected_gradient_check():

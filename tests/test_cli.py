@@ -888,7 +888,7 @@ class TestExitCodes:
         "args, name",
         [
             (["--latent-dim", "0"], "latent_dim"),
-            (["--synth", "modes=4,dims=0", "--latent-dim", "0"], "latent_dim"),
+            (["--synth", "modes=4", "--latent-dim", "0"], "latent_dim"),
             (["--layers", "0"], "num_layers"),
             (["--codebook-size", "0"], "codebook_size"),
             (["--scheme", "projected", "--latent-dim", "8", "--quant-dim", "0"], "quant_dim"),
@@ -909,6 +909,26 @@ class TestExitCodes:
         assert err == f"error: {name} must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("decay", ["1.5", "nan", "-0.1", "1"])
+    @pytest.mark.parametrize(
+        "scheme", [["ema"], ["ema-restart"], ["projected", "--latent-dim", "8", "--quant-dim", "4"]]
+    )
+    def test_train_decay_is_checked_before_any_work(
+        self, tmp_path, capsys, monkeypatch, scheme, decay
+    ):
+        # Every scheme: the projected one never reads the decay, and the EMA
+        # ones would otherwise build the corpus and run k-means first.
+        def unreachable(*_):
+            raise AssertionError("work started with a bad decay")
+
+        monkeypatch.setattr(rvqkit.cli, "make_corpus", unreachable)
+        monkeypatch.setattr(rvqkit.cli, "train_quantizer", unreachable)
+        out = tmp_path / "q.rvqc"
+        code, _, err = run(capsys, "train", "--synth", "modes=4", "--scheme", *scheme,
+                           "--decay", decay, "--steps", "5", "--out", str(out))
+        assert (code, err) == (3, "error: decay must lie in [0, 1)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "synth, message",
         [
@@ -916,7 +936,8 @@ class TestExitCodes:
             ("modes=4,count=1e3", "--synth count must be an integer, got '1e3'"),
             ("modes=4,sep=x", "--synth sep must be a number, got 'x'"),
             ("modes=4,dims", "--synth entry 'dims' is not key=value"),
-            ("modes=4,size=3", "--synth key 'size' unknown (use modes,dims,sep,count)"),
+            ("modes=4,size=3", "--synth key 'size' unknown (use modes,sep,count)"),
+            ("modes=4,dims=16", "--synth key 'dims' unknown (use modes,sep,count)"),
         ],
     )
     def test_train_bad_synth_spec_is_a_usage_error(self, tmp_path, capsys, synth, message):

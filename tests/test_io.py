@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -262,6 +263,7 @@ class TestTokenStreamFile:
         (np.array([[3], [0]], dtype=np.uint8), 50, np.int64(4), "np.int64 K"),
         (np.empty((0, 3), dtype=np.int64), 12.5, 7, ""),
         (np.array([[2, 0, 1]]), np.float32(75.5), np.uint16(3), "ü \"quoted\""),
+        (np.array([[1]]), Fraction(1, 3), 4, "a rate with no float spelling"),
     ])
     def test_every_built_stream_reads_back(self, tmp_path, frames, rate, codebook_size,
                                            source_id):

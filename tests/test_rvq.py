@@ -75,9 +75,9 @@ class TestEncode:
     def test_single_layer_exact_match(self):
         entries = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
         qz = RvqQuantizer(layers=[Codebook.from_entries(entries)], latent_dim=2)
-        codes, trace = rvq_encode([-3.0, 0.5], qz)
+        codes, norms = rvq_encode([-3.0, 0.5], qz)
         assert codes.tolist() == [1]
-        assert trace.residual_norms[0] == 0.0
+        assert norms[0] == 0.0
 
     def test_forced_two_layer_sum(self):
         # Codebooks arranged so the nearest-neighbor choices are forced:
@@ -92,9 +92,9 @@ class TestEncode:
         ref_codes, ref_residual, _ = reference_encode(latent, [layer1.entries, layer2.entries])
         assert ref_codes == [0, 0]
 
-        codes, trace = rvq_encode(latent, qz)
+        codes, norms = rvq_encode(latent, qz)
         assert codes.tolist() == ref_codes
-        assert trace.residual_norms[-1] == pytest.approx(0.0, abs=1e-12)
+        assert norms[-1] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(rvq_decode(codes, qz), latent, atol=1e-12)
 
     def test_trace_matches_reference_recursion(self):
@@ -103,14 +103,14 @@ class TestEncode:
         entries = [layer.entries for layer in qz.layers]
         for _ in range(25):
             latent = rng.normal(size=5) * 2
-            codes, trace = rvq_encode(latent, qz)
+            codes, norms = rvq_encode(latent, qz)
             ref_codes, ref_residual, ref_norms = reference_encode(latent, entries)
             assert codes.tolist() == ref_codes
-            assert trace.residual_norms.tolist() == ref_norms
+            assert norms.tolist() == ref_norms
 
     def test_batch_matches_single(self):
         # Both schemes: plain Euclidean and projected cosine. A one-frame
-        # trace holds `np.linalg.norm` of the residual after every layer,
+        # encode returns `np.linalg.norm` of the residual after every layer,
         # bit for bit; the batch's final residuals are those of its own
         # (T, q) starting rows, which the projection may round differently
         # from a single row.
@@ -122,10 +122,11 @@ class TestEncode:
             batch_codes, batch_residuals = rvq_encode_batch(latents, qz)
             starts = quantization_input(latents, qz)
             for i, latent in enumerate(latents):
-                codes, trace = rvq_encode(latent, qz)
+                codes, norms = rvq_encode(latent, qz)
                 assert batch_codes[i].tolist() == codes.tolist()
-                norms, _ = residual_chain(quantization_input(latent[None, :], qz)[0], codes, entries)
-                assert trace.residual_norms.tolist() == norms
+                start = quantization_input(latent[None, :], qz)[0]
+                ref_norms, _ = residual_chain(start, codes, entries)
+                assert norms.tolist() == ref_norms
                 _, residual = residual_chain(starts[i], codes, entries)
                 np.testing.assert_array_equal(batch_residuals[i], residual)
 
@@ -193,7 +194,7 @@ class TestDecode:
         plain = RvqQuantizer(
             layers=[Codebook.from_entries(e) for e in entries], latent_dim=dim
         )
-        pairs = [ProjectionPair.identity(dim) for _ in range(n)]
+        pairs = [ProjectionPair(np.eye(dim), np.eye(dim)) for _ in range(n)]
         projected = RvqQuantizer(
             layers=[Codebook.from_entries(e) for e in entries],
             latent_dim=dim,
@@ -202,8 +203,8 @@ class TestDecode:
         )
         for _ in range(10):
             latent = rng.normal(size=dim)
-            pc, ptrace = rvq_encode(latent, projected)
-            cc, ctrace = rvq_encode(latent, plain)
+            pc, _ = rvq_encode(latent, projected)
+            cc, _ = rvq_encode(latent, plain)
             assert pc.tolist() == cc.tolist()
             np.testing.assert_allclose(
                 rvq_decode(pc, projected), rvq_decode(cc, plain), atol=1e-12
@@ -250,10 +251,10 @@ class TestRoundTripProperties:
         qz = random_plain_quantizer(rng, num_layers=4, k=24, dim=8)
         for _ in range(50):
             latent = rng.normal(size=8) * 3
-            codes, trace = rvq_encode(latent, qz)
+            codes, norms = rvq_encode(latent, qz)
             recon = rvq_decode(codes, qz)
             gap = np.linalg.norm(latent - recon)
-            assert gap == pytest.approx(trace.residual_norms[-1], rel=1e-6, abs=1e-9)
+            assert gap == pytest.approx(norms[-1], rel=1e-6, abs=1e-9)
 
     def test_zero_entry_gives_nonincreasing_norms(self):
         rng = np.random.default_rng(29)
@@ -264,8 +265,8 @@ class TestRoundTripProperties:
         qz = RvqQuantizer(layers=layers, latent_dim=6)
         for _ in range(30):
             latent = rng.normal(size=6) * 2
-            _, trace = rvq_encode(latent, qz)
-            norms = np.concatenate([[np.linalg.norm(latent)], trace.residual_norms])
+            _, norms = rvq_encode(latent, qz)
+            norms = np.concatenate([[np.linalg.norm(latent)], norms])
             assert np.all(np.diff(norms) <= 1e-12)
 
     def test_layer_count_monotonicity_on_trained_quantizer(self):
@@ -303,6 +304,12 @@ class TestBitrate:
         qz = RvqQuantizer(layers=[Codebook.from_entries(np.zeros((2, 1)))], latent_dim=1)
         assert bitrate_bps(qz, 1.0) == 1.0
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        qz = RvqQuantizer(layers=[Codebook.from_entries(np.zeros((2, 1)))], latent_dim=1)
+        with pytest.raises(ValueError, match="token_rate_hz must be positive and finite"):
+            bitrate_bps(qz, rate)
+
     def test_layers_for_target_rate(self):
         # 1.5 kbps at 75 Hz with 10-bit codes needs 1500 / (75 * 10) = 2 layers.
         layers_needed = 1500 / (75 * code_bits(1024))
@@ -328,7 +335,7 @@ class TestQuantizerValidation:
             (["euclidean"], {"latent_dim": 2, "scheme": "bogus"}, "unknown scheme 'bogus'"),
             (
                 ["euclidean"],
-                {"latent_dim": 2, "projections": [ProjectionPair.identity(2)]},
+                {"latent_dim": 2, "projections": [ProjectionPair(np.eye(2), np.eye(2))]},
                 "plain scheme does not take projections",
             ),
             (

@@ -536,10 +536,9 @@ class TestEmaUpdate:
         [
             (np.eye(3), [0, 1, 2], {"decay": 1.0}, r"decay must lie in \[0, 1\)"),
             (np.eye(3), [0, 1, 2], {"decay": -0.1}, r"decay must lie in \[0, 1\)"),
-            (np.eye(3), [0, 1, 2], {"epsilon": 0.0}, "epsilon must be positive"),
             (np.eye(3), [0, 1], {}, "vectors and indices must have matching lengths"),
         ],
-        ids=["decay-one", "decay-negative", "epsilon-zero", "length-mismatch"],
+        ids=["decay-one", "decay-negative", "length-mismatch"],
     )
     def test_rejects_bad_arguments(self, vectors, indices, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -574,7 +573,7 @@ class TestEmaUpdate:
         for step in range(10):
             batch = rng.normal(size=(6, q))
             idx = rng.integers(0, k, size=6)
-            cb = ema_update(cb, batch, idx, decay=decay, epsilon=eps)
+            cb = ema_update(cb, batch, idx, decay=decay)
 
             counts = np.bincount(idx, minlength=k).astype(float)
             sums = np.zeros((k, q))
@@ -633,21 +632,18 @@ class TestEmaUpdate:
 
 class TestRestartDeadCodes:
     @pytest.mark.parametrize(
-        "batch, threshold, message",
-        [
-            (np.empty((0, 3)), 1, "requires a non-empty batch"),
-            (np.eye(3), -1, "threshold must be non-negative"),
-        ],
-        ids=["empty-batch", "negative-threshold"],
+        "batch, message",
+        [(np.empty((0, 3)), "requires a non-empty batch")],
+        ids=["empty-batch"],
     )
-    def test_rejects_bad_arguments(self, batch, threshold, message):
+    def test_rejects_bad_arguments(self, batch, message):
         with pytest.raises(ValueError, match=message):
-            restart_dead_codes(Codebook.from_entries(np.eye(3)), batch, threshold=threshold)
+            restart_dead_codes(Codebook.from_entries(np.eye(3)), batch)
 
     def test_no_dead_codes_unchanged(self):
         cb = Codebook.from_entries(np.eye(3))
         cb = ema_update(cb, np.eye(3), [0, 1, 2])
-        out, n = restart_dead_codes(cb, np.eye(3), threshold=1, rng=0)
+        out, n = restart_dead_codes(cb, np.eye(3), rng=0)
         assert n == 0
         assert out is cb
 
@@ -656,7 +652,7 @@ class TestRestartDeadCodes:
         cb = Codebook.from_entries(rng.normal(size=(4, 2)))
         batch = rng.normal(size=(10, 2))
         cb = ema_update(cb, batch[:4], [0, 1, 0, 1])  # codes 2 and 3 never used
-        out, n = restart_dead_codes(cb, batch, threshold=1, rng=9)
+        out, n = restart_dead_codes(cb, batch, rng=9)
         assert n == 2
         batch_rows = {tuple(row) for row in batch}
         assert tuple(out.entries[2]) in batch_rows
@@ -670,24 +666,40 @@ class TestRestartDeadCodes:
         rng = np.random.default_rng(1)
         cb = Codebook.from_entries(rng.normal(size=(6, 3)))
         batch = rng.normal(size=(20, 3))
-        a, na = restart_dead_codes(cb, batch, threshold=1, rng=42)
-        b, nb = restart_dead_codes(cb, batch, threshold=1, rng=42)
+        a, na = restart_dead_codes(cb, batch, rng=42)
+        b, nb = restart_dead_codes(cb, batch, rng=42)
         assert na == nb
         np.testing.assert_array_equal(a.entries, b.entries)
 
     def test_preserves_shape_and_metric(self):
         cb = Codebook.from_entries(np.eye(4), metric="cosine")
-        out, n = restart_dead_codes(cb, np.ones((3, 4)), threshold=1, rng=0)
+        out, n = restart_dead_codes(cb, np.ones((3, 4)), rng=0)
         assert n == 4
         assert out.num_codes == 4 and out.code_dim == 4 and out.metric == "cosine"
 
     def test_live_codes_untouched(self):
         cb = Codebook.from_entries(np.eye(3) * 2.0)
         cb = ema_update(cb, np.array([[2.0, 0, 0]]), [0])
-        out, n = restart_dead_codes(cb, np.ones((2, 3)), threshold=1, rng=0)
+        out, n = restart_dead_codes(cb, np.ones((2, 3)), rng=0)
         assert n == 2
         np.testing.assert_array_equal(out.entries[0], cb.entries[0])
         assert out.usage_counts[0] == cb.usage_counts[0]
+
+    def test_code_assigned_once_is_never_dead(self):
+        # Dead means no update has assigned the code since the codebook was
+        # built: code 2, assigned once and then left unused for 1,000
+        # updates, keeps its entry while its EMA cluster size decays to
+        # that of the codes never used.
+        cb = Codebook.from_entries(np.eye(4))
+        cb = ema_update(cb, np.eye(4)[2:3], [2])
+        for _ in range(1000):
+            cb = ema_update(cb, np.tile(np.eye(4)[0], (8, 1)), np.zeros(8, dtype=int))
+        assert cb.usage_counts.tolist() == [8000, 0, 1, 0]
+        assert cb.ema_cluster_size[2] < 1e-4
+        out, n = restart_dead_codes(cb, np.ones((3, 4)), rng=0)
+        assert n == 2
+        np.testing.assert_array_equal(out.entries[[0, 2]], cb.entries[[0, 2]])
+        np.testing.assert_array_equal(out.entries[[1, 3]], np.ones((2, 4)))
 
 
 class TestProjections:
