@@ -3,13 +3,13 @@
 Subcommands: train, encode, decode, analyze, mlm-sim, arnar-sim. All output
 is line-oriented `key: value` text; every command is deterministic given
 --seed. Exit codes: 0 success, 2 usage error, 3 data/format error,
-4 numerical failure.
+4 numerical failure. The parser range-checks every numeric flag before any
+handler runs; handlers raise UsageError only for --synth and flag pairs.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import io as rvqio
+from ._rng import positive_finite
 from .analytics import rank_frequency, utilization
 from .arnar import (
     GenConfig,
@@ -72,6 +73,33 @@ def _emit(key: str, value) -> None:
     print(f"{key}: {_fmt(value)}")
 
 
+def _ranged(wanted: str, convert, ok=lambda value: True):
+    """An argparse `type=` (one per kind of flag, below) that reads a flag's
+    text with `convert` and keeps the value only if `ok` holds for it; else
+    the parser exits 2 with `argument --FLAG: must be WANTED, got 'TEXT'`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+
+    return parse
+
+
+_INT_1 = _ranged("an integer >= 1", int, lambda n: n >= 1)
+_INT_0 = _ranged("an integer >= 0", int, lambda n: n >= 0)
+_POSITIVE = _ranged("positive and finite", lambda text: positive_finite(float(text), "value"))
+_NON_NEGATIVE = _ranged("non-negative and finite", float, lambda x: 0 <= x < np.inf)
+_FINITE = _ranged("finite", float, np.isfinite)
+_DECAY = _ranged("in [0, 1)", float, lambda x: 0 <= x < 1)
+_CFG = _ranged("START:END of two finite numbers", lambda text: tuple(map(float, text.split(":"))),
+               lambda pair: len(pair) == 2 and np.isfinite(pair).all())
+
+
 def _parse_synth_spec(text: str, seed: int, latent_dim: int) -> CorpusSpec:
     fields = {"modes": 8, "sep": 4.0, "count": 1024}
     for part in text.split(","):
@@ -83,10 +111,9 @@ def _parse_synth_spec(text: str, seed: int, latent_dim: int) -> CorpusSpec:
         if key not in fields:
             raise UsageError(f"--synth key {key!r} unknown (use modes,sep,count)")
         try:
-            fields[key] = float(raw) if key == "sep" else int(raw)
-        except ValueError as exc:
-            kind = "a number" if key == "sep" else "an integer"
-            raise UsageError(f"--synth {key} must be {kind}, got {raw!r}") from exc
+            fields[key] = (_POSITIVE if key == "sep" else _INT_1)(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"--synth {key} {exc}") from None
     return CorpusSpec(
         num_components=fields["modes"],
         dims=latent_dim,
@@ -96,22 +123,14 @@ def _parse_synth_spec(text: str, seed: int, latent_dim: int) -> CorpusSpec:
     )
 
 
-def _parse_cfg_range(text: str) -> tuple[float, float]:
-    try:
-        start, end = text.split(":")
-        return float(start), float(end)
-    except ValueError as exc:
-        raise UsageError(f"--cfg must look like START:END, got {text!r}") from exc
-
-
 def cmd_train(args) -> int:
     scheme = args.scheme.replace("-", "_")
     if scheme != SCHEME_PROJECTED and args.quant_dim is not None:
         raise UsageError("--quant-dim only applies to --scheme projected")
     if scheme == SCHEME_PROJECTED and args.quant_dim is None:
         raise UsageError("--scheme projected requires --quant-dim")
-    if args.steps < 1:
-        raise UsageError("--steps must be >= 1")
+    if scheme == SCHEME_PROJECTED and args.quant_dim > args.latent_dim:
+        raise UsageError("--quant-dim must be <= --latent-dim")
 
     config = TrainConfig(
         scheme=scheme,
@@ -166,10 +185,6 @@ def _encode_frames(quantizer, vectors: np.ndarray, threads: int) -> np.ndarray:
 
 
 def cmd_encode(args) -> int:
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
-    if not 0 < args.token_rate < math.inf:
-        raise UsageError("--token-rate must be positive and finite")
     quantizer = rvqio.load_quantizer(args.codebook)
     vectors = rvqio.read_vectors(args.input).astype(np.float64)
 
@@ -225,8 +240,6 @@ def cmd_decode(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.layer < 1:
-        raise UsageError("--layer is 1-based and must be >= 1")
     streams = []
     for path in args.tokens:
         streams.extend(rvqio.read_token_streams(path))
@@ -260,10 +273,6 @@ def cmd_analyze(args) -> int:
 def _sim_inputs(args, num_frames: int, source_id: str):
     """A simulator's hidden (num_frames, --layers) truth grid and condition,
     drawn from --seed, and a TokenStream builder with the run's metadata."""
-    if args.layers < 1:
-        raise ValueError("layers must be >= 1")
-    if args.codebook_size < 1:
-        raise ValueError("codebook_size must be >= 1")
     rng = np.random.default_rng(args.seed)
     truth = rng.integers(0, args.codebook_size, size=(num_frames, args.layers), dtype=np.int32)
     condition = rng.integers(0, 512, size=num_frames)
@@ -279,9 +288,6 @@ def _sim_inputs(args, num_frames: int, source_id: str):
 def cmd_mlm_sim(args) -> int:
     if args.prompt_frames >= args.frames:
         raise UsageError("--prompt-frames must be smaller than --frames")
-    if args.prompt_frames < 0:
-        raise UsageError("--prompt-frames must be non-negative")
-    cfg_start, cfg_end = _parse_cfg_range(args.cfg)
     truth, condition, make_stream = _sim_inputs(args, args.frames, "mlm-sim")
 
     if args.model == "oracle":
@@ -294,8 +300,8 @@ def cmd_mlm_sim(args) -> int:
     prompt = make_stream(truth[: args.prompt_frames])
     schedule = DecodeSchedule(
         iterations_layer1=args.iterations,
-        cfg_start=cfg_start,
-        cfg_end=cfg_end,
+        cfg_start=args.cfg[0],
+        cfg_end=args.cfg[1],
         temperature=args.temperature,
         rng_seed=args.seed,
     )
@@ -318,8 +324,6 @@ def cmd_mlm_sim(args) -> int:
 def cmd_arnar_sim(args) -> int:
     if args.ar == "ngram" and not args.train_tokens:
         raise UsageError("--ar ngram requires --train-tokens")
-    if args.prompt_frames < 0:
-        raise UsageError("--prompt-frames must be non-negative")
     if args.prompt_frames >= args.max_frames:
         raise UsageError("--prompt-frames must be smaller than --max-frames")
     truth, condition, make_stream = _sim_inputs(args, args.max_frames, "arnar-sim")
@@ -380,29 +384,29 @@ def build_parser() -> argparse.ArgumentParser:
         "--synth", help="synthetic mixture spec modes=..,sep=..,count=.. in --latent-dim dims"
     )
     p.add_argument("--scheme", choices=["ema", "ema-restart", "projected"], default="ema")
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--codebook-size", type=int, default=256)
-    p.add_argument("--latent-dim", type=int, default=16)
-    p.add_argument("--quant-dim", type=int, default=None)
+    p.add_argument("--layers", type=_INT_1, default=1)
+    p.add_argument("--codebook-size", type=_INT_1, default=256)
+    p.add_argument("--latent-dim", type=_INT_1, default=16)
+    p.add_argument("--quant-dim", type=_INT_1, default=None)
     p.add_argument("--metric", choices=["euclidean", "cosine"], default=None)
-    p.add_argument("--decay", type=float, default=0.99)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--commitment-weight", type=float, default=0.25)
-    p.add_argument("--codebook-weight", type=float, default=1.0)
-    p.add_argument("--restart-period", type=int, default=100)
+    p.add_argument("--decay", type=_DECAY, default=0.99)
+    p.add_argument("--learning-rate", type=_POSITIVE, default=1e-3)
+    p.add_argument("--commitment-weight", type=_NON_NEGATIVE, default=0.25)
+    p.add_argument("--codebook-weight", type=_NON_NEGATIVE, default=1.0)
+    p.add_argument("--restart-period", type=_INT_1, default=100)
     p.add_argument("--init", choices=["kmeans", "random"], default="kmeans")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=_INT_1, default=500)
+    p.add_argument("--batch-size", type=_INT_1, default=64)
+    p.add_argument("--seed", type=_INT_0, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("encode", help="encode a vector file into token streams")
     p.add_argument("--codebook", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--token-rate", type=float, default=50.0)
+    p.add_argument("--token-rate", type=_POSITIVE, default=50.0)
     p.add_argument("--id", default="corpus")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_INT_1, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_encode)
 
@@ -414,42 +418,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="code utilization and rank-frequency statistics")
     p.add_argument("--tokens", nargs="+", required=True)
-    p.add_argument("--layer", type=int, default=1, help="1-based layer index")
+    p.add_argument("--layer", type=_INT_1, default=1, help="1-based layer index")
     p.add_argument("--format", choices=["text", "json-lines"], default="text")
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("mlm-sim", help="masked parallel generation against a toy score model")
+    sim = argparse.ArgumentParser(add_help=False)  # the flags both simulators take
+    sim.add_argument("--layers", type=_INT_1, default=8)
+    sim.add_argument("--codebook-size", type=_INT_1, default=1024)
+    sim.add_argument("--temperature", type=_POSITIVE, default=1.0)
+    sim.add_argument("--seed", type=_INT_0, default=0)
+    sim.add_argument("--prompt-frames", type=_INT_0, default=0)
+    sim.add_argument("--token-rate", type=_POSITIVE, default=50.0)
+    sim.add_argument("--margin", type=_FINITE, default=50.0)
+    sim.add_argument("--out", required=True)
+
+    p = sub.add_parser(
+        "mlm-sim", parents=[sim], help="masked parallel generation against a toy score model"
+    )
     p.add_argument("--model", choices=["oracle", "uniform"], default="oracle")
-    p.add_argument("--frames", type=int, default=60)
-    p.add_argument("--layers", type=int, default=8)
-    p.add_argument("--codebook-size", type=int, default=1024)
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--cfg", default="0:2", help="guidance coefficients START:END")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prompt-frames", type=int, default=0)
-    p.add_argument("--token-rate", type=float, default=50.0)
-    p.add_argument("--margin", type=float, default=50.0)
-    p.add_argument("--noise-seed", type=int, default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--frames", type=_INT_1, default=60)
+    p.add_argument("--iterations", type=_INT_1, default=5)
+    p.add_argument("--cfg", type=_CFG, default="0:2", help="guidance coefficients START:END")
+    p.add_argument("--noise-seed", type=_INT_0, default=None)
     p.add_argument("--truth-out", default=None, help="also dump the hidden reference grid")
     p.set_defaults(handler=cmd_mlm_sim)
 
-    p = sub.add_parser("arnar-sim", help="AR + NAR generation against toy models")
+    p = sub.add_parser("arnar-sim", parents=[sim], help="AR + NAR generation against toy models")
     p.add_argument("--ar", choices=["oracle", "ngram", "cycling"], default="oracle")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--max-frames", type=int, default=60)
-    p.add_argument("--layers", type=int, default=8)
-    p.add_argument("--codebook-size", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prompt-frames", type=int, default=0)
-    p.add_argument("--token-rate", type=float, default=50.0)
-    p.add_argument("--margin", type=float, default=50.0)
-    p.add_argument("--ngram-order", type=int, default=2)
-    p.add_argument("--ngram-smoothing", type=float, default=0.1)
+    p.add_argument("--max-frames", type=_INT_1, default=60)
+    p.add_argument("--ngram-order", type=_INT_1, default=2)
+    p.add_argument("--ngram-smoothing", type=_POSITIVE, default=0.1)
     p.add_argument("--train-tokens", default=None)
     p.add_argument("--support", default=None, help="token file whose layer-1 codes define support")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_arnar_sim)
 
     return parser

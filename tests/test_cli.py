@@ -34,6 +34,44 @@ from rvqkit.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# Out-of-range values, among 0, -1, nan and inf, for each kind of numeric flag
+# (and --cfg), with decay's open upper bound.
+INT_1 = ("0", "-1", "nan", "inf")
+INT_0 = ("-1", "nan", "inf")
+POSITIVE = ("0", "-1", "nan", "inf")
+NON_NEGATIVE = ("-1", "nan", "inf")
+FINITE = ("nan", "inf")
+DECAY = ("-1", "nan", "inf", "1")
+CFG = ("0", "-1", "nan:1", "1:inf", "1:2:3", "nope")
+SIM_FLAGS = {
+    "--layers": INT_1, "--codebook-size": INT_1, "--temperature": POSITIVE, "--seed": INT_0,
+    "--prompt-frames": INT_0, "--token-rate": POSITIVE, "--margin": FINITE,
+}
+NUMERIC_FLAGS = {
+    "train": {
+        "--layers": INT_1, "--codebook-size": INT_1, "--latent-dim": INT_1, "--quant-dim": INT_1,
+        "--decay": DECAY, "--learning-rate": POSITIVE, "--commitment-weight": NON_NEGATIVE,
+        "--codebook-weight": NON_NEGATIVE, "--restart-period": INT_1, "--steps": INT_1,
+        "--batch-size": INT_1, "--seed": INT_0,
+    },
+    "encode": {"--token-rate": POSITIVE, "--threads": INT_1},
+    "analyze": {"--layer": INT_1},
+    "mlm-sim": {
+        **SIM_FLAGS, "--frames": INT_1, "--iterations": INT_1, "--cfg": CFG, "--noise-seed": INT_0,
+    },
+    "arnar-sim": {
+        **SIM_FLAGS, "--max-frames": INT_1, "--ngram-order": INT_1, "--ngram-smoothing": POSITIVE,
+    },
+}
+# Otherwise complete command lines, every input file missing.
+BASE_ARGV = {
+    "train": ["--corpus", "{missing}", "--out", "{out}"],
+    "encode": ["--codebook", "{missing}", "--input", "{missing}", "--out", "{out}"],
+    "analyze": ["--tokens", "{missing}"],
+    "mlm-sim": ["--out", "{out}"],
+    "arnar-sim": ["--ar", "ngram", "--train-tokens", "{missing}", "--out", "{out}"],
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -121,15 +159,6 @@ class TestTrain:
         assert int.from_bytes(raw[14:18], "little") == 1024  # K
         assert int.from_bytes(raw[18:22], "little") == 64  # d
         assert int.from_bytes(raw[22:26], "little") == 8  # q
-
-    def test_zero_steps_rejected(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys,
-            "train", "--synth", "modes=2,count=64", "--codebook-size", "4",
-            "--latent-dim", "4", "--steps", "0", "--out", str(tmp_path / "x.rvqc"),
-        )
-        assert code == 2
-        assert "--steps" in err
 
     def test_quant_dim_with_ema_rejected(self, tmp_path, capsys):
         code, _, err = run(
@@ -530,13 +559,6 @@ class TestMlmSim:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_bad_cfg_format(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "mlm-sim", "--cfg", "nope", "--out", str(tmp_path / "x.jsonl")
-        )
-        assert code == 2
-        assert "--cfg" in err
-
     def test_determinism(self, tmp_path, capsys):
         outs = []
         for name in ("a.jsonl", "b.jsonl"):
@@ -736,31 +758,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["mlm-sim", "--frames", "20", "--temperature", "nan"],
-            ["mlm-sim", "--frames", "20", "--temperature", "inf"],
-            ["mlm-sim", "--frames", "20", "--cfg", "nan:1"],
-            ["mlm-sim", "--frames", "20", "--cfg", "inf:1"],
-            ["mlm-sim", "--frames", "20", "--margin", "inf"],
-            ["mlm-sim", "--frames", "20", "--margin", "nan"],
-            ["arnar-sim", "--max-frames", "20", "--temperature", "nan"],
-            ["arnar-sim", "--max-frames", "20", "--temperature", "inf"],
-            ["arnar-sim", "--max-frames", "20", "--margin", "inf"],
-            ["arnar-sim", "--max-frames", "20", "--margin", "nan"],
-            ["arnar-sim", "--max-frames", "20", "--layers", "0"],
-            ["arnar-sim", "--max-frames", "20", "--ar", "ngram", "--train-tokens", "{train}",
-             "--ngram-smoothing", "nan"],
-            ["train", "--synth", "modes=4,count=256,sep=nan", "--codebook-size", "16",
-             "--steps", "5"],
-            ["train", "--synth", "modes=4,count=256,sep=inf", "--codebook-size", "16",
-             "--steps", "5"],
-            ["train", "--synth", "modes=4,count=256", "--scheme", "projected", "--latent-dim", "16",
-             "--quant-dim", "4", "--codebook-size", "16", "--steps", "20", "--learning-rate", "0"],
-            ["train", "--synth", "modes=4,count=256", "--scheme", "projected", "--latent-dim", "16",
-             "--quant-dim", "4", "--codebook-size", "16", "--steps", "20", "--learning-rate", "-1"],
-            ["train", "--synth", "modes=4,count=256", "--scheme", "projected", "--latent-dim", "16",
-             "--quant-dim", "4", "--codebook-size", "16", "--steps", "20", "--commitment-weight", "nan"],
-            ["train", "--synth", "modes=4,count=256", "--scheme", "projected", "--latent-dim", "16",
-             "--quant-dim", "4", "--codebook-size", "16", "--steps", "20", "--codebook-weight", "inf"],
             # A corpus with one NaN is rejected before any scheme or init runs.
             *(
                 ["train", "--corpus", "{nan}", "--scheme", scheme, "--init", init, "--latent-dim",
@@ -842,142 +839,92 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_encode_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
-        # Rejected before any file is read: neither input exists.
-        out = tmp_path / "t.jsonl"
-        code, _, err = run(capsys, "encode", "--codebook", str(tmp_path / "missing.rvqc"),
-                           "--input", str(tmp_path / "missing.rvqv"), "--threads", threads,
-                           "--out", str(out))
-        assert code == 2
-        assert err == "error: --threads must be >= 1\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("layer", ["0", "-2"])
-    def test_analyze_layer_is_checked_before_any_file_is_read(self, tmp_path, capsys, layer):
-        # The token file does not exist: the usage error wins over the file error.
-        code, out, err = run(capsys, "analyze", "--tokens", str(tmp_path / "missing.jsonl"),
-                             "--layer", layer)
-        assert code == 2
-        assert out == ""
-        assert err == "error: --layer is 1-based and must be >= 1\n"
-
-    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1"])
-    def test_encode_token_rate_outside_open_interval_is_usage_error(
-        self, tmp_path, capsys, corpus_file, trained_codebook, rate
-    ):
-        out = tmp_path / "t.jsonl"
-        code, _, err = run(capsys, "encode", "--codebook", str(trained_codebook),
-                           "--input", str(corpus_file), "--token-rate", rate, "--out", str(out))
-        assert code == 2
-        assert err == "error: --token-rate must be positive and finite\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("rate", ["0", "nan"])
-    def test_encode_token_rate_is_checked_before_any_file_is_read(self, tmp_path, capsys, rate):
-        # Neither input exists: the usage error wins over the file error.
-        out = tmp_path / "t.jsonl"
-        code, _, err = run(capsys, "encode", "--codebook", str(tmp_path / "missing.rvqc"),
-                           "--input", str(tmp_path / "missing.rvqv"), "--token-rate", rate,
-                           "--out", str(out))
-        assert code == 2
-        assert err == "error: --token-rate must be positive and finite\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize(
-        "args, name",
+        "command, flag, value",
         [
-            (["--latent-dim", "0"], "latent_dim"),
-            (["--synth", "modes=4", "--latent-dim", "0"], "latent_dim"),
-            (["--layers", "0"], "num_layers"),
-            (["--codebook-size", "0"], "codebook_size"),
-            (["--scheme", "projected", "--latent-dim", "8", "--quant-dim", "0"], "quant_dim"),
+            pytest.param(command, flag, value, id=f"{command}{flag}={value}")
+            for command, flags in NUMERIC_FLAGS.items()
+            for flag, values in flags.items()
+            for value in values
         ],
     )
-    def test_train_zero_sizes_are_data_errors(self, tmp_path, capsys, monkeypatch, args, name):
-        # Rejected before the corpus is drawn or a step runs.
-        def unreachable(*_):
-            raise AssertionError("work started on a zero size")
+    def test_out_of_range_flag_is_a_usage_error_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, flag, value
+    ):
+        # Every input file is missing and every reader, corpus draw, training
+        # and generator fails if called: the parser alone must reject the value.
+        def unreachable(*_, **__):
+            raise AssertionError(f"work started with {flag} {value}")
 
-        monkeypatch.setattr(rvqkit.cli, "make_corpus", unreachable)
-        monkeypatch.setattr(rvqkit.cli, "train_quantizer", unreachable)
-        if "--synth" not in args:
-            args = ["--synth", "modes=4", *args]
-        out = tmp_path / "q.rvqc"
-        code, _, err = run(capsys, "train", *args, "--steps", "5", "--out", str(out))
-        assert code == 3
-        assert err == f"error: {name} must be >= 1\n"
+        for name in ("read_vectors", "read_token_streams", "load_quantizer"):
+            monkeypatch.setattr(rvqkit.cli.rvqio, name, unreachable)
+        for name in ("make_corpus", "train_quantizer", "generate_parallel",
+                     "generate_text_to_tokens"):
+            monkeypatch.setattr(rvqkit.cli, name, unreachable)
+        out = tmp_path / "out"
+        base = [arg.format(missing=tmp_path / "missing", out=out) for arg in BASE_ARGV[command]]
+        code, stdout, err = run(capsys, command, *base, flag, value)
+        assert code == 2, err
+        assert f"argument {flag}: " in err
+        assert stdout == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("decay", ["1.5", "nan", "-0.1", "1"])
-    @pytest.mark.parametrize(
-        "scheme", [["ema"], ["ema-restart"], ["projected", "--latent-dim", "8", "--quant-dim", "4"]]
-    )
-    def test_train_decay_is_checked_before_any_work(
-        self, tmp_path, capsys, monkeypatch, scheme, decay
-    ):
-        # Every scheme: the projected one never reads the decay, and the EMA
-        # ones would otherwise build the corpus and run k-means first.
+    def test_in_range_boundaries_parse(self):
+        parser = build_parser()
+        args = parser.parse_args([
+            "train", "--synth", "modes=1", "--decay", "0", "--commitment-weight", "0",
+            "--codebook-weight", "0", "--seed", "0", "--layers", "1", "--out", "q.rvqc",
+        ])
+        assert (args.decay, args.commitment_weight, args.codebook_weight, args.seed) == (0, 0, 0, 0)
+        args = parser.parse_args([
+            "mlm-sim", "--margin", "-1", "--prompt-frames", "0", "--noise-seed", "0",
+            "--cfg=-2:0.5", "--temperature", "1e-300", "--out", "o.jsonl",
+        ])
+        assert (args.margin, args.prompt_frames, args.noise_seed) == (-1.0, 0, 0)
+        assert (args.cfg, args.temperature) == ((-2.0, 0.5), 1e-300)
+        assert parser.parse_args(["arnar-sim", "--margin", "0", "--out", "o"]).margin == 0.0
+
+    def test_quant_dim_above_latent_dim_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         def unreachable(*_):
-            raise AssertionError("work started with a bad decay")
+            raise AssertionError("work started with --quant-dim > --latent-dim")
 
         monkeypatch.setattr(rvqkit.cli, "make_corpus", unreachable)
         monkeypatch.setattr(rvqkit.cli, "train_quantizer", unreachable)
         out = tmp_path / "q.rvqc"
-        code, _, err = run(capsys, "train", "--synth", "modes=4", "--scheme", *scheme,
-                           "--decay", decay, "--steps", "5", "--out", str(out))
-        assert (code, err) == (3, "error: decay must lie in [0, 1)\n")
+        code, _, err = run(capsys, "train", "--synth", "modes=4", "--scheme", "projected",
+                           "--latent-dim", "4", "--quant-dim", "5", "--out", str(out))
+        assert (code, err) == (2, "error: --quant-dim must be <= --latent-dim\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "synth, message",
         [
-            ("modes=abc", "--synth modes must be an integer, got 'abc'"),
-            ("modes=4,count=1e3", "--synth count must be an integer, got '1e3'"),
-            ("modes=4,sep=x", "--synth sep must be a number, got 'x'"),
+            ("modes=abc", "--synth modes must be an integer >= 1, got 'abc'"),
+            ("modes=4,count=1e3", "--synth count must be an integer >= 1, got '1e3'"),
+            ("modes=4,sep=x", "--synth sep must be positive and finite, got 'x'"),
+            ("modes=0", "--synth modes must be an integer >= 1, got '0'"),
+            ("modes=4,count=0", "--synth count must be an integer >= 1, got '0'"),
+            ("modes=4,count=-3", "--synth count must be an integer >= 1, got '-3'"),
+            ("modes=4,sep=0", "--synth sep must be positive and finite, got '0'"),
+            ("modes=4,sep=nan", "--synth sep must be positive and finite, got 'nan'"),
+            ("modes=4,sep=inf", "--synth sep must be positive and finite, got 'inf'"),
             ("modes=4,dims", "--synth entry 'dims' is not key=value"),
             ("modes=4,size=3", "--synth key 'size' unknown (use modes,sep,count)"),
             ("modes=4,dims=16", "--synth key 'dims' unknown (use modes,sep,count)"),
         ],
     )
-    def test_train_bad_synth_spec_is_a_usage_error(self, tmp_path, capsys, synth, message):
+    def test_train_bad_synth_spec_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, synth, message
+    ):
+        def unreachable(*_):
+            raise AssertionError("work started on a bad --synth")
+
+        monkeypatch.setattr(rvqkit.cli, "make_corpus", unreachable)
+        monkeypatch.setattr(rvqkit.cli, "train_quantizer", unreachable)
         out = tmp_path / "q.rvqc"
         code, _, err = run(capsys, "train", "--synth", synth, "--out", str(out))
         assert (code, err) == (2, f"error: {message}\n")
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            (["--codebook-size", "0"], "codebook_size must be >= 1"),
-            (["--codebook-size", "-2"], "codebook_size must be >= 1"),
-            (["--layers", "0"], "layers must be >= 1"),
-        ],
-    )
-    def test_mlm_sim_zero_sizes_are_data_errors(self, tmp_path, capsys, args, message):
-        out = tmp_path / "o.jsonl"
-        code, _, err = run(capsys, "mlm-sim", *args, "--out", str(out))
-        assert code == 3
-        assert err == f"error: {message}\n"
-        assert not out.exists()
-        # No frames at all is already a usage error.
-        assert run(capsys, "mlm-sim", "--frames", "0", "--out", str(out))[0] == 2
-
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            (["--codebook-size", "0"], "codebook_size must be >= 1"),
-            (["--ar", "cycling", "--codebook-size", "0"], "codebook_size must be >= 1"),
-            (["--layers", "0"], "layers must be >= 1"),
-        ],
-    )
-    def test_arnar_sim_zero_sizes_are_data_errors(self, tmp_path, capsys, args, message):
-        out = tmp_path / "o.jsonl"
-        code, _, err = run(capsys, "arnar-sim", *args, "--out", str(out))
-        assert code == 3
-        assert err == f"error: {message}\n"
-        assert not out.exists()
-        assert run(capsys, "arnar-sim", "--max-frames", "0", "--out", str(out))[0] == 2
 
     def test_arnar_sim_one_layer_is_data_error(self, tmp_path, capsys):
         # The NAR stage needs a second layer to fill.
