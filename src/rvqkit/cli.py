@@ -92,6 +92,7 @@ def _ranged(wanted: str, convert, ok=lambda value: True):
 
 _INT_1 = _ranged("an integer >= 1", int, lambda n: n >= 1)
 _INT_0 = _ranged("an integer >= 0", int, lambda n: n >= 0)
+_INT_2 = _ranged("an integer >= 2", int, lambda n: n >= 2)  # arnar-sim's NAR stage needs layer 2
 _POSITIVE = _ranged("positive and finite", lambda text: positive_finite(float(text), "value"))
 _NON_NEGATIVE = _ranged("non-negative and finite", float, lambda x: 0 <= x < np.inf)
 _FINITE = _ranged("finite", float, np.isfinite)
@@ -423,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_analyze)
 
     sim = argparse.ArgumentParser(add_help=False)  # the flags both simulators take
-    sim.add_argument("--layers", type=_INT_1, default=8)
     sim.add_argument("--codebook-size", type=_INT_1, default=1024)
     sim.add_argument("--temperature", type=_POSITIVE, default=1.0)
     sim.add_argument("--seed", type=_INT_0, default=0)
@@ -435,15 +435,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "mlm-sim", parents=[sim], help="masked parallel generation against a toy score model"
     )
+    p.add_argument("--layers", type=_INT_1, default=8)
     p.add_argument("--model", choices=["oracle", "uniform"], default="oracle")
     p.add_argument("--frames", type=_INT_1, default=60)
     p.add_argument("--iterations", type=_INT_1, default=5)
-    p.add_argument("--cfg", type=_CFG, default="0:2", help="guidance coefficients START:END")
+    p.add_argument("--cfg", type=_CFG, default="0:2",
+                   help="guidance coefficients START:END; join a negative START with '=', "
+                        "as in --cfg=-2:0.5")
     p.add_argument("--noise-seed", type=_INT_0, default=None)
     p.add_argument("--truth-out", default=None, help="also dump the hidden reference grid")
     p.set_defaults(handler=cmd_mlm_sim)
 
     p = sub.add_parser("arnar-sim", parents=[sim], help="AR + NAR generation against toy models")
+    p.add_argument("--layers", type=_INT_2, default=8)
     p.add_argument("--ar", choices=["oracle", "ngram", "cycling"], default="oracle")
     p.add_argument("--max-frames", type=_INT_1, default=60)
     p.add_argument("--ngram-order", type=_INT_1, default=2)

@@ -6,7 +6,9 @@ projected scheme the latent is mapped once into the low-dimensional
 quantization space, the residual recursion runs entirely there, and at
 decode time the sum of the looked-up entries is mapped back once through the
 out-projection. Encode and decode are pure over an immutable quantizer and
-safe to parallelize across frames.
+safe to parallelize across frames. Encoding reads each layer's cached lookup
+tables (`Codebook._lookup_tables`), built at a codebook's first lookup, and
+keeps only the indices of each lookup.
 
 A token frame is a plain length-N integer array of per-layer codes; a stream
 is a (T, N) grid of frames with its rate metadata.
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import positive_finite
-from .vq import Codebook, ProjectionPair, nearest_codes
+from .vq import Codebook, ProjectionPair, _lookup
+from .vq import nearest_codes  # noqa: F401  # bench/tracing.py patches this name here
 
 PLAIN = "plain"
 PROJECTED = "projected"
@@ -171,20 +174,26 @@ def entry_sum(entries, codes: np.ndarray) -> np.ndarray:
 
 def _encode_rows(latents: np.ndarray, quantizer: RvqQuantizer, layer_inputs=None):
     """Run the recursion on (T, d) latents, in quantization space when
-    projected, appending each layer's input residual to `layer_inputs` if given."""
+    projected, appending each layer's input residual to `layer_inputs` if given.
+
+    Each layer's lookup runs the block loop of `nearest_codes` straight on
+    the codebook's cached tables and keeps only the indices, so no layer
+    repeats the argument checks or computes a distance the recursion drops.
+    """
     if quantizer.scheme == PROJECTED:
         # Projecting would turn Inf into NaN; the lookup rejects the rest.
         if not np.isfinite(latents).all():
             raise ValueError("latents must be finite")
         latents = latents @ quantizer.projections[0].proj_in
-    layers = quantizer.layers
+    metric = quantizer.metric
+    tables = [layer._lookup_tables() for layer in quantizer.layers]
 
     def nearest(residual, n):
         if layer_inputs is not None:
             layer_inputs.append(residual)
-        return nearest_codes(residual, layers[n])[0]
+        return _lookup(residual, tables[n], metric)[0]
 
-    return residual_codes(latents, [layer.entries for layer in layers], nearest)
+    return residual_codes(latents, [t[0] for t in tables], nearest)
 
 
 def rvq_encode(latent, quantizer: RvqQuantizer) -> tuple[np.ndarray, np.ndarray]:

@@ -6,34 +6,36 @@ codebook under either squared-Euclidean or cosine distance; updates cover the
 EMA rule with Laplace-smoothed normalization (constant `EMA_EPSILON`) and
 the dead-code restart that resamples unused entries from a batch.
 
-Encoding (`nearest_codes`) and training (`assign_batch`) run one lookup per
-metric, in one loop over row blocks of at most 512 KB of scores (128 float32
-rows under Euclidean, 64 float64 rows under cosine, at K=1024), which stay
-well inside one core's L2 cache; a lookup that fits one block returns the
-kernel's arrays as they are. Euclidean (`_euclidean_block`): one float32
-GEMM of -2x with a column of ones against a (q+1, K) table, the transposed
-entries over their squared norms, all scaled by one power of two, so the
-GEMM adds the norms itself; then two passes over the scores, for each row's
-best entry and its runner-up, and one vectorized exact rescoring of every
-(row, candidate) pair within the derived float32 rounding bound. This
-screen-then-rescore follows FAISS (Johnson, Douze & Jegou,
-arXiv:1702.08734); the bound follows Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 3. The kernel finds non-finite queries through
-the scale |x|^2 it computes for the bound, with no scan of its own. Its
-tables collapse each block of identical entries to the first copy, so
-copies cost no rescoring. With BLAS on one thread, on random normal entries
-and queries at K=1024, q=32, the lookup costs about 0.92 us a row over
-8,192 rows (1.5 us with a float64 GEMM) and 16-18 us for one row (22 us).
-Cosine
+Lookups (`nearest_codes`, each layer of `rvq` encoding, and training's
+`assign_batch`) run one lookup per metric, in one loop over row blocks of at
+most 512 KB of scores (128 float32 rows under Euclidean, 64 float64 rows
+under cosine, at K=1024), which stay well inside one core's L2 cache; a
+lookup that fits one block returns the kernel's arrays as they are.
+Euclidean (`_euclidean_block`): one float32 GEMM of -2x with a column of
+ones against a (q+1, K) table, the transposed entries over their squared
+norms, all scaled by one power of two, so the GEMM adds the norms itself;
+then two passes over the scores, for each row's best entry and its
+runner-up, and one vectorized exact rescoring of every (row, candidate) pair
+within the derived float32 rounding bound. This screen-then-rescore follows
+FAISS (Johnson, Douze & Jegou, arXiv:1702.08734); the bound follows Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 3. The kernel finds
+non-finite queries through the scale |x|^2 it computes for the bound, with
+no scan of its own. Its tables collapse each block of identical entries to
+the first copy, so copies cost no rescoring. With BLAS on one thread, on
+random normal entries and queries at K=1024, q=32, the lookup costs about
+0.92 us a row over 8,192 rows (1.5 us with a float64 GEMM). A one-frame
+`rvq_encode` through 8 such layers, which runs `_lookup` on each layer's
+cached tables, costs about 183 us a frame, against 230 us when every layer
+called `nearest_codes` and computed a distance it dropped. Cosine
 (`_cosine_block`): the loop normalizes every query once, then each block is
 one GEMM of unit queries against a contiguous (q, K) table of unit entries,
 then the largest similarity, mapped to the first copy of its unit entry
 (BLAS may round equal columns differently). At q=8 that GEMM is bound by
-writing its scores: with BLAS on one thread it costs 0.50 us a row in
-64-row blocks, against 0.98 us in 256-row blocks, and 0.77 us in 64-row
-blocks on a transposed view of the unit entries. A zero vector has no
-direction: it normalizes to zero, so its cosine with every vector is 0 (the
-`F.normalize` convention of DAC).
+writing its scores: with BLAS on one thread it costs 0.50 us a row in 64-row
+blocks, against 0.98 us in 256-row blocks, and 0.77 us in 64-row blocks on a
+transposed view of the unit entries. A zero vector has no direction: it
+normalizes to zero, so its cosine with every vector is 0 (the `F.normalize`
+convention of DAC).
 
 K-means++ seeding (`kmeans_init`) computes one GEMV per new centre and
 recomputes the exact D^2 only of the rows a rounding bound cannot rule out.

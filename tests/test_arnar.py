@@ -259,6 +259,13 @@ class TestGenerateNar:
         with pytest.raises(ValueError, match="more frames requested than the oracle's ground truth"):
             model.layer_logits(None, None, np.zeros((4, 1), dtype=np.int32), 1)
 
+    def test_one_layer_prompt_is_a_value_error(self):
+        # The NAR stage needs a second layer to fill; `arnar-sim` rejects
+        # `--layers 1` in its parser, library callers get this error.
+        model = OracleNarModel(np.zeros((3, 1), dtype=np.int32), codebook_size=4)
+        with pytest.raises(ValueError, match="needs num_layers >= 2"):
+            generate_nar(model, np.arange(3), empty_prompt(1, 4), [0, 1, 2])
+
     def test_single_call_for_two_layers(self):
         calls = []
 

@@ -19,6 +19,7 @@ from rvqkit import (
     rvq_encode_batch,
     train_quantizer,
 )
+from rvqkit import rvq, vq
 
 
 def reference_encode(latent, entries_per_layer):
@@ -51,9 +52,10 @@ def quantization_input(latents, qz):
     return latents @ qz.projections[0].proj_in if qz.scheme == "projected" else latents
 
 
-def random_plain_quantizer(rng, num_layers=3, k=16, dim=6, scale=1.0):
+def random_plain_quantizer(rng, num_layers=3, k=16, dim=6, scale=1.0, metric="euclidean"):
     layers = [
-        Codebook.from_entries(rng.normal(size=(k, dim)) * scale) for _ in range(num_layers)
+        Codebook.from_entries(rng.normal(size=(k, dim)) * scale, metric=metric)
+        for _ in range(num_layers)
     ]
     return RvqQuantizer(layers=layers, latent_dim=dim)
 
@@ -69,6 +71,21 @@ def random_projected_cosine_quantizer(rng, num_layers=3, k=16, dim=6, quant_dim=
     return RvqQuantizer(
         layers=layers, latent_dim=dim, scheme="projected", projections=[pair] * num_layers
     )
+
+
+def duplicates_quantizer(rng):
+    """What a collapsed k-means init leaves, as in the `duplicates` codebook
+    of tools/fingerprint.py: 8 layers at K=1024, q=32, whose first three
+    draw their entries from 48 rows (layer 3 has 800 copies of its first
+    entry) and whose last five are all zero."""
+    layers = []
+    for n in range(8):
+        base = rng.normal(size=(48, 32)) * 3.0 / (n + 1)
+        entries = base[rng.integers(0, 48, size=1024)] if n < 3 else np.zeros((1024, 32))
+        if n == 2:
+            entries[100:900] = entries[0]
+        layers.append(Codebook.from_entries(entries))
+    return RvqQuantizer(layers=layers, latent_dim=32)
 
 
 class TestEncode:
@@ -139,17 +156,77 @@ class TestEncode:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_latent_raises(self, bad):
         # Only the first layer's input can be non-finite (entries are
-        # finite); the Euclidean lookup finds it through its own scale.
+        # finite). The Euclidean lookup finds it through its own scale, the
+        # cosine one when it normalizes the queries, and the projected
+        # scheme before it projects.
         rng = np.random.default_rng(23)
-        qz = random_plain_quantizer(rng)
-        latent = rng.normal(size=6)
-        latent[4] = bad
-        with pytest.raises(ValueError, match="finite"):
-            rvq_encode(latent, qz)
-        latents = rng.normal(size=(300, 6))
-        latents[250, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            rvq_encode_batch(latents, qz)
+        for make_quantizer in (random_plain_quantizer, random_projected_cosine_quantizer,
+                               lambda rng: random_plain_quantizer(rng, metric="cosine")):
+            qz = make_quantizer(rng)
+            latent = rng.normal(size=6)
+            latent[4] = bad
+            with pytest.raises(ValueError, match="finite"):
+                rvq_encode(latent, qz)
+            latents = rng.normal(size=(300, 6))
+            latents[250, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                rvq_encode_batch(latents, qz)
+
+    @pytest.mark.parametrize("metric, block, rows", [("euclidean", "_euclidean_block", 128),
+                                                     ("cosine", "_cosine_block", 64)])
+    def test_encode_runs_the_kernel_on_cached_tables(self, monkeypatch, metric, block, rows):
+        # At K=1024 a block holds 128 Euclidean or 64 cosine rows. Each layer
+        # calls the kernel once per block; `nearest_codes` is never called,
+        # and only the first encode builds the layers' tables.
+        rng = np.random.default_rng(26)
+        qz = random_plain_quantizer(rng, num_layers=3, k=1024, dim=8, metric=metric)
+        latents = rng.normal(size=(300, 8))
+        blocks, builds = [], []
+        kernel, build = getattr(vq, block), vq._build_tables
+
+        def spy_block(x, tables):
+            blocks.append(len(x))
+            return kernel(x, tables)
+
+        def spy_build(entries, metric):
+            builds.append(len(entries))
+            return build(entries, metric)
+
+        def unreachable(*_):
+            raise AssertionError("encode called nearest_codes")
+
+        monkeypatch.setattr(vq, block, spy_block)
+        monkeypatch.setattr(vq, "_build_tables", spy_build)
+        monkeypatch.setattr(vq, "nearest_codes", unreachable)
+        monkeypatch.setattr(rvq, "nearest_codes", unreachable)
+
+        codes, _ = rvq_encode(latents[0], qz)
+        assert (blocks, builds) == ([1] * 3, [1024] * 3)
+        blocks.clear()
+        batch_codes, _ = rvq_encode_batch(latents, qz)
+        assert blocks == 3 * ([rows] * (300 // rows) + [300 % rows])
+        np.testing.assert_array_equal(batch_codes[0], codes)
+        blocks.clear()
+        assert rvq_encode(latents[0], qz)[0].tolist() == codes.tolist()
+        assert (blocks, builds) == ([1] * 3, [1024] * 3)
+
+    def test_one_frame_matches_batch_on_copied_entries(self):
+        # Blocks of copies and all-zero layers: ties everywhere, which both
+        # paths must break to the same lowest index.
+        rng = np.random.default_rng(27)
+        qz = duplicates_quantizer(rng)
+        entries = [layer.entries for layer in qz.layers]
+        latents = np.concatenate([
+            make_corpus(CorpusSpec(dims=32, count=300, seed=8)),
+            entries[0][rng.integers(0, 1024, size=20)] + entries[2][rng.integers(0, 1024, size=20)],
+        ])
+        batch_codes, batch_residuals = rvq_encode_batch(latents, qz)
+        for latent, row, final in zip(latents, batch_codes, batch_residuals):
+            codes, norms = rvq_encode(latent, qz)
+            assert codes.tolist() == row.tolist()
+            ref_norms, residual = residual_chain(latent, codes, entries)
+            assert norms.tolist() == ref_norms
+            np.testing.assert_array_equal(final, residual)
 
     @pytest.mark.parametrize("entry_scale", [1.0, 1e29])
     def test_latent_at_1e30_encodes_exactly(self, entry_scale):

@@ -6,14 +6,16 @@ output file, named `<case>/<stream>`. The training outputs are the cases
 `train-*`, `lib/train-*` and `lib/kmeans-init*`, and demo 03, which trains.
 `projected-distinct-pairs` runs encode and decode on a projected codebook file
 whose layers' projection pairs differ, and `*/decode-multi-stream` decodes a
-token file with empty streams among long ones. The `tokens-*` cases decode
-and analyze one token file rewritten with spaces, reordered keys and `"codes"`
-inside the id or another key, and with a leading zero or a 10-digit code. The
-`lib/generate-*` and `lib/text-to-tokens-*` cases run the schedulers on the
-toy oracles, the `lib/train-ngram-*` cases hash the n-gram AR model's
-counts, and the `lib/oracle-truth-check-*` cases build each oracle on a truth
-code outside [0, K) and call it once. To see what a change moves, run it on
-two checkouts and diff:
+token file with empty streams among long ones. `lib/encode-batch-*` and
+`lib/encode-frame-*` encode 300 queries on each codebook, in one batch (codes
+and final residuals) and one frame per call (codes and residual norms). The
+`tokens-*` cases decode and analyze one token file rewritten with spaces,
+reordered keys and `"codes"` inside the id or another key, and with a leading
+zero or a 10-digit code. The `lib/generate-*` and `lib/text-to-tokens-*` cases
+run the schedulers on the toy oracles, the `lib/train-ngram-*` cases hash the
+n-gram AR model's counts, and the `lib/oracle-truth-check-*` cases build each
+oracle on a truth code outside [0, K) and call it once. To see what a change
+moves, run it on two checkouts and diff:
 
     python tools/fingerprint.py > new.txt
     python tools/fingerprint.py --repo ../old-checkout > old.txt
@@ -132,6 +134,8 @@ def _codebook_cases(fp: Fingerprint, rk, extra: list[Path]) -> None:
 
         queries = rk.make_corpus(rk.CorpusSpec(dims=quantizer.latent_dim, count=300, seed=8))
         fp.arrays(f"lib/encode-batch-{name}", *rk.rvq_encode_batch(queries, quantizer))
+        codes, norms = zip(*(rk.rvq_encode(row, quantizer) for row in queries))
+        fp.arrays(f"lib/encode-frame-{name}", np.stack(codes), np.stack(norms))
     _distinct_pairs_case(fp, books["projected"])
     _multi_stream_decode_case(fp, rk, books)
     _token_layout_cases(fp)
