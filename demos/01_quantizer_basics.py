@@ -37,21 +37,24 @@ cb = Codebook(
     entries=np.full((4, 2), 3.0),
     ema_cluster_size=np.zeros(4),
     ema_embed_sum=np.zeros((4, 2)),
-    usage_counts=np.zeros(4, dtype=np.int64),
 )
+used = np.zeros(4, dtype=bool)
 target = np.array([-1.0, 2.0])
 print("EMA pull toward a constant batch assigned to code 0:")
 for step in range(1, 101):
     batch = target + 0.05 * rng.standard_normal((16, 2))
-    cb = ema_update(cb, batch, np.zeros(16, dtype=int), decay=0.99)
+    indices = np.zeros(16, dtype=int)
+    cb = ema_update(cb, batch, indices, decay=0.99)
+    used[indices] = True
     if step in (1, 5, 25, 100):
         print(f"  step {step:>3}: entries[0] = {np.round(cb.entries[0], 4)}")
 print(f"  target was {target}\n")
 
 # --- Dead-code restart ------------------------------------------------------
-print(f"usage counts after the EMA run: {cb.usage_counts}")
+# A code is dead if no update has assigned it; the caller tracks that.
+print(f"codes assigned during the EMA run: {used}")
 batch = target + 0.05 * rng.standard_normal((32, 2))
-cb2, revived = restart_dead_codes(cb, batch, rng=7)
+cb2, revived = restart_dead_codes(cb, batch, used, rng=7)
 print(f"restart revived {revived} dead codes; their entries are now batch members:")
 for i in (1, 2, 3):
     print(f"  code {i}: {np.round(cb2.entries[i], 4)}")

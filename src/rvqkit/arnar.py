@@ -241,13 +241,16 @@ def train_ngram_ar(streams: list[TokenStream], order: int = 2, smoothing: float 
 
 
 def sequence_perplexity(model: ArModel, condition, codes) -> float:
-    """Perplexity (base 2) of a first-layer sequence plus its EOS under an AR model."""
+    """Perplexity (base 2) of a first-layer sequence plus its EOS under an AR
+    model with K codes plus EOS; a code outside [0, K) raises ValueError."""
     codes = np.asarray(codes, dtype=np.int64).ravel()
     empty = np.empty(0, dtype=np.int64)
     log2_sum = 0.0
     steps = 0
     for t in range(len(codes) + 1):
         logits = np.asarray(model.next_logits(condition, empty, codes[:t]), dtype=np.float64).ravel()
+        if t == 0 and not np.all((codes >= 0) & (codes < len(logits) - 1)):
+            raise ValueError(f"codes must lie in [0, {len(logits) - 1})")
         z = logits - logits.max()
         logp = z - np.log(np.exp(z).sum())
         target = codes[t] if t < len(codes) else len(logits) - 1

@@ -329,6 +329,14 @@ def cmd_arnar_sim(args) -> int:
         raise UsageError("--prompt-frames must be smaller than --max-frames")
     truth, condition, make_stream = _sim_inputs(args, args.max_frames, "arnar-sim")
     support_streams = rvqio.read_token_streams(args.support) if args.support else None
+    train_streams = rvqio.read_token_streams(args.train_tokens) if args.ar == "ngram" else []
+    for what, streams in (("training", train_streams), ("support", support_streams or [])):
+        for stream in streams:
+            if stream.codebook_size != args.codebook_size:
+                raise FormatError(
+                    f"--codebook-size {args.codebook_size} does not match {what} stream "
+                    f"{stream.source_id!r} ({stream.codebook_size})"
+                )
 
     budget = args.max_frames - args.prompt_frames
     if args.ar == "oracle":
@@ -337,13 +345,7 @@ def cmd_arnar_sim(args) -> int:
         cycle = np.arange(budget) % args.codebook_size
         ar = OracleArModel(cycle, args.codebook_size, margin=args.margin)
     else:
-        train_streams = rvqio.read_token_streams(args.train_tokens)
         ar = train_ngram_ar(train_streams, order=args.ngram_order, smoothing=args.ngram_smoothing)
-        if ar.codebook_size != args.codebook_size:
-            raise FormatError(
-                f"--codebook-size {args.codebook_size} does not match training streams "
-                f"({ar.codebook_size})"
-            )
 
     # NAR ground truth is aligned with the generated span (post-prompt frames).
     nar = OracleNarModel(

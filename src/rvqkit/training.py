@@ -296,6 +296,8 @@ def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator
 
     mse = np.empty(config.steps)
     with_restart = config.scheme == SCHEME_EMA_RESTART
+    # Dead at a check: no step has assigned the code since the codebook was built.
+    used = np.zeros((config.num_layers, config.codebook_size), dtype=bool)
     for step in range(config.steps):
         picks = rng.choice(len(corpus), size=config.batch_size, replace=False)
         batch = corpus[picks]
@@ -309,6 +311,7 @@ def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator
         # No lookup reads an updated codebook (layer n+1 never sees layer n's
         # update), so updating every layer after the recursion is exact.
         codes, residual = residual_codes(batch, entries, nearest)
+        used[np.arange(config.num_layers), codes] = True
         for n in range(config.num_layers):
             layers[n] = ema_update(layers[n], layer_inputs[n], codes[:, n], decay=config.decay)
         mse[step] = float((residual**2).sum()) / config.batch_size
@@ -316,7 +319,7 @@ def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator
 
         if with_restart and (step + 1) % config.restart_period == 0:
             for n in range(config.num_layers):
-                layers[n], _ = restart_dead_codes(layers[n], layer_inputs[n], rng=rng)
+                layers[n], _ = restart_dead_codes(layers[n], layer_inputs[n], used[n], rng=rng)
 
     quantizer = RvqQuantizer(layers=layers, latent_dim=config.latent_dim, scheme=PLAIN)
     # For the plain scheme the codebook term's value coincides with the MSE.

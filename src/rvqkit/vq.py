@@ -4,7 +4,9 @@ Codebooks hold raw (unnormalized) code vectors together with the EMA
 statistics that drive training-time updates. Lookups are exhaustive over the
 codebook under either squared-Euclidean or cosine distance; updates cover the
 EMA rule with Laplace-smoothed normalization (constant `EMA_EPSILON`) and
-the dead-code restart that resamples unused entries from a batch.
+the dead-code restart that resamples from a batch the entries a caller's
+boolean mask marks unused. A codebook keeps no record of which codes were
+assigned; the training loop that owns the restart window keeps that mask.
 
 Lookups (`nearest_codes`, each layer of `rvq` encoding, and training's
 `assign_batch`) run one lookup per metric, in one loop over row blocks of at
@@ -95,20 +97,17 @@ _F32_SCALE_LIMIT = 2.0**120
 
 @dataclass
 class Codebook:
-    """One quantization layer: K code vectors plus their update statistics.
+    """One quantization layer: K code vectors plus their EMA statistics.
 
     entries:          (K, q) code vectors in quantization space
     ema_cluster_size: (K,) moving average of per-code assignment counts
     ema_embed_sum:    (K, q) moving average of per-code assigned-vector sums
-    usage_counts:     (K,) integer assignments, summed by every `ema_update`;
-                      only a restart of that code clears its count
     metric:           "euclidean" or "cosine"
     """
 
     entries: np.ndarray
     ema_cluster_size: np.ndarray
     ema_embed_sum: np.ndarray
-    usage_counts: np.ndarray
     metric: str = EUCLIDEAN
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -116,7 +115,6 @@ class Codebook:
         self.entries = np.asarray(self.entries, dtype=np.float64)
         self.ema_cluster_size = np.asarray(self.ema_cluster_size, dtype=np.float64)
         self.ema_embed_sum = np.asarray(self.ema_embed_sum, dtype=np.float64)
-        self.usage_counts = np.asarray(self.usage_counts, dtype=np.int64)
         self.validate()
 
     @classmethod
@@ -125,14 +123,7 @@ class Codebook:
         entries = np.array(entries, dtype=np.float64)
         if entries.ndim != 2:
             raise ValueError("entries must be a (K, q) matrix")
-        k = entries.shape[0]
-        return cls(
-            entries=entries,
-            ema_cluster_size=np.ones(k),
-            ema_embed_sum=entries.copy(),
-            usage_counts=np.zeros(k, dtype=np.int64),
-            metric=metric,
-        )
+        return cls(entries, np.ones(len(entries)), entries.copy(), metric)
 
     @property
     def num_codes(self) -> int:
@@ -175,8 +166,6 @@ class Codebook:
             raise ValueError("ema_cluster_size entries must be non-negative")
         if self.ema_embed_sum.shape != (k, q):
             raise ValueError("ema_embed_sum must have shape (K, q)")
-        if self.usage_counts.shape != (k,) or np.any(self.usage_counts < 0):
-            raise ValueError("usage_counts must be non-negative with shape (K,)")
 
 
 @dataclass
@@ -524,7 +513,7 @@ def ema_update(
     are then recomputed as ema_embed_sum / smoothed cluster size, where the
     smoothing is Laplace over sizes: (size_i + eps) / (N + K*eps) * N with
     eps the fixed constant `EMA_EPSILON` (1e-5) and N the total EMA mass.
-    Returns a new codebook; usage counters accumulate.
+    Returns a new codebook.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     indices = np.asarray(indices, dtype=np.int64).ravel()
@@ -556,7 +545,6 @@ def ema_update(
         entries=entries,
         ema_cluster_size=new_size,
         ema_embed_sum=new_sum,
-        usage_counts=codebook.usage_counts + counts.astype(np.int64),
         metric=codebook.metric,
     )
 
@@ -564,16 +552,17 @@ def ema_update(
 def restart_dead_codes(
     codebook: Codebook,
     batch,
+    used,
     rng=0,
 ) -> tuple[Codebook, int]:
-    """Replace the dead codes: those that no `ema_update` has assigned since
-    the codebook was built or the code last restarted (`usage_counts` 0).
-    `ema_update` only adds to a count, so a code assigned once stays alive.
+    """Replace the dead codes: those whose entry in the (K,) boolean mask
+    `used` is False. The caller decides what counts as used; training marks
+    every code its steps have assigned since the codebook was built.
 
     Replacement entries are drawn uniformly from `batch` (without replacement
-    while the batch lasts). Each restarted code gets EMA statistics (1, entry)
-    and a cleared usage counter; untouched codes keep theirs. Returns the new
-    codebook and the number of restarts.
+    while the batch lasts). Each restarted code gets EMA statistics (1, entry);
+    untouched codes keep theirs. Returns the new codebook and the number of
+    restarts.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if len(batch) == 0:
@@ -582,32 +571,21 @@ def restart_dead_codes(
         raise ValueError(
             f"batch dim {batch.shape[1]} does not match codebook dim {codebook.code_dim}"
         )
+    used = np.asarray(used)
+    if used.dtype != np.bool_ or used.shape != (codebook.num_codes,):
+        raise ValueError(f"used must be a boolean mask of shape ({codebook.num_codes},)")
 
-    dead = np.flatnonzero(codebook.usage_counts == 0)
+    dead = np.flatnonzero(~used)
     if dead.size == 0:
         return codebook, 0
 
     rng = as_generator(rng)
     picks = rng.choice(len(batch), size=dead.size, replace=dead.size > len(batch))
-    replacements = batch[picks]
-
-    entries = codebook.entries.copy()
+    entries, sums = codebook.entries.copy(), codebook.ema_embed_sum.copy()
     sizes = codebook.ema_cluster_size.copy()
-    sums = codebook.ema_embed_sum.copy()
-    usage = codebook.usage_counts.copy()
-    entries[dead] = replacements
+    entries[dead] = sums[dead] = batch[picks]
     sizes[dead] = 1.0
-    sums[dead] = replacements
-    usage[dead] = 0
-
-    restarted = Codebook(
-        entries=entries,
-        ema_cluster_size=sizes,
-        ema_embed_sum=sums,
-        usage_counts=usage,
-        metric=codebook.metric,
-    )
-    return restarted, int(dead.size)
+    return Codebook(entries, sizes, sums, codebook.metric), int(dead.size)
 
 
 def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -718,6 +696,5 @@ def kmeans_init(
         entries=centers,
         ema_cluster_size=counts,
         ema_embed_sum=sums,
-        usage_counts=np.zeros(num_codes, dtype=np.int64),
         metric=metric,
     )

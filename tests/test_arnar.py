@@ -502,6 +502,15 @@ class TestNgram:
         assert ppl_uniform == pytest.approx(k + 1, rel=1e-6)
         assert ppl_model <= ppl_uniform
 
+    @pytest.mark.parametrize("bad", [-1, 16, 99], ids=["negative", "eos-index", "past-eos"])
+    def test_perplexity_rejects_codes_outside_codebook(self, bad):
+        # K=16: EOS is index 16 of the logits, never a code, and -1 is not one either.
+        model = train_ngram_ar([make_stream(np.arange(64) % 16, k=16)], order=2)
+        for codes in ([bad, bad, bad], [3, 4, bad]):
+            with pytest.raises(ValueError, match=r"\[0, 16\)"):
+                sequence_perplexity(model, np.arange(1), codes)
+        assert sequence_perplexity(model, np.arange(1), [3, 4, 15]) > 1.0
+
     def test_prompt_extends_context(self):
         codes = np.array([2, 3] * 30)
         model = train_ngram_ar([make_stream(codes, k=6)], order=2, smoothing=1e-9)

@@ -673,6 +673,31 @@ class TestArnarSim:
         assert code == 0
         assert parse_stats(stdout)["out_of_support_rate"] == "1.0"
 
+    @pytest.mark.parametrize(
+        "ar, mismatched", [("oracle", "support"), ("ngram", "support"), ("ngram", "training")]
+    )
+    def test_streams_of_another_codebook_size_are_exit_3(self, tmp_path, capsys, ar, mismatched):
+        # Each file is checked right after it is read, before any generation.
+        def write(path, sizes):
+            write_token_streams(str(path), [
+                TokenStream(frames=np.arange(40).reshape(40, 1) % 8, token_rate_hz=50.0,
+                            codebook_size=k, source_id=name)
+                for name, k in sizes
+            ])
+
+        train, support = tmp_path / "train.jsonl", tmp_path / "support.jsonl"
+        bad = [("same", 16), ("big", 4096)]
+        write(train, bad if mismatched == "training" else bad[:1])
+        write(support, bad if mismatched == "support" else bad[:1])
+        out = tmp_path / "gen.jsonl"
+        code, stdout, err = run(
+            capsys, "arnar-sim", "--ar", ar, "--train-tokens", str(train),
+            "--support", str(support), "--max-frames", "20", "--layers", "2",
+            "--codebook-size", "16", "--seed", "6", "--out", str(out),
+        )
+        assert code == 3
+        assert f"does not match {mismatched} stream 'big' (4096)" in err
+        assert stdout == "" and not out.exists()
 
 class TestExitCodes:
     @pytest.mark.filterwarnings("ignore:overflow")

@@ -118,6 +118,49 @@ class TestEmaTraining:
         _, restart = train_quantizer(corpus, TrainConfig(scheme="ema_restart", **base))
         assert restart.utilization[0] >= plain.utilization[0]
 
+    def test_restart_checks_see_every_code_assigned_so_far(self, monkeypatch):
+        # Dead means no step has assigned the code since the codebook was
+        # built: each check's `used` is the union of every code that the
+        # layer's EMA updates up to that step were given, so a code assigned
+        # once stays alive, and a restarted code stays dead until assigned.
+        import rvqkit.training as training
+
+        real_ema, real_restart = training.ema_update, training.restart_dead_codes
+        num_layers, k = 2, 64
+        assigned = [np.zeros(k, dtype=bool) for _ in range(num_layers)]
+        calls = {"ema": 0}
+        checks = []
+
+        def ema_spy(codebook, vectors, indices, **kwargs):
+            assigned[calls["ema"] % num_layers][indices] = True
+            calls["ema"] += 1
+            return real_ema(codebook, vectors, indices, **kwargs)
+
+        def restart_spy(codebook, batch, used, rng=0):
+            layer = len(checks) % num_layers
+            checks.append((layer, used.copy(), assigned[layer].copy()))
+            return real_restart(codebook, batch, used, rng=rng)
+
+        monkeypatch.setattr(training, "ema_update", ema_spy)
+        monkeypatch.setattr(training, "restart_dead_codes", restart_spy)
+        corpus = make_corpus(
+            CorpusSpec(num_components=6, dims=4, separation=8.0, count=512, seed=45)
+        )
+        config = TrainConfig(
+            scheme="ema_restart", num_layers=num_layers, codebook_size=k, latent_dim=4,
+            steps=60, batch_size=32, restart_period=10, seed=45,
+        )
+        train_quantizer(corpus, config)
+
+        assert len(checks) == 6 * num_layers
+        for _, used, expected in checks:
+            assert used.dtype == bool and used.shape == (k,)
+            np.testing.assert_array_equal(used, expected)
+        # Some checks find dead codes, and some codes come alive between
+        # checks, so the masks exercise both outcomes.
+        assert any(not used.all() for _, used, _ in checks)
+        assert not np.array_equal(checks[0][1], checks[-2][1])
+
     def test_reported_utilization_is_that_of_encode(self):
         # Training looks codes up with the encoder's kernel, so the utilization
         # it reports is that of the codes `rvq_encode_batch` gives.

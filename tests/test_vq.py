@@ -554,7 +554,6 @@ class TestEmaUpdate:
             entries=np.full((4, 3), 9.0),
             ema_cluster_size=np.zeros(4),
             ema_embed_sum=np.zeros((4, 3)),
-            usage_counts=np.zeros(4, dtype=np.int64),
         )
         batch = np.tile(v, (8, 1))
         idx = np.zeros(8, dtype=int)
@@ -614,11 +613,6 @@ class TestEmaUpdate:
         expected_total = decay * cb.ema_cluster_size.sum() + (1 - decay) * 17
         assert updated.ema_cluster_size.sum() == pytest.approx(expected_total)
 
-    def test_usage_counts_accumulate(self):
-        cb = Codebook.from_entries(np.eye(3))
-        updated = ema_update(cb, np.eye(3)[[0, 0, 2]], [0, 0, 2])
-        assert updated.usage_counts.tolist() == [2, 0, 1]
-
     def test_index_out_of_range_raises(self):
         cb = Codebook.from_entries(np.eye(2))
         with pytest.raises(ValueError):
@@ -632,18 +626,23 @@ class TestEmaUpdate:
 
 class TestRestartDeadCodes:
     @pytest.mark.parametrize(
-        "batch, message",
-        [(np.empty((0, 3)), "requires a non-empty batch")],
-        ids=["empty-batch"],
+        "batch, used, message",
+        [
+            (np.empty((0, 3)), np.ones(3, dtype=bool), "requires a non-empty batch"),
+            (np.eye(3), np.ones(4, dtype=bool), "boolean mask of shape"),
+            (np.eye(3), np.ones((1, 3), dtype=bool), "boolean mask of shape"),
+            (np.eye(3), np.array([1, 0, 1]), "boolean mask of shape"),
+            (np.eye(3), np.array([1.0, 0.0, 1.0]), "boolean mask of shape"),
+        ],
+        ids=["empty-batch", "mask-too-long", "mask-2d", "mask-int", "mask-float"],
     )
-    def test_rejects_bad_arguments(self, batch, message):
+    def test_rejects_bad_arguments(self, batch, used, message):
         with pytest.raises(ValueError, match=message):
-            restart_dead_codes(Codebook.from_entries(np.eye(3)), batch)
+            restart_dead_codes(Codebook.from_entries(np.eye(3)), batch, used)
 
     def test_no_dead_codes_unchanged(self):
         cb = Codebook.from_entries(np.eye(3))
-        cb = ema_update(cb, np.eye(3), [0, 1, 2])
-        out, n = restart_dead_codes(cb, np.eye(3), rng=0)
+        out, n = restart_dead_codes(cb, np.eye(3), np.ones(3, dtype=bool), rng=0)
         assert n == 0
         assert out is cb
 
@@ -651,8 +650,7 @@ class TestRestartDeadCodes:
         rng = np.random.default_rng(4)
         cb = Codebook.from_entries(rng.normal(size=(4, 2)))
         batch = rng.normal(size=(10, 2))
-        cb = ema_update(cb, batch[:4], [0, 1, 0, 1])  # codes 2 and 3 never used
-        out, n = restart_dead_codes(cb, batch, rng=9)
+        out, n = restart_dead_codes(cb, batch, np.array([True, True, False, False]), rng=9)
         assert n == 2
         batch_rows = {tuple(row) for row in batch}
         assert tuple(out.entries[2]) in batch_rows
@@ -660,46 +658,47 @@ class TestRestartDeadCodes:
         # Restarted statistics are reset to (1, entry).
         assert out.ema_cluster_size[2] == 1.0
         np.testing.assert_array_equal(out.ema_embed_sum[2], out.entries[2])
-        assert out.usage_counts[2] == 0
+
+    def test_live_codes_untouched(self):
+        # Whatever the EMA statistics say, the mask alone decides: code 1,
+        # whose cluster size has decayed to nothing, is kept, and code 2,
+        # the heaviest, is restarted.
+        cb = Codebook.from_entries(np.eye(4))
+        cb = ema_update(cb, np.tile(np.eye(4)[2], (8, 1)), np.full(8, 2), decay=0.0)
+        assert cb.ema_cluster_size[1] == 0.0
+        used = np.array([True, True, False, False])
+        out, n = restart_dead_codes(cb, np.ones((3, 4)), used, rng=0)
+        assert n == 2
+        np.testing.assert_array_equal(out.entries[used], cb.entries[used])
+        np.testing.assert_array_equal(out.ema_cluster_size[used], cb.ema_cluster_size[used])
+        np.testing.assert_array_equal(out.ema_embed_sum[used], cb.ema_embed_sum[used])
+        np.testing.assert_array_equal(out.entries[~used], np.ones((2, 4)))
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(1)
         cb = Codebook.from_entries(rng.normal(size=(6, 3)))
         batch = rng.normal(size=(20, 3))
-        a, na = restart_dead_codes(cb, batch, rng=42)
-        b, nb = restart_dead_codes(cb, batch, rng=42)
-        assert na == nb
+        used = np.array([True, False, False, True, False, False])
+        a, na = restart_dead_codes(cb, batch, used, rng=42)
+        b, nb = restart_dead_codes(cb, batch, used, rng=42)
+        assert na == nb == 4
         np.testing.assert_array_equal(a.entries, b.entries)
 
     def test_preserves_shape_and_metric(self):
         cb = Codebook.from_entries(np.eye(4), metric="cosine")
-        out, n = restart_dead_codes(cb, np.ones((3, 4)), rng=0)
+        out, n = restart_dead_codes(cb, np.ones((3, 4)), np.zeros(4, dtype=bool), rng=0)
         assert n == 4
         assert out.num_codes == 4 and out.code_dim == 4 and out.metric == "cosine"
 
-    def test_live_codes_untouched(self):
+    def test_does_not_mutate_input(self):
         cb = Codebook.from_entries(np.eye(3) * 2.0)
-        cb = ema_update(cb, np.array([[2.0, 0, 0]]), [0])
-        out, n = restart_dead_codes(cb, np.ones((2, 3)), rng=0)
-        assert n == 2
-        np.testing.assert_array_equal(out.entries[0], cb.entries[0])
-        assert out.usage_counts[0] == cb.usage_counts[0]
-
-    def test_code_assigned_once_is_never_dead(self):
-        # Dead means no update has assigned the code since the codebook was
-        # built: code 2, assigned once and then left unused for 1,000
-        # updates, keeps its entry while its EMA cluster size decays to
-        # that of the codes never used.
-        cb = Codebook.from_entries(np.eye(4))
-        cb = ema_update(cb, np.eye(4)[2:3], [2])
-        for _ in range(1000):
-            cb = ema_update(cb, np.tile(np.eye(4)[0], (8, 1)), np.zeros(8, dtype=int))
-        assert cb.usage_counts.tolist() == [8000, 0, 1, 0]
-        assert cb.ema_cluster_size[2] < 1e-4
-        out, n = restart_dead_codes(cb, np.ones((3, 4)), rng=0)
-        assert n == 2
-        np.testing.assert_array_equal(out.entries[[0, 2]], cb.entries[[0, 2]])
-        np.testing.assert_array_equal(out.entries[[1, 3]], np.ones((2, 4)))
+        before = (cb.entries.copy(), cb.ema_cluster_size.copy(), cb.ema_embed_sum.copy())
+        used = np.array([True, False, False])
+        restart_dead_codes(cb, np.ones((2, 3)), used, rng=0)
+        np.testing.assert_array_equal(cb.entries, before[0])
+        np.testing.assert_array_equal(cb.ema_cluster_size, before[1])
+        np.testing.assert_array_equal(cb.ema_embed_sum, before[2])
+        assert used.tolist() == [True, False, False]
 
 
 class TestProjections:
@@ -738,7 +737,6 @@ def reference_kmeans_init(data, num_codes, iterations=10, rng=0):
         entries=centers,
         ema_cluster_size=counts,
         ema_embed_sum=sums,
-        usage_counts=np.zeros(num_codes, dtype=np.int64),
     )
 
 
