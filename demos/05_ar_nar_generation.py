@@ -40,8 +40,18 @@ model = train_ngram_ar(streams, order=2, smoothing=0.1)
 print(f"bigram model over {K + 1} classes (codes + end-of-sequence), "
       f"trained on streams covering {SUPPORT} codes")
 
-ppl = sequence_perplexity(model, np.arange(1), streams[0].frames[:500, 0])
+head = TokenStream(frames=streams[0].frames[:500], token_rate_hz=50.0, codebook_size=K)
+ppl = sequence_perplexity(model, np.arange(1), head)
 print(f"perplexity on its own training data: {ppl:7.1f} (uniform would be {K + 1})\n")
+
+# Both stages read the prompt's codebook size; an empty one starts from nothing.
+N = 4
+prompt = TokenStream(
+    frames=np.empty((0, N), dtype=np.int32),
+    token_rate_hz=50.0,
+    codebook_size=K,
+    source_id="demo",
+)
 
 print("temperature sweep, 20k sampled tokens each:")
 print("  temp | out-of-support rate")
@@ -50,7 +60,7 @@ for temp in (1.0, 0.9, 0.8):
     seed = int(temp * 1000)
     while total < 20_000:
         chunk = generate_ar(
-            model, np.arange(1), [], GenConfig(temperature=temp, max_frames=1000, rng_seed=seed)
+            model, np.arange(1), prompt, GenConfig(temperature=temp, max_frames=1000, rng_seed=seed)
         )
         seed += 1
         total += len(chunk)
@@ -60,15 +70,8 @@ print("lower temperature sharpens the distribution and suppresses codes the\n"
       "model never observed, at the cost of less diverse output.\n")
 
 # --- Full two-stage generation -------------------------------------------------
-N = 4
 truth = rng.integers(0, K, size=(30, N), dtype=np.int32)
 nar = OracleNarModel(truth, codebook_size=K)
-prompt = TokenStream(
-    frames=np.empty((0, N), dtype=np.int32),
-    token_rate_hz=50.0,
-    codebook_size=K,
-    source_id="demo",
-)
 stream, stats = generate_text_to_tokens(
     model, nar, np.arange(1), prompt, GenConfig(temperature=0.9, max_frames=30, rng_seed=11)
 )

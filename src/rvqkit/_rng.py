@@ -2,11 +2,12 @@
 
 Every random draw in the toolkit goes through a `numpy.random.Generator`:
 `as_generator` turns a seed into one, `checked_logits` is the one check on
-what a generation model returns, and both token generators draw with
-`sample_rows` and fill layers 2..N with `greedy_layers`. The toy oracles
-check their inputs with `finite_margin` and `checked_truth` and build their
-logits with `peaked_logits`. `positive_finite` is the one check on every
-rate, temperature, learning rate, separation and smoothing value.
+what a generation model returns, all three generators draw with
+`sample_rows` (the AR stage one row at a time), and both multi-layer ones
+fill layers 2..N with `greedy_layers`. The toy oracles check their inputs
+with `finite_margin` and `checked_truth` and build their logits with
+`peaked_logits`. `positive_finite` is the one check on every rate,
+temperature, learning rate, separation and smoothing value.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ def as_generator(seed) -> np.random.Generator:
 
 
 def checked_logits(raw, shape: tuple, what: str) -> np.ndarray:
-    """A model's logits as float64: ValueError unless their shape is `shape`
-    (only its length, the number of dimensions, when it holds a None),
-    NumericalError if any is not finite."""
+    """A model's logits as float64: ValueError unless their shape is exactly
+    `shape`, NumericalError if any is not finite."""
     logits = np.asarray(raw, dtype=np.float64)
-    if logits.ndim != len(shape) or None not in shape and logits.shape != shape:
+    if logits.shape != shape:
         raise ValueError(f"{what} logits have shape {logits.shape}, expected {shape}")
     if not np.isfinite(logits).all():
         raise NumericalError(f"{what} logits contain non-finite values")

@@ -6,7 +6,8 @@ vocabulary) is drawn or the frame budget runs out. The NAR stage then fills
 layers 2..N in order, one greedy argmax pass per layer (the pass `mlm` ends
 with), each conditioned on everything already decoded. Layer indices are
 0-based in code; the NAR stage therefore targets layers 1..N-1. As in `mlm`,
-the prompt stream gives the output its layers, codebook size, rate and id.
+the prompt stream gives the output its layers, codebook size K, rate and id,
+and K fixes the shape of every model output: K+1 AR logits, K per NAR frame.
 
 Model contracts are duck-typed: anything with the right method works. Toy
 implementations live here: one oracle per protocol, which with empty truth
@@ -75,34 +76,32 @@ class ArNarStats:
 
 
 def sample_with_temperature(logits, temperature: float, rng) -> int:
-    """Draw an index from softmax(logits / temperature)."""
-    logits = np.array(logits, dtype=np.float64).ravel()
-    temperature = positive_finite(temperature, "temperature")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("logits must be finite")
-    draws, _ = sample_rows(logits[None, :], temperature, as_generator(rng))
+    """Draw an index from softmax(logits / temperature) by `sample_rows` on a
+    copy of `logits` as one row: -inf gets probability 0, NaN or +inf logits
+    raise NumericalError."""
+    row = np.array(logits, dtype=np.float64).reshape(1, -1)
+    draws, _ = sample_rows(row, positive_finite(temperature, "temperature"), as_generator(rng))
     return int(draws[0])
 
 
-def generate_ar(model: ArModel, condition, prompt_codes, config: GenConfig) -> np.ndarray:
-    """Sample first-layer codes until EOS or max_frames; EOS is not returned.
-
-    At step t the model sees the t codes drawn so far as an int64 array.
-    """
+def generate_ar(model: ArModel, condition, prompt: TokenStream, config: GenConfig) -> np.ndarray:
+    """Sample first-layer codes until EOS (class K, the prompt's codebook
+    size) or max_frames; EOS is not returned. At step t the model sees the
+    prompt's first-layer codes and the t codes drawn so far as int64 arrays,
+    and must return K + 1 logits."""
     condition = np.asarray(condition)
-    prompt_codes = np.asarray(prompt_codes, dtype=np.int64).ravel()
+    prompt_codes = prompt.frames[:, 0].astype(np.int64)
+    eos = prompt.codebook_size
     rng = as_generator(config.rng_seed)
     drawn = np.empty(config.max_frames, dtype=np.int64)
-    t = 0
-    while t < config.max_frames:
+    for t in range(config.max_frames):
         logits = model.next_logits(condition, prompt_codes, drawn[:t])
-        logits = checked_logits(logits, (None,), "AR")
+        logits = checked_logits(logits, (eos + 1,), "AR")
         idx = sample_with_temperature(logits, config.temperature, rng)
-        if idx == len(logits) - 1:  # EOS
-            break
+        if idx == eos:
+            return drawn[:t].astype(np.int32)
         drawn[t] = idx
-        t += 1
-    return drawn[:t].astype(np.int32)
+    return drawn.astype(np.int32)
 
 
 def generate_nar(model: NarModel, condition, prompt: TokenStream, layer1_codes) -> TokenStream:
@@ -115,12 +114,11 @@ def generate_nar(model: NarModel, condition, prompt: TokenStream, layer1_codes) 
     layer1 = np.asarray(layer1_codes, dtype=np.int32).ravel()
     if layer1.shape[0] < 1:
         raise ValueError("layer1_codes must contain at least one frame")
-    num_layers = prompt.layers
-    if num_layers < 2:
+    if prompt.layers < 2:
         raise ValueError("generate_nar needs num_layers >= 2")
 
     t = layer1.shape[0]
-    grid = np.zeros((t, num_layers), dtype=np.int32)
+    grid = np.zeros((t, prompt.layers), dtype=np.int32)
     grid[:, 0] = layer1
     greedy_layers(
         grid,
@@ -141,14 +139,12 @@ def generate_text_to_tokens(
     config: GenConfig,
 ) -> tuple[TokenStream, ArNarStats]:
     """AR first layer, then NAR for the rest; raises if the AR stage is empty."""
-    prompt_layer1 = prompt.frames[:, 0] if prompt.num_frames else np.empty(0, dtype=np.int64)
-    layer1 = generate_ar(ar, condition, prompt_layer1, config)
+    layer1 = generate_ar(ar, condition, prompt, config)
     if layer1.shape[0] == 0:
         raise EmptyGenerationError("AR stage produced an empty sequence")
     stream = generate_nar(nar, condition, prompt, layer1)
-    eos = layer1.shape[0] < config.max_frames
-    stats = ArNarStats(ar_steps=layer1.shape[0] + (1 if eos else 0), nar_passes=prompt.layers - 1)
-    return stream, stats
+    # One AR step per code, and one for the EOS unless the budget ran out first.
+    return stream, ArNarStats(min(layer1.shape[0] + 1, config.max_frames), prompt.layers - 1)
 
 
 class NgramArModel:
@@ -181,9 +177,8 @@ class NgramArModel:
         generated_prefix = np.asarray(generated_prefix, dtype=np.int64).ravel()
         ctx = self._context(prompt_codes, generated_prefix)
         vec = self._counts.get(ctx)
-        classes = self.codebook_size + 1
         if vec is None:
-            vec = np.zeros(classes)
+            vec = np.zeros(self.codebook_size + 1)
         smoothed = vec + self.smoothing
         return smoothed / smoothed.sum()
 
@@ -208,9 +203,8 @@ def train_ngram_ar(streams: list[TokenStream], order: int = 2, smoothing: float 
     if order < 1:
         raise ValueError("order must be >= 1")
     k = streams[0].codebook_size
-    for s in streams:
-        if s.codebook_size != k:
-            raise ValueError("streams must share codebook_size")
+    if any(s.codebook_size != k for s in streams):
+        raise ValueError("streams must share codebook_size")
     classes = k + 1  # EOS
     # No context is longer than the longest stream, whatever the order.
     width = min(order - 1, max(s.num_frames for s in streams))
@@ -240,23 +234,20 @@ def train_ngram_ar(streams: list[TokenStream], order: int = 2, smoothing: float 
     return NgramArModel(order=order, smoothing=smoothing, codebook_size=k, counts=counts)
 
 
-def sequence_perplexity(model: ArModel, condition, codes) -> float:
-    """Perplexity (base 2) of a first-layer sequence plus its EOS under an AR
-    model with K codes plus EOS; a code outside [0, K) raises ValueError."""
-    codes = np.asarray(codes, dtype=np.int64).ravel()
+def sequence_perplexity(model: ArModel, condition, stream: TokenStream) -> float:
+    """Perplexity (base 2) of a stream's first-layer codes plus its EOS under
+    an AR model whose logits must have shape (K + 1,), K the stream's
+    codebook size and class K the EOS; non-finite logits raise NumericalError."""
+    codes = stream.frames[:, 0].astype(np.int64)
+    eos = stream.codebook_size
     empty = np.empty(0, dtype=np.int64)
     log2_sum = 0.0
-    steps = 0
-    for t in range(len(codes) + 1):
-        logits = np.asarray(model.next_logits(condition, empty, codes[:t]), dtype=np.float64).ravel()
-        if t == 0 and not np.all((codes >= 0) & (codes < len(logits) - 1)):
-            raise ValueError(f"codes must lie in [0, {len(logits) - 1})")
+    for t, target in enumerate([*codes, eos]):
+        logits = checked_logits(model.next_logits(condition, empty, codes[:t]), (eos + 1,), "AR")
         z = logits - logits.max()
         logp = z - np.log(np.exp(z).sum())
-        target = codes[t] if t < len(codes) else len(logits) - 1
         log2_sum += logp[target] / np.log(2.0)
-        steps += 1
-    return float(2.0 ** (-log2_sum / steps))
+    return float(2.0 ** (-log2_sum / (len(codes) + 1)))
 
 
 class OracleArModel:

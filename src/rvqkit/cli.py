@@ -244,6 +244,9 @@ def cmd_analyze(args) -> int:
     streams = []
     for path in args.tokens:
         streams.extend(rvqio.read_token_streams(path))
+    layers = {s.layers for s in streams}
+    if len(layers) == 1 and args.layer > max(layers):  # utilization reports mixed counts
+        raise ValueError(f"--layer {args.layer} is above the token streams' {max(layers)} layers")
     report = utilization(streams, args.layer - 1)
     table = rank_frequency(report)
     summary = {

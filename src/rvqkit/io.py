@@ -56,17 +56,20 @@ _METRICS_BY_TAG = {v: k for k, v in _METRIC_TAGS.items()}
 
 def _atomic_write_bytes(path: str, chunks) -> None:
     """Write the byte-like `chunks`, in order, to a temporary file beside
-    `path`, then rename it over `path`; on any failure the temporary file is
-    removed and `path` is left as it was."""
+    `path`, then rename it over `path`. On any failure the temporary file is
+    removed, `path` is left as it was, and an OSError names only `path`."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rvqkit-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rvqkit-")
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

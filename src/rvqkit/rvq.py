@@ -234,8 +234,7 @@ def rvq_decode(frame, quantizer: RvqQuantizer, num_layers: int | None = None) ->
 
     With `num_layers=m`, only the first m layers contribute (coarse preview).
     """
-    codes = np.asarray(frame, dtype=np.int64).reshape(1, -1)
-    return rvq_decode_batch(codes, quantizer, num_layers)[0]
+    return rvq_decode_batch(np.asarray(frame).reshape(1, -1), quantizer, num_layers)[0]
 
 
 def rvq_decode_batch(codes, quantizer: RvqQuantizer, num_layers: int | None = None) -> np.ndarray:
@@ -243,8 +242,11 @@ def rvq_decode_batch(codes, quantizer: RvqQuantizer, num_layers: int | None = No
     entries, mapped back through the out-projection under the projected scheme.
 
     With `num_layers=m`, only the first m layers contribute (coarse preview).
+    Codes must be an integer array: float or bool codes raise ValueError.
     """
-    codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+    codes = np.atleast_2d(np.asarray(codes))
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be integers, got {codes.dtype}")
     if codes.shape[1] != quantizer.num_layers:
         raise ValueError(
             f"code width {codes.shape[1]} does not match {quantizer.num_layers} layers"

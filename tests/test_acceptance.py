@@ -307,7 +307,7 @@ def test_criterion_9_temperature_hallucination_ordering():
             total = 0
             while total < needed:
                 cfg = GenConfig(temperature=temperature, max_frames=2000, rng_seed=seed)
-                chunk = generate_ar(model, np.arange(1), [], cfg)
+                chunk = generate_ar(model, np.arange(1), empty_prompt(1, k), cfg)
                 seed += 1
                 total += len(chunk)
                 outside += int((chunk >= support).sum())

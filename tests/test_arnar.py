@@ -59,7 +59,7 @@ def reference_train_ngram_ar(streams, order):
 
 
 def empty_prompt(layers, k):
-    """A zero-frame prompt: it gives generate_nar only its shape."""
+    """A zero-frame prompt: it gives a generator only its layers and K."""
     return make_stream(np.empty(0), k, layers=layers)
 
 
@@ -88,8 +88,9 @@ class TestSampleWithTemperature:
         assert abs(freq0 - expected) < 0.01
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            sample_with_temperature(np.array([0.0, np.inf]), 1.0, 0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NumericalError):
+                sample_with_temperature(np.array([0.0, bad]), 1.0, 0)
         with pytest.raises(ValueError):
             sample_with_temperature(np.zeros(3), 0.0, 0)
         for temperature in (np.nan, np.inf):
@@ -97,6 +98,20 @@ class TestSampleWithTemperature:
                 sample_with_temperature(np.zeros(3), temperature, 0)
             with pytest.raises(ValueError):
                 GenConfig(temperature=temperature)
+
+    def test_never_draws_minus_inf_and_matches_sample_rows(self):
+        logits = np.random.default_rng(91).normal(size=40) * 3.0
+        logits[::3] = -np.inf
+        for temperature in (0.3, 1.0, 4.0):
+            rng = np.random.default_rng(92)
+            draws = [sample_with_temperature(logits, temperature, rng) for _ in range(2_000)]
+            assert np.all(np.isfinite(logits[draws]))
+            reference = np.random.default_rng(92)
+            expected = [
+                int(sample_rows(logits[None, :].copy(), temperature, reference)[0][0])
+                for _ in range(2_000)
+            ]
+            assert draws == expected
 
     def test_temperature_entropy_monotonicity(self):
         logits = np.array([2.0, 0.0, -1.0])
@@ -168,13 +183,17 @@ class TestSampleRows:
 class TestGenerateAr:
     def test_immediate_eos(self):
         model = eos_model(8)
-        out = generate_ar(model, np.arange(3), [], GenConfig(rng_seed=0, max_frames=10))
+        config = GenConfig(rng_seed=0, max_frames=10)
+        out = generate_ar(model, np.arange(3), empty_prompt(1, 8), config)
         assert out.shape == (0,)
 
     def test_cycling_trace(self):
         model = cycling_model(16, steps=6)
         out = generate_ar(
-            model, np.arange(3), [], GenConfig(temperature=1e-4, max_frames=6, rng_seed=1)
+            model,
+            np.arange(3),
+            empty_prompt(1, 16),
+            GenConfig(temperature=1e-4, max_frames=6, rng_seed=1),
         )
         assert out.tolist() == [0, 1, 2, 3, 4, 5]
 
@@ -182,14 +201,18 @@ class TestGenerateAr:
         model = cycling_model(4, steps=7)
         for seed in range(5):
             out = generate_ar(
-                model, np.arange(2), [], GenConfig(temperature=1.0, max_frames=7, rng_seed=seed)
+                model,
+                np.arange(2),
+                empty_prompt(1, 4),
+                GenConfig(temperature=1.0, max_frames=7, rng_seed=seed),
             )
             assert out.shape[0] <= 7
 
     def test_oracle_reproduces_sequence(self):
         truth = np.array([3, 1, 4, 1, 5])
         model = OracleArModel(truth, codebook_size=8)
-        out = generate_ar(model, np.arange(2), [], GenConfig(temperature=1e-4, max_frames=20, rng_seed=2))
+        config = GenConfig(temperature=1e-4, max_frames=20, rng_seed=2)
+        out = generate_ar(model, np.arange(2), empty_prompt(1, 8), config)
         assert out.tolist() == truth.tolist()
 
     def test_model_sees_exactly_the_codes_drawn_so_far(self):
@@ -205,7 +228,10 @@ class TestGenerateAr:
         for seed in range(4):
             seen.clear()
             out = generate_ar(
-                Recorder(), np.arange(2), [], GenConfig(temperature=1.0, max_frames=50, rng_seed=seed)
+                Recorder(),
+                np.arange(2),
+                empty_prompt(1, 6),
+                GenConfig(temperature=1.0, max_frames=50, rng_seed=seed),
             )
             assert len(out) > 1
             assert len(seen) == len(out) + (len(out) < 50)
@@ -223,7 +249,8 @@ class TestGenerateAr:
                 logits[len(generated_prefix) % 4] = 50.0
                 return logits
 
-        generate_ar(Spy(), np.arange(2), [], GenConfig(temperature=1e-4, max_frames=6, rng_seed=0))
+        config = GenConfig(temperature=1e-4, max_frames=6, rng_seed=0)
+        generate_ar(Spy(), np.arange(2), empty_prompt(1, 4), config)
         assert seen == list(range(6))
 
     def test_non_finite_logits_are_numerical_errors(self):
@@ -236,14 +263,49 @@ class TestGenerateAr:
                     logits[2 if len(generated_prefix) == 3 else 0] = bad
                     return logits
 
+            config = GenConfig(max_frames=6, rng_seed=0)
             with pytest.raises(NumericalError):
-                generate_ar(Broken(), np.arange(2), [], GenConfig(max_frames=6, rng_seed=0))
+                generate_ar(Broken(), np.arange(2), empty_prompt(1, 4), config)
+
+    @pytest.mark.parametrize("classes", [4, 6], ids=["no-eos-class", "one-extra-class"])
+    def test_logits_must_have_k_plus_one_classes(self, classes):
+        # K=4 codes plus EOS is 5 classes; with 4, code 3 would pass for EOS.
+        class Wrong:
+            def next_logits(self, condition, prompt_codes, generated_prefix):
+                logits = np.zeros(classes)
+                logits[classes - 1] = 50.0
+                return logits
+
+        config = GenConfig(temperature=1e-4, max_frames=6, rng_seed=0)
+        expected = rf"AR logits have shape \({classes},\), expected \(5,\)"
+        with pytest.raises(ValueError, match=expected):
+            generate_ar(Wrong(), np.arange(2), empty_prompt(1, 4), config)
+        nar = OracleNarModel(np.zeros((6, 2), dtype=np.int32), codebook_size=4)
+        with pytest.raises(ValueError, match="AR logits have shape"):
+            generate_text_to_tokens(Wrong(), nar, np.arange(2), empty_prompt(2, 4), config)
+
+    def test_model_sees_the_prompts_first_layer(self):
+        seen = []
+
+        class Recorder:
+            def next_logits(self, condition, prompt_codes, generated_prefix):
+                seen.append(prompt_codes)
+                logits = np.zeros(6)
+                logits[5] = 50.0  # EOS at once
+                return logits
+
+        config = GenConfig(max_frames=3, rng_seed=0)
+        generate_ar(Recorder(), np.arange(2), make_stream([[1, 2], [3, 0]], k=5, layers=2), config)
+        generate_ar(Recorder(), np.arange(2), empty_prompt(2, 5), config)
+        assert [p.dtype for p in seen] == [np.int64, np.int64]
+        assert [p.tolist() for p in seen] == [[1, 3], []]
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_scaled_logits_are_numerical_errors(self):
         model = cycling_model(4, steps=6, margin=1e308)
+        config = GenConfig(temperature=0.5, max_frames=6)
         with pytest.raises(NumericalError):
-            generate_ar(model, np.arange(2), [], GenConfig(temperature=0.5, max_frames=6))
+            generate_ar(model, np.arange(2), empty_prompt(1, 4), config)
 
 
 class TestGenerateNar:
@@ -497,19 +559,41 @@ class TestNgram:
             def next_logits(self, condition, prompt_codes, generated_prefix):
                 return np.zeros(k + 1)
 
-        ppl_model = sequence_perplexity(model, np.arange(1), codes)
-        ppl_uniform = sequence_perplexity(UniformAr(), np.arange(1), codes)
+        ppl_model = sequence_perplexity(model, np.arange(1), stream)
+        ppl_uniform = sequence_perplexity(UniformAr(), np.arange(1), stream)
         assert ppl_uniform == pytest.approx(k + 1, rel=1e-6)
         assert ppl_model <= ppl_uniform
 
     @pytest.mark.parametrize("bad", [-1, 16, 99], ids=["negative", "eos-index", "past-eos"])
     def test_perplexity_rejects_codes_outside_codebook(self, bad):
-        # K=16: EOS is index 16 of the logits, never a code, and -1 is not one either.
+        # K=16: EOS is index 16 of the logits, never a code, and -1 is not one
+        # either. A stream holding one cannot be built, so none is ever scored.
         model = train_ngram_ar([make_stream(np.arange(64) % 16, k=16)], order=2)
         for codes in ([bad, bad, bad], [3, 4, bad]):
-            with pytest.raises(ValueError, match=r"\[0, 16\)"):
-                sequence_perplexity(model, np.arange(1), codes)
-        assert sequence_perplexity(model, np.arange(1), [3, 4, 15]) > 1.0
+            with pytest.raises(ValueError, match=r"\[0, codebook_size\)"):
+                make_stream(codes, k=16)
+        assert sequence_perplexity(model, np.arange(1), make_stream([3, 4, 15], k=16)) > 1.0
+
+    def test_perplexity_checks_every_model_output(self):
+        stream = make_stream([3, 1, 2], k=4)
+
+        class Model:
+            def __init__(self, classes, bad_step=None):
+                self.classes, self.bad_step = classes, bad_step
+
+            def next_logits(self, condition, prompt_codes, generated_prefix):
+                logits = np.zeros(self.classes)
+                if len(generated_prefix) == self.bad_step:
+                    logits[1] = np.nan
+                return logits
+
+        assert sequence_perplexity(Model(5), np.arange(1), stream) == pytest.approx(5.0)
+        for classes in (1, 4, 6):
+            with pytest.raises(ValueError, match=r"AR logits have shape"):
+                sequence_perplexity(Model(classes), np.arange(1), stream)
+        for step in (0, 3):
+            with pytest.raises(NumericalError):
+                sequence_perplexity(Model(5, bad_step=step), np.arange(1), stream)
 
     def test_prompt_extends_context(self):
         codes = np.array([2, 3] * 30)
@@ -572,7 +656,7 @@ class TestHallucinationAnalog:
             total = 0
             cfg = GenConfig(temperature=temperature, max_frames=500, rng_seed=seed)
             while total < n_tokens:
-                chunk = generate_ar(model, np.arange(1), [], cfg)
+                chunk = generate_ar(model, np.arange(1), empty_prompt(1, k), cfg)
                 cfg = GenConfig(temperature=temperature, max_frames=500, rng_seed=cfg.rng_seed + 1)
                 total += len(chunk)
                 out_of_support += int((chunk >= support).sum())

@@ -502,6 +502,18 @@ class TestAnalyze:
         assert stats["used_codes"] == "850"
         assert float(stats["utilization_fraction"]) == pytest.approx(850 / 1024)
 
+    def test_layer_above_the_streams_layer_count_names_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"id":"x","token_rate_hz":50.0,"layers":2,"codebook_size":4,"codes":[[0,1],[2,3]]}\n'
+        )
+        code, stdout, err = run(capsys, "analyze", "--tokens", str(path), "--layer", "5")
+        assert code == 3
+        assert stdout == ""
+        assert err == "error: --layer 5 is above the token streams' 2 layers\n"
+        code, _, _ = run(capsys, "analyze", "--tokens", str(path), "--layer", "2")
+        assert code == 0
+
     def test_json_lines_format(self, tmp_path, capsys):
         import json
 
@@ -834,6 +846,28 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["missing/out.bin", "dir"], ids=["no-parent", "directory"])
+    @pytest.mark.parametrize("command", ["train", "encode", "mlm-sim"])
+    def test_write_error_names_only_the_requested_path(
+        self, tmp_path, corpus_file, trained_codebook, capsys, command, target
+    ):
+        (tmp_path / "dir").mkdir()
+        argv = {
+            "train": ["train", "--synth", "modes=4,count=64", "--latent-dim", "8",
+                      "--codebook-size", "4", "--layers", "1", "--steps", "2"],
+            "encode": ["encode", "--codebook", str(trained_codebook), "--input", str(corpus_file)],
+            "mlm-sim": ["mlm-sim", "--frames", "20"],
+        }[command]
+        out = str(tmp_path / target)
+        code, _, err = run(capsys, *argv, "--out", out)
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(out) in err and ".rvqkit-" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["dir", "corpus.rvqv", "cb.rvqc"]
+        )
         assert list((tmp_path / "dir").iterdir()) == []
 
     @pytest.mark.filterwarnings("ignore:overflow")

@@ -258,6 +258,22 @@ class TestDecode:
         with pytest.raises(ValueError):
             rvq_decode([0, 8, 0], qz)
 
+    @pytest.mark.parametrize(
+        "codes", [[[1.7, 0.2]], [[1.0, 0.0]], [[True, False]]], ids=["fraction", "whole", "bool"]
+    )
+    def test_non_integer_codes_are_rejected(self, codes):
+        # Cast to int64, these would decode as codes [1, 0].
+        qz = random_plain_quantizer(np.random.default_rng(26), num_layers=2, k=8)
+        with pytest.raises(ValueError, match="codes must be integers"):
+            rvq_decode_batch(codes, qz)
+        with pytest.raises(ValueError, match="codes must be integers"):
+            rvq_decode(codes[0], qz)
+        for dtype in (np.int32, np.uint8, np.int64):
+            np.testing.assert_array_equal(
+                rvq_decode_batch(np.array([[1, 0]], dtype=dtype), qz),
+                rvq_decode_batch([[1, 0]], qz),
+            )
+
     @pytest.mark.parametrize("num_layers", [0, 4])
     def test_batch_layer_count_out_of_range(self, num_layers):
         qz = random_plain_quantizer(np.random.default_rng(25), num_layers=3, k=8)

@@ -13,9 +13,10 @@ and final residuals) and one frame per call (codes and residual norms). The
 reordered keys and `"codes"` inside the id or another key, and with a leading
 zero or a 10-digit code. The `lib/generate-*` and `lib/text-to-tokens-*` cases
 run the schedulers on the toy oracles, the `lib/train-ngram-*` cases hash the
-n-gram AR model's counts, and the `lib/oracle-truth-check-*` cases build each
-oracle on a truth code outside [0, K) and call it once. To see what a change
-moves, run it on two checkouts and diff:
+n-gram AR model's counts and the perplexity it gives a stream, and the
+`lib/oracle-truth-check-*` cases build each oracle on a truth code outside
+[0, K) and call it once. To see what a change moves, run it on two checkouts
+and diff:
 
     python tools/fingerprint.py > new.txt
     python tools/fingerprint.py --repo ../old-checkout > old.txt
@@ -388,9 +389,12 @@ def _generator_cases(fp: Fingerprint, rk) -> None:
     truth = rng.integers(0, k, size=(24, layers)).astype(np.int32)
     condition = np.arange(24)
     prompt = rk.TokenStream(frames=truth[:3], token_rate_hz=50.0, codebook_size=k, source_id="fp")
+    empty = rk.TokenStream(frames=np.empty((0, layers), dtype=np.int32), token_rate_hz=25.0,
+                           codebook_size=k)
+    ar_prompt = _stream_arg(rk.generate_ar, "prompt_codes")
     eos = rk.OracleArModel(np.empty(0, dtype=np.int64), k)
     fp.arrays("lib/generate-ar-empty-truth",
-              rk.generate_ar(eos, condition, truth[:3, 0], rk.GenConfig(max_frames=10)))
+              rk.generate_ar(eos, condition, ar_prompt(prompt), rk.GenConfig(max_frames=10)))
     try:
         rk.generate_text_to_tokens(eos, rk.OracleNarModel(truth, codebook_size=k), condition,
                                    prompt, rk.GenConfig(rng_seed=1))
@@ -399,8 +403,8 @@ def _generator_cases(fp: Fingerprint, rk) -> None:
         fp.emit("lib/text-to-tokens-empty-truth", f"{type(exc).__name__}: {exc}".encode())
     cycling = rk.OracleArModel(np.arange(30) % k, k)
     fp.arrays("lib/generate-ar-cycling",
-              rk.generate_ar(cycling, condition, [], rk.GenConfig(temperature=0.7, max_frames=30,
-                                                                  rng_seed=5)))
+              rk.generate_ar(cycling, condition, ar_prompt(empty),
+                             rk.GenConfig(temperature=0.7, max_frames=30, rng_seed=5)))
     flat = rk.OracleScoreModel(truth, margin=0.0, codebook_size=k)
     stream, stats = rk.generate_parallel(flat, condition, prompt, 24,
                                          rk.DecodeSchedule(temperature=0.7, rng_seed=6))
@@ -413,8 +417,6 @@ def _generator_cases(fp: Fingerprint, rk) -> None:
         nar = rk.OracleNarModel(truth[3:], codebook_size=k, margin=margin)
         stream = rk.generate_nar(nar, condition, prompt, truth[3:, 0], *extra)
         fp.arrays(f"lib/generate-nar-margin-{margin:g}", stream.frames)
-    empty = rk.TokenStream(frames=np.empty((0, layers), dtype=np.int32), token_rate_hz=25.0,
-                           codebook_size=k)
     stream = rk.generate_nar(rk.OracleNarModel(truth, codebook_size=k), condition, empty,
                              truth[:, 0], *extra)
     fp.arrays("lib/generate-nar-empty-prompt", stream.frames, stream.token_rate_hz,
@@ -424,12 +426,22 @@ def _generator_cases(fp: Fingerprint, rk) -> None:
     _oracle_check_cases(fp, rk)
 
 
+def _stream_arg(func, old_name: str):
+    """How to pass a token stream to `func`: as it is, or as its first-layer
+    codes in checkouts where `func` took those, as `old_name`, instead."""
+    if old_name in inspect.signature(func).parameters:
+        return lambda stream: stream.frames[:, 0]
+    return lambda stream: stream
+
+
 def _ngram_cases(fp: Fingerprint, rk) -> None:
     """The n-gram counts of `train_ngram_ar`: each context, led by its length,
     then its count vector. The `order-*` cases count one stream and one empty
     stream, in sorted context order. The `streams-order-*` cases count a
     random stream, an empty one and one that laps a 13-code cycle, so that
-    long contexts recur, in the model's own order."""
+    long contexts recur, in the model's own order. Each `perplexity` case
+    scores a case's first stream under its model."""
+    scored = _stream_arg(rk.sequence_perplexity, "codes")
     k = 6
     codes = np.random.default_rng(22).integers(0, k, size=(25, 1))
     rng = np.random.default_rng(23)
@@ -443,11 +455,14 @@ def _ngram_cases(fp: Fingerprint, rk) -> None:
         streams = [rk.TokenStream(frames=frames, token_rate_hz=50.0, codebook_size=k)
                    for frames in frames_list]
         for order, label in orders:
-            pairs = rk.train_ngram_ar(streams, order=order)._counts.items()
+            model = rk.train_ngram_ar(streams, order=order)
+            pairs = model._counts.items()
             if in_sorted_order:
                 pairs = sorted(pairs, key=lambda pair: pair[0])
             fp.arrays(f"lib/train-ngram-{name}-{label}",
                       *(a for ctx, vec in pairs for a in (np.array([len(ctx), *ctx]), vec)))
+            fp.arrays(f"lib/train-ngram-{name}-{label}/perplexity",
+                      np.float64(rk.sequence_perplexity(model, None, scored(streams[0]))))
 
 
 def _oracle_check_cases(fp: Fingerprint, rk) -> None:
