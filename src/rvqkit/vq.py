@@ -11,24 +11,30 @@ assigned; the training loop that owns the restart window keeps that mask.
 Lookups (`nearest_codes`, each layer of `rvq` encoding, and training's
 `assign_batch`) run one lookup per metric, in one loop over row blocks of at
 most 512 KB of scores (128 float32 rows under Euclidean, 64 float64 rows
-under cosine, at K=1024), which stay well inside one core's L2 cache; a
-lookup that fits one block returns the kernel's arrays as they are.
-Euclidean (`_euclidean_block`): one float32 GEMM of -2x with a column of
-ones against a (q+1, K) table, the transposed entries over their squared
-norms, all scaled by one power of two, so the GEMM adds the norms itself;
-then two passes over the scores, for each row's best entry and its
-runner-up, and one vectorized exact rescoring of every (row, candidate) pair
-within the derived float32 rounding bound. This screen-then-rescore follows
-FAISS (Johnson, Douze & Jegou, arXiv:1702.08734); the bound follows Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 3. The kernel finds
-non-finite queries through the scale |x|^2 it computes for the bound, with
-no scan of its own. Its tables collapse each block of identical entries to
-the first copy, so copies cost no rescoring. With BLAS on one thread, on
-random normal entries and queries at K=1024, q=32, the lookup costs about
-0.92 us a row over 8,192 rows (1.5 us with a float64 GEMM). A one-frame
-`rvq_encode` through 8 such layers, which runs `_lookup` on each layer's
-cached tables, costs about 183 us a frame, against 230 us when every layer
-called `nearest_codes` and computed a distance it dropped. Cosine
+under cosine, at K=1024 distinct entries), which stay well inside one core's
+L2 cache; a lookup that fits one block returns the kernel's arrays as they
+are. Euclidean (`_euclidean_block`): one float32 GEMM of -2x with a column
+of ones against a (q+1, K') table, the K' distinct entries transposed over
+their squared norms, all scaled by one power of two, so the GEMM adds the
+norms itself; then two passes over the scores, for each row's best entry
+and its runner-up, and one vectorized exact rescoring of every (row,
+candidate) pair within the derived float32 rounding bound. This
+screen-then-rescore follows FAISS (Johnson, Douze & Jegou,
+arXiv:1702.08734); the bound follows Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 3. The kernel finds non-finite queries through the
+scale |x|^2 it computes for the bound, with no scan of its own. The table
+holds only the first copy of each block of identical entries, so copies cost
+neither GEMM columns nor rescoring. With BLAS on one thread, on random
+normal entries and queries at K=1024, q=32, the lookup costs about 0.92 us a
+row over 8,192 rows (1.5 us with a float64 GEMM). In a bench-shaped
+EMA-restart `train` (8 layers, K=1024, q=32, 60 steps of 256 rows), where
+deep layers hold hundreds of copies, the steps' lookups on tables with
+copies cost about 1.3 us a row, against 2.2 us when every copy kept a
+column that could never win (copy-free tables: 1.6-1.8 us), and lookups on
+an all-zero layer 0.08 us a row, against 1.2-1.5 us. A one-frame
+`rvq_encode` through 8 layers, which runs `_lookup` on each layer's cached
+tables, costs about 183 us a frame, against 230 us when every layer called
+`nearest_codes` and computed a distance it dropped. Cosine
 (`_cosine_block`): the loop normalizes every query once, then each block is
 one GEMM of unit queries against a contiguous (q, K) table of unit entries,
 then the largest similarity, mapped to the first copy of its unit entry
@@ -69,9 +75,10 @@ MAX_CODES = 65536  # exhaustive lookup only; no approximate indexing
 DEFAULT_DECAY = 0.99
 EMA_EPSILON = 1e-5  # Laplace smoothing of the EMA cluster sizes in `ema_update`
 
-# Cap on the (rows, K) score block of one lookup: 512 KB, which stays in one
-# core's L2 cache with room for the operands: 128 rows of float32 Euclidean
-# scores at K=1024, 64 rows of float64 cosine ones. With BLAS on one thread
+# Cap on the (rows, table columns) score block of one lookup: 512 KB, which
+# stays in one core's L2 cache with room for the operands: 128 rows of
+# float32 Euclidean scores at K=1024 distinct entries, 64 rows of float64
+# cosine ones at K=1024. With BLAS on one thread
 # (2-core Xeon, 2 MB of L2 a core): the q=8 cosine GEMM writes more than it
 # reads, and costs 0.50 us a row in 64-row blocks against 0.98 us in 256-row
 # (2 MB) blocks, which fill the L2; `argmax` costs 0.17 against 0.20 us a
@@ -251,7 +258,11 @@ def _first_copies(rows: np.ndarray, key: np.ndarray) -> np.ndarray | None:
     Rows need comparing only where keys tie, and one sort of the keys tells
     whether any do. A stable sort by key then puts each block of copies side
     by side, lowest index first. Distinct rows of one key could split a
-    block: then the components break the ties.
+    block: then the last component breaks the ties, which tells a row x
+    from -x (the two residuals of a 2-point k-means cluster share their
+    squared norm), and only where rows of one key and one last component
+    still differ do all the components. At K=1024, q=32 that two-key sort
+    costs about 85 us, against 1.8 ms for the sort on every component.
     """
     ranked = np.sort(key)
     tied = ranked[1:] == ranked[:-1]
@@ -260,10 +271,13 @@ def _first_copies(rows: np.ndarray, key: np.ndarray) -> np.ndarray | None:
     order = np.argsort(key, kind="stable")
     ranked_rows = rows[order]
     same = (ranked_rows[1:] == ranked_rows[:-1]).all(axis=1)
-    if (tied & ~same).any():
-        order = np.lexsort((*rows.T[::-1], key))
+    for sort_keys in ((rows[:, -1], key), (*rows.T[::-1], key)):
+        if not (tied & ~same).any():
+            break
+        order = np.lexsort(sort_keys)
         ranked_rows = rows[order]
         same = (ranked_rows[1:] == ranked_rows[:-1]).all(axis=1)
+        tied &= ranked_rows[1:, -1] == ranked_rows[:-1, -1]
     if not same.any():
         return None
     starts = np.concatenate(([True], ~same))
@@ -273,9 +287,11 @@ def _first_copies(rows: np.ndarray, key: np.ndarray) -> np.ndarray | None:
 
 
 def _euclidean_tables(entries: np.ndarray) -> tuple:
-    """What the Euclidean kernel reads: (entries, the (q+1, K) float32 GEMM
-    table, its power-of-two scale p, the largest query scale |x|^2 that the
-    GEMM takes, and the slope and floor of the rounding bound).
+    """What the Euclidean kernel reads: (entries, the (q+1, K') float32 GEMM
+    table of the K' distinct entries, its power-of-two scale p, the largest
+    query scale |x|^2 that the GEMM takes, the slope and floor of the
+    rounding bound, and `keep`, the code of each table column, or None when
+    no two entries are equal).
 
     The GEMM table is one C-contiguous float32 matrix: the transposed entries
     times p, over their squared norms times p^2, so that the kernel's GEMM
@@ -287,27 +303,30 @@ def _euclidean_tables(entries: np.ndarray) -> tuple:
     less, and the bound's underflow terms cover it. Scaling by a power of two
     is exact, so the float32 table is the cast of the scaled float64 one.
 
-    An entry equal to a lower-indexed one gets squared norm +inf, so it is
-    never a candidate and a block of copies costs no rescoring. This is
-    exact: copies have the same exact distance, and ties go to the lowest
-    index. The largest norm, which bounds the rounding, is taken first.
+    Only the first copy of each block of identical entries gets a column, and
+    `keep` lists those codes in ascending order, so copies cost neither GEMM
+    columns nor rescoring. This is exact: copies have the same exact
+    distance, and the lowest column is the lowest code, so ties still go to
+    the lowest index.
     """
     k, q = entries.shape
     sq_norms = np.einsum("kq,kq->k", entries, entries)
     max_sq_norm = float(sq_norms.max())
     first = _first_copies(entries, sq_norms)  # equal entries have equal norms
+    keep, columns = None, entries
     if first is not None:
-        sq_norms[first != np.arange(k)] = np.inf
+        keep = np.flatnonzero(first == np.arange(k))
+        columns, sq_norms = entries[keep], sq_norms[keep]
     p = 2.0 ** -max(math.frexp(max(entries.max(), -entries.min()))[1], -511)
-    table = np.empty((q + 1, k), dtype=np.float32)
-    np.multiply(entries.T, p, out=table[:q])
+    table = np.empty((q + 1, len(columns)), dtype=np.float32)
+    np.multiply(columns.T, p, out=table[:q])
     np.multiply(sq_norms * p, p, out=table[q])
     # Where p^2 is subnormal or 0, the squared norms exceed _SCALE_LIMIT, so
     # every row is wide and the bound below is not used.
     limit = min(_F32_SCALE_LIMIT / p / p, _SCALE_LIMIT) - max_sq_norm
     slope = 8 * (q + 4) * _F32_UNIT_ROUNDOFF * (p * p)
     floor = slope * max_sq_norm + 8 * (q + 1) * _F32_SUBNORMAL + 8 * q * _SUBNORMAL * (p * p)
-    return entries, table, p, limit, slope, floor
+    return entries, table, p, limit, slope, floor, keep
 
 
 def _euclidean_block(x: np.ndarray, tables: tuple) -> tuple[np.ndarray, None]:
@@ -343,19 +362,23 @@ def _euclidean_block(x: np.ndarray, tables: tuple) -> tuple[np.ndarray, None]:
     are float64; a float32 score compares with the bar exactly.
 
     Rows whose scale |x|^2 is over `limit`, where M or the float64
-    rescoring may overflow, are wide: they are rescored over every entry,
-    and their GEMM rows are zeroed. A scale that is NaN or +inf is wide too,
-    and that is how non-finite queries are found: they raise ValueError.
+    rescoring may overflow, are wide: they are rescored over every distinct
+    entry, and their GEMM rows are zeroed. A scale that is NaN or +inf is
+    wide too, and that is how non-finite queries are found: they raise
+    ValueError.
 
     After the GEMM, two passes over the block find the candidates: `argmin`
-    gives the lowest-index minimum `best` and the bar min s + tol, and with
+    gives the lowest-column minimum `best` and the bar min s + tol, and with
     `best`'s score set to +inf, `min` gives the runner-up. A row whose
     runner-up is above the bar has one candidate, `best`, and its answer. The
-    other rows take `best` and every entry at or under the bar (every entry,
-    if wide), and all their (row, candidate) pairs are rescored with exact
-    differences at once; each row gets its first minimum, the lowest index.
+    other rows take `best` and every column at or under the bar (every
+    column, if wide), and all their (row, candidate) pairs are rescored with
+    exact differences at once; each row gets its first minimum, the lowest
+    column. Columns hold the distinct entries in ascending code order (see
+    `_euclidean_tables`), so mapping the answers through `keep` gives the
+    lowest code at the exact minimum distance.
     """
-    entries, table, p, limit, slope, floor = tables
+    entries, table, p, limit, slope, floor, keep = tables
     n, q = x.shape
     scale = np.einsum("nq,nq->n", x, x)
     gemm_rows, wide = x, None
@@ -383,11 +406,12 @@ def _euclidean_block(x: np.ndarray, tables: tuple) -> tuple[np.ndarray, None]:
         if wide is not None:
             near[wide[redo]] = True
         pair_rows, cands = np.nonzero(near)
-        dists = _exact_sq_distances(x[redo[pair_rows]], entries[cands])
+        codes = cands if keep is None else keep[cands]
+        dists = _exact_sq_distances(x[redo[pair_rows]], entries[codes])
         starts = np.flatnonzero(np.diff(pair_rows, prepend=-1))
         at_min = dists == np.minimum.reduceat(dists, starts)[pair_rows]
-        best[redo] = np.minimum.reduceat(np.where(at_min, cands, len(entries)), starts)
-    return best, None
+        best[redo] = np.minimum.reduceat(np.where(at_min, cands, table.shape[1]), starts)
+    return (best if keep is None else keep[best]), None
 
 
 def _cosine_tables(entries: np.ndarray) -> tuple:
@@ -429,7 +453,8 @@ def _build_tables(entries: np.ndarray, metric: str) -> tuple:
 def _lookup(queries: np.ndarray, tables: tuple, metric: str) -> tuple:
     """The one row-block loop of both metrics: nearest-entry indices, in
     blocks of at most `_LOOKUP_BLOCK_BYTES` of scores (128 float32 rows at
-    K=1024 under Euclidean, 64 float64 rows under cosine), and under cosine
+    K=1024 distinct entries under Euclidean, 64 float64 rows at K=1024 under
+    cosine), and under cosine
     the similarity of each answer (None under Euclidean). A lookup that fits
     one block returns the kernel's own arrays.
 

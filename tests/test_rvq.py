@@ -228,6 +228,49 @@ class TestEncode:
             assert norms.tolist() == ref_norms
             np.testing.assert_array_equal(final, residual)
 
+    def test_copy_heavy_layers_match_the_brute_force_recursion(self):
+        # The layers a bench-shaped `train` leaves: deep codebooks of a few
+        # distinct entries, their negations (the residuals of 2-point
+        # k-means clusters), zeros, and copies of all of them (restarts
+        # draw from a small batch with replacement). The lookup tables keep
+        # one column per distinct entry; encoding one frame at a time, in a
+        # batch, and the brute-force recursion over every entry agree.
+        rng = np.random.default_rng(30)
+        layers = [rng.normal(size=(1024, 32)) * 3.0]
+        for n in range(1, 8):
+            distinct = rng.normal(size=(400 // n, 32)) * 3.0 / (n + 1)
+            pool = np.concatenate([distinct, -distinct, np.zeros((1, 32))])
+            entries = pool[rng.integers(0, len(pool), size=1024)]
+            entries[: len(pool)] = pool[rng.permutation(len(pool))]
+            layers.append(entries[rng.permutation(1024)])
+        qz = RvqQuantizer(layers=[Codebook.from_entries(e) for e in layers], latent_dim=32)
+        widths = [layer._lookup_tables()[1].shape[1] for layer in qz.layers]
+        assert widths == [1024] + [2 * (400 // n) + 1 for n in range(1, 8)]
+
+        latents = np.concatenate([
+            make_corpus(CorpusSpec(dims=32, count=200, seed=8)) * 3.0,
+            layers[0][rng.integers(0, 1024, size=30)] + layers[3][rng.integers(0, 1024, size=30)],
+        ])
+        batch_codes, batch_residuals = rvq_encode_batch(latents, qz)
+        inputs = [[] for _ in layers]
+        for latent, row, final in zip(latents, batch_codes, batch_residuals):
+            residual, ref_codes = latent, []
+            for n, entries in enumerate(layers):
+                inputs[n].append(residual)
+                diff = residual - entries
+                d2 = np.einsum("kq,kq->k", diff, diff)
+                ref_codes.append(int(np.flatnonzero(d2 == d2.min())[0]))
+                residual = residual - entries[ref_codes[-1]]
+            assert rvq_encode(latent, qz)[0].tolist() == ref_codes
+            assert row.tolist() == ref_codes
+            np.testing.assert_array_equal(final, residual)
+        for n, layer in enumerate(qz.layers):
+            residuals = np.array(inputs[n])
+            idx, dist = vq.nearest_codes(residuals, layer)
+            np.testing.assert_array_equal(idx, batch_codes[:, n])
+            diff = residuals - layer.entries[idx]
+            np.testing.assert_array_equal(dist, np.sqrt(np.einsum("nq,nq->n", diff, diff)))
+
     @pytest.mark.parametrize("entry_scale", [1.0, 1e29])
     def test_latent_at_1e30_encodes_exactly(self, entry_scale):
         # Squares of 1e30 are past float32's range. Against entries near 1

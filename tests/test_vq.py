@@ -349,19 +349,25 @@ class TestExactKernel:
         # Distinct entries of one norm sit between copies in a sort by norm.
         entries = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
                             [1.0, 0.0], [0.0, 3.0]])
-        _, table, p, _, _, _ = vq._euclidean_tables(entries)
+        _, table, p, _, _, _, keep = vq._euclidean_tables(entries)
         assert p == 0.25  # the largest component, 3, is below 2^2
-        assert table[2].tolist() == [p**2, p**2, np.inf, np.inf, p**2, np.inf, 9 * p**2]
+        assert keep.tolist() == [0, 1, 4, 6]  # the first copy of each entry
+        assert table[2].tolist() == [p**2, p**2, p**2, 9 * p**2]
+        np.testing.assert_array_equal(table[:2], entries[keep].T * p)
 
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_tables_match_brute_force(self, data):
         # Entries on a coarse grid, so that norms tie between copies and
         # between distinct entries alike; signed permuted unit vectors are
         # distinct entries of one norm; normal draws tie no norms, so the
-        # tables skip the comparison.
+        # tables skip the comparison. The copy-heavy kinds are what training
+        # leaves: one entry copied everywhere, all zeros, pairs x and -x,
+        # copies interleaved with distinct entries of their norm, and copies
+        # of one entry around a single other one.
         dim = data.draw(st.integers(1, 5))
-        kind = data.draw(st.sampled_from(["grid", "units", "normal"]))
+        kind = data.draw(st.sampled_from(["grid", "units", "normal", "copies", "zeros",
+                                          "pairs", "interleaved", "one-other"]))
         k = data.draw(st.integers(1, 40))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         if kind == "grid":
@@ -369,27 +375,50 @@ class TestExactKernel:
         elif kind == "units":
             signs = rng.choice([-2.5, 2.5], size=(k, 1))
             entries = np.eye(dim)[rng.integers(0, dim, size=k)] * signs
-        else:
+        elif kind == "normal":
             entries = rng.normal(size=(k, dim))
-        _, table, p, _, _, _ = vq._euclidean_tables(entries)
+        elif kind == "copies":
+            entries = np.repeat(rng.normal(size=(1, dim)), k, axis=0)
+        elif kind == "zeros":
+            entries = np.zeros((k, dim))
+        elif kind == "pairs":
+            half = rng.normal(size=((k + 1) // 2, dim))
+            entries = np.concatenate([half, -half])[rng.permutation(2 * len(half))][:k]
+        elif kind == "interleaved":
+            # Sign flips and permutations of one vector share its norm.
+            base = rng.normal(size=dim)
+            flips = rng.choice([-1.0, 1.0], size=(4, dim)) * base
+            entries = np.concatenate([flips, [np.roll(base, 1)]])[rng.integers(0, 5, size=k)]
+        else:
+            entries = np.repeat(rng.normal(size=(1, dim)), k, axis=0)
+            entries[rng.integers(0, k)] = rng.normal(size=dim)
+        _, table, p, _, _, _, keep = vq._euclidean_tables(entries)
 
         copy = np.array([any(np.array_equal(entries[j], entries[i]) for j in range(i))
                          for i in range(k)])
+        # One column per distinct entry: its first copy, in code order.
+        np.testing.assert_array_equal(np.arange(k) if keep is None else keep,
+                                      np.flatnonzero(~copy))
+        assert (keep is None) == (not copy.any())
+        distinct = entries[~copy]
         sq_norms = table[dim].astype(np.float64) / p**2
-        np.testing.assert_array_equal(sq_norms == np.inf, copy)
-        reference = (entries**2).sum(axis=1)
-        np.testing.assert_allclose(sq_norms[~copy], reference[~copy], rtol=2**-23)
+        np.testing.assert_allclose(sq_norms, (distinct**2).sum(axis=1), rtol=2**-23)
         # p is the power of two just above the largest component.
         assert 0.5 <= np.abs(entries).max() * p < 1.0 or not entries.any() and p == 1.0
         # One C-contiguous float32 GEMM table: the cast of the transposed
-        # entries over the norms, copies at +inf, scaled by p and p^2.
-        assert table.shape == (dim + 1, k) and table.flags.c_contiguous
+        # distinct entries over their norms, scaled by p and p^2.
+        assert table.shape == (dim + 1, len(distinct)) and table.flags.c_contiguous
         assert table.dtype == np.float32
-        exact_norms = np.where(copy, np.inf, np.einsum("kq,kq->k", entries, entries))
-        scaled = np.vstack([entries.T * p, exact_norms * p * p])
+        exact_norms = np.einsum("kq,kq->k", distinct, distinct)
+        scaled = np.vstack([distinct.T * p, exact_norms * p * p])
         np.testing.assert_array_equal(table, scaled.astype(np.float32))
         if kind == "normal":
             assert not copy.any()
+
+        # Lookups still equal the exact-difference reference: exact matches,
+        # their negations and draws between them.
+        queries = np.concatenate([entries, -entries, rng.normal(size=(8, dim))])
+        assert_matches_reference(queries, entries)
 
         # The cosine tables map each entry to the first copy of its unit entry.
         _, _, first = vq._cosine_tables(entries)
@@ -397,6 +426,31 @@ class TestExactKernel:
         expected = [next(j for j in range(k) if np.array_equal(units[j], units[i]))
                     for i in range(k)]
         np.testing.assert_array_equal(np.arange(k) if first is None else first, expected)
+
+    def test_opposite_pairs_skip_the_full_row_sort(self, monkeypatch):
+        # A 2-point k-means cluster leaves residuals x and -x, which share a
+        # squared norm: their last components tell them apart, so the tables
+        # sort on two keys and never on all q+1.
+        rng = np.random.default_rng(30)
+        half = rng.normal(size=(400, 32))
+        entries = np.concatenate([half, -half, np.zeros((100, 32)), half[:124]])
+        entries = entries[rng.permutation(1024)]
+        calls, lexsort = [], np.lexsort
+
+        def spy(keys, *args, **kwargs):
+            calls.append(len(keys))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        _, table, _, _, _, _, keep = vq._euclidean_tables(entries)
+        assert calls == [2]
+        assert table.shape == (33, 801)
+        expected = [i for i in range(1024)
+                    if not (entries[:i] == entries[i]).all(axis=1).any()]
+        assert keep.tolist() == expected
+        queries = np.concatenate([entries[rng.integers(0, 1024, size=100)],
+                                  rng.normal(size=(100, 32))])
+        assert_matches_reference(queries, entries)
 
     @pytest.mark.parametrize("q", [8, 32])
     def test_lookup_across_blocks(self, q, monkeypatch):
@@ -412,10 +466,12 @@ class TestExactKernel:
                                   rng.normal(size=(700, q))])[rng.permutation(1200)]
         for edge in (64, 128, 256, 512, 1024):
             queries[edge - 4 : edge + 4] = entries[700 + edge % 300]  # a copied entry
-        # 512 KB of scores: float32 under Euclidean, float64 under cosine.
-        caps = {"_euclidean_block": vq._LOOKUP_BLOCK_BYTES // (4 * k),
+        # 512 KB of scores: float32 under Euclidean, over the 700 distinct
+        # entries, and float64 under cosine, over all 1,024 unit entries.
+        caps = {"_euclidean_block": vq._LOOKUP_BLOCK_BYTES // (4 * 700),
                 "_cosine_block": vq._LOOKUP_BLOCK_BYTES // (8 * k)}
-        assert caps == {"_euclidean_block": 128, "_cosine_block": 64}
+        assert caps == {"_euclidean_block": 187, "_cosine_block": 64}
+        assert vq._euclidean_tables(entries)[1].shape == (q + 1, 700)
 
         _, table, _ = vq._cosine_tables(entries)
         assert table.shape == (q, k) and table.flags.c_contiguous

@@ -7,8 +7,9 @@ output file, named `<case>/<stream>`. The training outputs are the cases
 `projected-distinct-pairs` runs encode and decode on a projected codebook file
 whose layers' projection pairs differ, and `*/decode-multi-stream` decodes a
 token file with empty streams among long ones. `lib/encode-batch-*` and
-`lib/encode-frame-*` encode 300 queries on each codebook, in one batch (codes
-and final residuals) and one frame per call (codes and residual norms). The
+`lib/encode-frame-*` encode 300 queries on each codebook, and on the one the
+`train-ema-restart` case trains, in one batch (codes and final residuals) and
+one frame per call (codes and residual norms). The
 `tokens-*` cases decode and analyze one token file rewritten with spaces,
 reordered keys and `"codes"` inside the id or another key, and with a leading
 zero or a 10-digit code. The `lib/generate-*` and `lib/text-to-tokens-*` cases
@@ -133,13 +134,18 @@ def _codebook_cases(fp: Fingerprint, rk, extra: list[Path]) -> None:
         fp.cli(f"{name}/analyze-json", "analyze", "--tokens", tokens, "--layer", "2",
                "--format", "json-lines")
 
-        queries = rk.make_corpus(rk.CorpusSpec(dims=quantizer.latent_dim, count=300, seed=8))
-        fp.arrays(f"lib/encode-batch-{name}", *rk.rvq_encode_batch(queries, quantizer))
-        codes, norms = zip(*(rk.rvq_encode(row, quantizer) for row in queries))
-        fp.arrays(f"lib/encode-frame-{name}", np.stack(codes), np.stack(norms))
+        _encode_cases(fp, rk, name, quantizer)
     _distinct_pairs_case(fp, books["projected"])
     _multi_stream_decode_case(fp, rk, books)
     _token_layout_cases(fp)
+
+
+def _encode_cases(fp: Fingerprint, rk, name: str, quantizer) -> None:
+    """Encode 300 queries in one batch and one frame per call."""
+    queries = rk.make_corpus(rk.CorpusSpec(dims=quantizer.latent_dim, count=300, seed=8))
+    fp.arrays(f"lib/encode-batch-{name}", *rk.rvq_encode_batch(queries, quantizer))
+    codes, norms = zip(*(rk.rvq_encode(row, quantizer) for row in queries))
+    fp.arrays(f"lib/encode-frame-{name}", np.stack(codes), np.stack(norms))
 
 
 def _distinct_pairs_case(fp: Fingerprint, quantizer) -> None:
@@ -296,6 +302,8 @@ def _training_cases(fp: Fingerprint, rk) -> None:
            "--codebook-size", "1024", "--steps", "60", "--batch-size", "256",
            "--restart-period", "20", "--seed", "11", "--out", "restart.rvqc",
            outputs=("restart.rvqc",))
+    # Its deep layers hold hundreds of copies each, as a bench-shaped run leaves.
+    _encode_cases(fp, rk, "train-ema-restart", rk.load_quantizer(str(fp.work / "restart.rvqc")))
     fp.cli("train-ema-cosine", "train", "--synth", "modes=8,count=600", "--latent-dim", "8",
            "--metric", "cosine", "--init", "random", "--layers", "2", "--codebook-size", "32",
            "--steps", "60", "--seed", "4", "--out", "cos.rvqc", outputs=("cos.rvqc",))
