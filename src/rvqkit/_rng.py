@@ -7,7 +7,9 @@ what a generation model returns, all three generators draw with
 fill layers 2..N with `greedy_layers`. The toy oracles check their inputs
 with `finite_margin` and `checked_truth` and build their logits with
 `peaked_logits`. `positive_finite` is the one check on every rate,
-temperature, learning rate, separation and smoothing value.
+temperature, learning rate, separation and smoothing value. `BLOCK_BYTES`
+is the one working-set budget of the row-blocked passes: the lookup's score
+blocks and the masked generator's sampling blocks.
 """
 
 from __future__ import annotations
@@ -18,6 +20,20 @@ import numbers
 import numpy as np
 
 from .errors import NumericalError
+
+# Cap on one row block of scores or logits: 512 KB, which stays in one
+# core's L2 cache with room for the operands. In `vq._lookup` that is 128
+# rows of float32 Euclidean scores at K=1024 distinct entries, or 64 rows of
+# float64 cosine ones at K=1024. With BLAS on one thread (2-core Xeon, 2 MB
+# of L2 a core): the q=8 cosine GEMM writes more than it reads, and costs
+# 0.50 us a row in 64-row blocks against 0.98 us in 256-row (2 MB) blocks,
+# which fill the L2; `argmax` costs 0.17 against 0.20 us a row. The float32
+# Euclidean GEMM at q=32 runs 1.6 times faster than the float64 one at 64
+# rows and 2.9 times at 256; 128-row blocks keep most of that gain while the
+# scores stay in the L2. In `mlm.generate_parallel` it is 64 rows of float64
+# guided logits at K=1024, which `cfg_combine` and `sample_rows` then pass
+# over in cache instead of over whole (frames, K) grids in DRAM.
+BLOCK_BYTES = 1 << 19
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -41,10 +57,13 @@ def checked_logits(raw, shape: tuple, what: str) -> np.ndarray:
 def greedy_layers(grid: np.ndarray, rows: slice, layer_logits, shape: tuple, what: str) -> None:
     """Fill layers 1..N-1 of a (frames, N) `grid` in order, in place: layer l
     gets the argmax over `rows` (ties to the lowest index) of
-    `checked_logits(layer_logits(l), shape, what.format(l))`."""
+    `checked_logits(layer_logits(l), shape, what.format(l))`. It holds one
+    layer's logits at a time: each grid is released before the next layer
+    is scored."""
     for layer in range(1, grid.shape[1]):
         logits = checked_logits(layer_logits(layer), shape, what.format(layer))
         grid[rows, layer] = np.argmax(logits[rows], axis=1)
+        del logits
 
 
 def finite_margin(margin) -> float:
@@ -95,7 +114,9 @@ def sample_rows(
     row consumes one `rng.random()` double and is inverted through its
     normalized CDF with a right-side count, exactly as
     `Generator.choice(K, p=row)` does, so the two give the same draws under
-    the same generator state.
+    the same generator state. Every step works row by row, so a caller that
+    splits its rows into ordered blocks and calls once per block, with the
+    same generator, draws exactly what one call over all the rows draws.
     """
     probs = logits
     probs /= temperature

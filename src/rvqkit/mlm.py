@@ -9,6 +9,13 @@ single argmax pass each (`_rng.greedy_layers`, the pass that also fills
 `arnar.generate_nar`'s layers), so a full grid costs iterations +
 (layers - 1) conditional forward passes.
 
+A layer-1 round holds the two score grids plus one block: it checks both
+(frames, K) grids whole, then guides (`cfg_combine`) and samples
+(`sample_rows`) the masked rows in ascending blocks of at most
+`_rng.BLOCK_BYTES` (512 KB) of float64 logits, 64 rows at K=1024, whose
+passes run in cache. The draws are those of one call over every masked row,
+and both grids are released before the next round scores.
+
 Grids are (frames, layers) int32 arrays with MASKED (-1) at unknown
 positions. Layer indices are 0-based throughout. When a layer is being
 scored, every deeper layer is hidden from the model, prompt frames
@@ -26,6 +33,7 @@ from typing import Protocol
 import numpy as np
 
 from ._rng import (
+    BLOCK_BYTES,
     as_generator,
     checked_logits,
     checked_truth,
@@ -143,7 +151,10 @@ def generate_parallel(
     """Decode a full (num_frames, layers) grid from a prompt prefix.
 
     Layer 0 runs `iterations_layer1` rounds of guided sampling with
-    confidence-ordered commits; layers 1..N-1 are greedy argmax passes.
+    confidence-ordered commits; layers 1..N-1 are greedy argmax passes. A
+    round holds its two (num_frames, K) score grids plus one 512 KB block
+    of guided logits: the masked rows are guided and sampled block by block,
+    in ascending order, which draws what one pass over all of them draws.
     """
     condition = np.asarray(condition)
     num_layers = prompt.layers
@@ -153,6 +164,7 @@ def generate_parallel(
         raise ValueError(f"prompt length {p} must be shorter than num_frames {num_frames}")
 
     shape = (num_frames, k)
+    block_rows = max(1, BLOCK_BYTES // (8 * k))
     rng = as_generator(schedule.rng_seed)
     grid = np.full((num_frames, num_layers), MASKED, dtype=np.int32)
     if p:
@@ -175,11 +187,17 @@ def generate_parallel(
         uncond = checked_logits(
             model.score(view, 0, condition, UNCONDITIONAL), shape, "unconditional"
         )
-        combined = cfg_combine(cond, uncond, coeff)
 
         masked_pos = np.flatnonzero(masked)
-        draws, probs = sample_rows(combined[masked_pos], schedule.temperature, rng)
-        conf = probs[np.arange(len(masked_pos)), draws]
+        draws = np.empty(len(masked_pos), dtype=np.intp)
+        conf = np.empty(len(masked_pos))
+        for lo in range(0, len(masked_pos), block_rows):
+            part = slice(lo, lo + block_rows)
+            rows = masked_pos[part]
+            guided = cfg_combine(cond[rows], uncond[rows], coeff)
+            draws[part], probs = sample_rows(guided, schedule.temperature, rng)
+            conf[part] = probs[np.arange(len(rows)), draws[part]]
+        del cond, uncond
 
         count = target - committed
         if count > 0:

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import as_generator
+from ._rng import BLOCK_BYTES, as_generator
 
 EUCLIDEAN = "euclidean"
 COSINE = "cosine"
@@ -74,18 +74,6 @@ METRICS = (EUCLIDEAN, COSINE)
 MAX_CODES = 65536  # exhaustive lookup only; no approximate indexing
 DEFAULT_DECAY = 0.99
 EMA_EPSILON = 1e-5  # Laplace smoothing of the EMA cluster sizes in `ema_update`
-
-# Cap on the (rows, table columns) score block of one lookup: 512 KB, which
-# stays in one core's L2 cache with room for the operands: 128 rows of
-# float32 Euclidean scores at K=1024 distinct entries, 64 rows of float64
-# cosine ones at K=1024. With BLAS on one thread
-# (2-core Xeon, 2 MB of L2 a core): the q=8 cosine GEMM writes more than it
-# reads, and costs 0.50 us a row in 64-row blocks against 0.98 us in 256-row
-# (2 MB) blocks, which fill the L2; `argmax` costs 0.17 against 0.20 us a
-# row. The float32 Euclidean GEMM at q=32 runs 1.6 times faster than the
-# float64 one at 64 rows and 2.9 times at 256; 128-row blocks keep most of
-# that gain while the scores stay in the L2.
-_LOOKUP_BLOCK_BYTES = 1 << 19
 
 # Unit roundoff and the smallest subnormal of float64 and of float32, for the
 # rounding bound of the Euclidean lookup (see `_euclidean_block`).
@@ -452,7 +440,7 @@ def _build_tables(entries: np.ndarray, metric: str) -> tuple:
 
 def _lookup(queries: np.ndarray, tables: tuple, metric: str) -> tuple:
     """The one row-block loop of both metrics: nearest-entry indices, in
-    blocks of at most `_LOOKUP_BLOCK_BYTES` of scores (128 float32 rows at
+    blocks of at most `BLOCK_BYTES` of scores (128 float32 rows at
     K=1024 distinct entries under Euclidean, 64 float64 rows at K=1024 under
     cosine), and under cosine
     the similarity of each answer (None under Euclidean). A lookup that fits
@@ -468,7 +456,7 @@ def _lookup(queries: np.ndarray, tables: tuple, metric: str) -> tuple:
         queries = _normalize_rows(queries)  # rejects non-finite queries
     block = _cosine_block if metric == COSINE else _euclidean_block
     table = tables[1]
-    rows = max(1, _LOOKUP_BLOCK_BYTES // (table.shape[1] * table.itemsize))
+    rows = max(1, BLOCK_BYTES // (table.shape[1] * table.itemsize))
     if len(queries) <= rows:
         return block(queries, tables)
     idx = np.empty(len(queries), dtype=np.int64)

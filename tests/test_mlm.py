@@ -1,12 +1,16 @@
 """Masked parallel decoding: schedules, guidance, confidence commits, oracle recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rvqkit import (
     MASKED,
     DecodeSchedule,
+    GenerationStats,
     NumericalError,
+    OracleNarModel,
     OracleScoreModel,
     TokenStream,
     anneal_coeff,
@@ -15,7 +19,9 @@ from rvqkit import (
     cosine_unmask_fractions,
     generate_nar,
     generate_parallel,
+    mlm,
 )
+from rvqkit._rng import BLOCK_BYTES, checked_logits, greedy_layers, sample_rows
 
 
 def uniform_model(frames, layers, k):
@@ -27,6 +33,70 @@ def random_oracle(frames, layers, k, seed):
     """An oracle on a uniformly drawn (frames, layers) truth grid."""
     rng = np.random.default_rng(seed)
     return OracleScoreModel(rng.integers(0, k, size=(frames, layers), dtype=np.int32), k)
+
+
+def reference_generate_parallel(model, condition, prompt, num_frames, schedule):
+    """The whole-grid layer-1 loop: every round combines the two full score
+    grids with `cfg_combine`, samples all masked rows in one `sample_rows`
+    call, then commits; deeper layers are the shared greedy pass."""
+    k, p = prompt.codebook_size, prompt.num_frames
+    shape = (num_frames, k)
+    rng = np.random.default_rng(schedule.rng_seed)
+    grid = np.full((num_frames, prompt.layers), MASKED, dtype=np.int32)
+    grid[:p] = prompt.frames
+    masked = np.ones(num_frames, dtype=bool)
+    masked[:p] = False
+    total = num_frames - p
+    targets = mlm._commit_targets(total, cosine_unmask_fractions(schedule.iterations_layer1))
+    commit_counts, committed = [], 0
+    for target in targets:
+        coeff = anneal_coeff(committed / total, schedule.cfg_start, schedule.cfg_end)
+        view = mlm._scoring_view(grid, 0)
+        cond = checked_logits(model.score(view, 0, condition, "conditional"), shape, "conditional")
+        uncond = checked_logits(
+            model.score(view, 0, condition, "unconditional"), shape, "unconditional"
+        )
+        combined = cfg_combine(cond, uncond, coeff)
+        masked_pos = np.flatnonzero(masked)
+        draws, probs = sample_rows(combined[masked_pos], schedule.temperature, rng)
+        conf = probs[np.arange(len(masked_pos)), draws]
+        count = target - committed
+        if count > 0:
+            chosen = confidence_select(conf, count)
+            pos = masked_pos[chosen]
+            grid[pos, 0] = draws[chosen]
+            masked[pos] = False
+            committed = target
+        commit_counts.append(count)
+    greedy_layers(
+        grid,
+        slice(p, None),
+        lambda layer: model.score(mlm._scoring_view(grid, layer), layer, condition, "conditional"),
+        shape,
+        "conditional",
+    )
+    stats = GenerationStats(
+        schedule.iterations_layer1 + prompt.layers - 1, schedule.iterations_layer1, commit_counts
+    )
+    return grid, stats
+
+
+class RandomScores:
+    """Fixed random normal logits per layer and mode, shifted by the codes
+    already committed on layer 0, so each round sees new scores."""
+
+    def __init__(self, frames, layers, k, seed, scale=3.0):
+        rng = np.random.default_rng(seed)
+        self.tables = {
+            mode: scale * rng.normal(size=(layers, frames, k))
+            for mode in ("conditional", "unconditional")
+        }
+
+    def score(self, grid, target_layer, condition, mode):
+        out = self.tables[mode][target_layer].copy()
+        committed = grid[:, 0] >= 0
+        out[committed, grid[committed, 0]] += 1.0
+        return out
 
 
 def empty_prompt(layers, k, rate=50.0):
@@ -300,3 +370,114 @@ class TestDeeperLayerPass:
         assert (table == table.max(axis=2, keepdims=True)).sum(axis=2).max() > 1  # ties exist
         np.testing.assert_array_equal(parallel.frames[:, 1:], expected[:, 1:])
         np.testing.assert_array_equal(nar.frames[:, 1:], expected[p:, 1:])
+
+
+class TestBlockedLayerOne:
+    """The layer-1 pass combines and samples the masked rows in blocks of at
+    most `BLOCK_BYTES` of float64 logits (64 rows at K=1024). At K=1024 and
+    300 frames the first round's masked rows span at least 3 blocks, so these
+    cases split every early round; the smaller grids above fit one block."""
+
+    K, FRAMES, LAYERS = 1024, 300, 3
+
+    @pytest.mark.parametrize("prompt_frames", [0, 37])
+    @pytest.mark.parametrize("iterations", [1, 5, 12])
+    @pytest.mark.parametrize("temperature", [1.0, 0.3])
+    @pytest.mark.parametrize("cfg", [(0.0, 2.0), (-2.0, 0.5)])
+    def test_matches_whole_grid_reference(
+        self, monkeypatch, prompt_frames, iterations, temperature, cfg
+    ):
+        block_rows = BLOCK_BYTES // (8 * self.K)
+        assert self.FRAMES - prompt_frames > 3 * block_rows
+        model = RandomScores(self.FRAMES, self.LAYERS, self.K, seed=iterations + prompt_frames)
+        truth = np.random.default_rng(8).integers(0, self.K, size=(prompt_frames, self.LAYERS))
+        prompt = TokenStream(
+            frames=truth.astype(np.int32), token_rate_hz=50.0, codebook_size=self.K, source_id="p"
+        )
+        schedule = DecodeSchedule(
+            iterations_layer1=iterations,
+            cfg_start=cfg[0],
+            cfg_end=cfg[1],
+            temperature=temperature,
+            rng_seed=17,
+        )
+        condition = np.arange(self.FRAMES)
+        expected_grid, expected_stats = reference_generate_parallel(
+            model, condition, prompt, self.FRAMES, schedule
+        )
+
+        block_sizes = []
+
+        def recording_sample_rows(logits, temperature, rng):
+            block_sizes.append(len(logits))
+            return sample_rows(logits, temperature, rng)
+
+        monkeypatch.setattr(mlm, "sample_rows", recording_sample_rows)
+        stream, stats = generate_parallel(model, condition, prompt, self.FRAMES, schedule)
+        np.testing.assert_array_equal(stream.frames, expected_grid)
+        assert stats == expected_stats
+        assert block_sizes[:3] == [block_rows] * 3 and max(block_sizes) == block_rows
+
+    def test_overflow_in_third_block_raises_as_reference(self):
+        # Both score grids are finite, so `checked_logits` passes them; the
+        # guided logits 3 * 1e308 overflow in one row of the third block only.
+        frames, k = self.FRAMES, self.K
+        bad_row = 2 * (BLOCK_BYTES // (8 * k)) + 5
+
+        class OverflowInOneRow:
+            def score(self, grid, target_layer, condition, mode):
+                out = np.zeros((frames, k))
+                if mode == "conditional":
+                    out[bad_row, 3] = 1e308
+                return out
+
+        schedule = DecodeSchedule(cfg_start=2.0, cfg_end=2.0, rng_seed=4)
+        prompt = empty_prompt(self.LAYERS, k)
+        errors = []
+        with np.errstate(over="ignore"):
+            for run in (reference_generate_parallel, generate_parallel):
+                with pytest.raises(NumericalError) as caught:
+                    run(OverflowInOneRow(), np.arange(frames), prompt, frames, schedule)
+                errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+
+class TestWorkingMemory:
+    @staticmethod
+    def _peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_parallel_holds_two_score_grids_and_one_block(self):
+        """1,024 frames, K=1024, 3 layers on the oracle: one (frames, K)
+        float64 score grid is 8 MiB. The whole-grid layer-1 loop peaked at
+        57.6 MB, 6.9 grids (cond, uncond, `cfg_combine`'s result and two
+        temporaries, and the masked rows' copy); the blocked pass holds the
+        two score grids plus blocks of 512 KB."""
+        frames, layers, k = 1024, 3, 1024
+        model = random_oracle(frames, layers, k, 3)
+        prompt = empty_prompt(layers, k)
+        peak = self._peak_bytes(
+            lambda: generate_parallel(
+                model, np.arange(frames), prompt, frames, DecodeSchedule(rng_seed=1)
+            )
+        )
+        assert peak < 2.5 * frames * k * 8
+
+    def test_nar_holds_one_score_grid(self):
+        """2,500 frames, K=1024, 8 layers: one (frames, K) float64 grid is
+        19.5 MiB. When the greedy pass kept the previous layer's logits while
+        it scored the next, `generate_nar` peaked at 43.6 MB, 2.1 grids."""
+        frames, layers, k = 2500, 8, 1024
+        truth = np.random.default_rng(5).integers(0, k, size=(frames, layers), dtype=np.int32)
+        model = OracleNarModel(truth, k)
+        prompt = empty_prompt(layers, k)
+        peak = self._peak_bytes(
+            lambda: generate_nar(model, np.arange(frames), prompt, truth[:, 0])
+        )
+        assert peak < 1.3 * frames * k * 8

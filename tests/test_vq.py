@@ -129,7 +129,7 @@ class TestNearestCode:
         rng = np.random.default_rng(1100)
         entries, queries = rng.normal(size=(1024, 8)), rng.normal(size=(1200, 8))
         queries[1100, 3] = np.nan
-        assert 1100 >= vq._LOOKUP_BLOCK_BYTES // (4 * 1024)
+        assert 1100 >= vq.BLOCK_BYTES // (4 * 1024)
         with pytest.raises(ValueError, match="queries must be finite"):
             assign_batch(queries, entries, metric)
 
@@ -468,8 +468,8 @@ class TestExactKernel:
             queries[edge - 4 : edge + 4] = entries[700 + edge % 300]  # a copied entry
         # 512 KB of scores: float32 under Euclidean, over the 700 distinct
         # entries, and float64 under cosine, over all 1,024 unit entries.
-        caps = {"_euclidean_block": vq._LOOKUP_BLOCK_BYTES // (4 * 700),
-                "_cosine_block": vq._LOOKUP_BLOCK_BYTES // (8 * k)}
+        caps = {"_euclidean_block": vq.BLOCK_BYTES // (4 * 700),
+                "_cosine_block": vq.BLOCK_BYTES // (8 * k)}
         assert caps == {"_euclidean_block": 187, "_cosine_block": 64}
         assert vq._euclidean_tables(entries)[1].shape == (q + 1, 700)
 

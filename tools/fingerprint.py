@@ -12,8 +12,10 @@ token file with empty streams among long ones. `lib/encode-batch-*` and
 one frame per call (codes and residual norms). The
 `tokens-*` cases decode and analyze one token file rewritten with spaces,
 reordered keys and `"codes"` inside the id or another key, and with a leading
-zero or a 10-digit code. The `lib/generate-*` and `lib/text-to-tokens-*` cases
-run the schedulers on the toy oracles, the `lib/train-ngram-*` cases hash the
+zero or a 10-digit code. `mlm-sim-blocks` runs masked generation at K=1024
+on enough frames that each round samples in several row blocks. The
+`lib/generate-*` and `lib/text-to-tokens-*` cases run the schedulers on the
+toy oracles, the `lib/train-ngram-*` cases hash the
 n-gram AR model's counts and the perplexity it gives a stream, and the
 `lib/oracle-truth-check-*` cases build each oracle on a truth code outside
 [0, K) and call it once. To see what a change moves, run it on two checkouts
@@ -377,6 +379,12 @@ def _generation_cases(fp: Fingerprint) -> None:
     fp.cli("mlm-sim-uniform", "mlm-sim", "--model", "uniform", "--frames", "30",
            "--cfg", "1:3", "--temperature", "0.7", "--noise-seed", "9", "--seed", "3",
            "--out", "mlm-u.jsonl", outputs=("mlm-u.jsonl",))
+    # K=1024 and 291 masked frames: the layer-1 rounds sample in several
+    # 64-row blocks, where the cases above fit one.
+    fp.cli("mlm-sim-blocks", "mlm-sim", "--frames", "320", "--layers", "3",
+           "--codebook-size", "1024", "--prompt-frames", "29", "--temperature", "0.3",
+           "--cfg=-1:2", "--margin", "2", "--noise-seed", "5", "--seed", "11",
+           "--out", "mlm-b.jsonl", outputs=("mlm-b.jsonl",))
     fp.cli("arnar-sim-oracle", "arnar-sim", "--max-frames", "40", "--layers", "4",
            "--codebook-size", "64", "--prompt-frames", "4", "--seed", "6",
            "--out", "arnar.jsonl", outputs=("arnar.jsonl",))
