@@ -11,15 +11,21 @@ Codebook file ("RVQC"):
         entries  K*q float32
         proj_out q*d float32   (projected scheme only)
     The projected scheme stores the same pair in every layer; a file whose
-    pairs differ is rejected (FormatError, exit 3).
+    pairs differ, or that holds a value that is not finite, is rejected
+    (FormatError, exit 3). The loader converts the payload to float64 once;
+    every layer's entries, EMA sums and projection pair are read-only views
+    of that one copy.
 
 Token stream file: one JSON object per line with keys
     id, token_rate_hz, layers, codebook_size, codes
 where codes is a list of frames, each a list of `layers` integers. The
 writer puts codes last, in the compact form `"codes":[[1,2],[3,4]]}`; on
-such a line the reader parses the codes in one vectorized pass over their
-bytes and the rest of the line with `json`. Any other valid JSON layout is
-parsed by `json` alone, with the same results and the same errors.
+such a line the reader parses the rest of the line with `json` and the codes
+in vectorized passes over their bytes, in blocks of whole frames cut between
+frames at about 64 KB, so its temporaries stay within a few times 512 KB
+whatever the line's length (codes text up to 128 KB is one block). Any
+other valid JSON layout is parsed by `json` alone, with the same results and
+the same errors.
 
 Payload lengths must match the header exactly; a save of a loaded file
 reproduces it byte for byte. A vector payload is written straight from the
@@ -37,6 +43,7 @@ import tempfile
 
 import numpy as np
 
+from ._rng import BLOCK_BYTES
 from .errors import FormatError
 from .rvq import PLAIN, PROJECTED, RvqQuantizer, TokenStream
 from .vq import COSINE, EUCLIDEAN, Codebook, ProjectionPair
@@ -136,7 +143,9 @@ def save_quantizer(path: str, quantizer: RvqQuantizer) -> None:
 
 
 def load_quantizer(path: str) -> RvqQuantizer:
-    """Read a codebook file; EMA statistics are re-primed from the entries."""
+    """Read a codebook file; EMA statistics are re-primed from the entries.
+    Every array of the quantizer is a read-only view of one float64 copy of
+    the payload; a non-finite entry or projection is a FormatError."""
     with open(path, "rb") as handle:
         data = handle.read()
     if len(data) < _CODEBOOK_HEADER.size:
@@ -159,6 +168,9 @@ def load_quantizer(path: str) -> RvqQuantizer:
         raise FormatError(f"{path}: payload is {len(data)} bytes, header implies {expected}")
 
     floats = np.frombuffer(data, dtype="<f4", offset=_CODEBOOK_HEADER.size).astype(np.float64)
+    floats.flags.writeable = False
+    sizes = np.ones(k)
+    sizes.flags.writeable = False
     pos = 0
 
     def take(n: int, shape: tuple[int, int]) -> np.ndarray:
@@ -169,15 +181,20 @@ def load_quantizer(path: str) -> RvqQuantizer:
 
     codebooks = []
     projections = [] if scheme == PROJECTED else None
-    for _ in range(layers):
-        if scheme == PROJECTED:
-            proj_in = take(d * q, (d, q))
-            entries = take(k * q, (k, q))
-            proj_out = take(q * d, (q, d))
-            projections.append(ProjectionPair(proj_in=proj_in, proj_out=proj_out))
-        else:
-            entries = take(k * q, (k, q))
-        codebooks.append(Codebook.from_entries(entries, metric=metric))
+    for layer in range(layers):
+        try:
+            if scheme == PROJECTED:
+                proj_in = take(d * q, (d, q))
+                entries = take(k * q, (k, q))
+                proj_out = take(q * d, (q, d))
+                projections.append(ProjectionPair(proj_in=proj_in, proj_out=proj_out))
+            else:
+                entries = take(k * q, (k, q))
+            # The EMA statistics `Codebook.from_entries` gives: sums equal to
+            # the entries, cluster sizes 1.
+            codebooks.append(Codebook(entries, sizes, entries, metric))
+        except ValueError as exc:
+            raise FormatError(f"{path}: layer {layer}: {exc}") from exc
 
     try:
         return RvqQuantizer(
@@ -224,32 +241,51 @@ def _frames(codes, layers: int, line: str) -> np.ndarray:
 _CODES_KEY = '"codes":['
 _DIGITS = b"0123456789"
 _MAX_DIGITS = 9  # every 9-digit code fits an int32
+# Codes text a block of `_compact_codes` reaches before it is cut, 64 KB:
+# at most one digit-run edge a char, so its int64 edges fit `BLOCK_BYTES`.
+_BLOCK_CHARS = BLOCK_BYTES // 8
 
 
-def _compact_codes(text: str, layers: int) -> np.ndarray | None:
-    """The (T, layers) int32 grid spelled by `text` when it is exactly the
-    compact form `write_token_streams` writes, `[[1,2],[3,4]]` with T >= 1
-    and codes in canonical decimal of at most 9 digits; otherwise None.
+def _frame_blocks(text: str):
+    """Spans (start, stop) that cover `text` in order, each cut right after
+    the first `],` that follows `_BLOCK_CHARS` chars of it, while more than
+    twice that remain. Adjacent spans share the cut's `,`; a text of at most
+    `2 * _BLOCK_CHARS` chars is one span."""
+    start = 0
+    while len(text) - start > 2 * _BLOCK_CHARS:
+        cut = text.find("],[", start + _BLOCK_CHARS)
+        if cut < 0:
+            break
+        yield start, cut + 2
+        start = cut + 1
+    yield start, len(text)
 
-    The brackets and commas must be exactly those of T frames. Then the
-    digit runs must be T*layers, each in a slot of a frame: none right
+
+def _block_codes(data: bytes, layers: int, first: bool, last: bool) -> np.ndarray | None:
+    """The (frames, layers) int32 grid spelled by `data`, whole frames
+    `[1,2],[3,4]` led by the text's opening `[` (`first`) or a `,` and closed
+    by its final `]` (`last`) or a `,`; None unless the block is exactly
+    that compact form with codes in canonical decimal of at most 9 digits.
+
+    The brackets and commas must be exactly those of its frames. Then the
+    digit runs must be frames*layers, each in a slot of a frame: none right
     after a `]` or right before a `[`, none with a leading zero."""
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
     skeleton = data.translate(None, _DIGITS)
     frames, rest = divmod(len(skeleton) - 1, layers + 2)
     if frames < 1 or rest:
         return None
     frame = b"[" + b"," * (layers - 1) + b"]"
-    if skeleton != b"[" + b",".join([frame] * frames) + b"]":
+    head, tail = b"[" if first else b",", b"]" if last else b","
+    if skeleton != head + b",".join([frame] * frames) + tail:
         return None
-    # Non-digits wrap around to 10..255 in uint8; the text starts with `[`
-    # and ends with `]`, so the mask's edges pair up as (start, end) of runs.
+    # Non-digits wrap around to 10..255 in uint8; the block starts and ends
+    # with a bracket or comma, so the mask's edges pair up as (start, end)
+    # of runs.
     raw = np.frombuffer(data, dtype=np.uint8)
     digits = raw - np.uint8(ord("0"))
     is_digit = digits < 10
-    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
+    edges += 1
     starts, ends = edges[0::2], edges[1::2]
     if len(starts) != frames * layers:
         return None
@@ -267,6 +303,29 @@ def _compact_codes(text: str, layers: int) -> np.ndarray | None:
         digit = np.where(lengths > column, digits[ends - 1 - column], 0).astype(np.int32)
         values += digit * np.int32(10**column)
     return values.reshape(frames, layers)
+
+
+def _compact_codes(text: str, layers: int) -> np.ndarray | None:
+    """The (T, layers) int32 grid spelled by `text` when it is exactly the
+    compact form `write_token_streams` writes, `[[1,2],[3,4]]` with T >= 1
+    and codes in canonical decimal of at most 9 digits; otherwise None.
+
+    The text is parsed in the blocks of whole frames `_frame_blocks` cuts,
+    so the temporaries stay within a few `BLOCK_BYTES` whatever its length;
+    a text of up to 128 KB is one block, whose grid is returned as it is.
+    Every cut is a `],[` between frames: when the whole text is compact,
+    each of its `],[` is one, and each block is compact; when every block
+    is, so is their concatenation."""
+    if not text.isascii():
+        return None
+    blocks = []
+    for start, stop in _frame_blocks(text):
+        data = text[start:stop].encode("ascii")
+        block = _block_codes(data, layers, start == 0, stop == len(text))
+        if block is None:
+            return None
+        blocks.append(block)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _compact_record(line: str) -> dict | None:

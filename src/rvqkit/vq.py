@@ -239,6 +239,15 @@ def _exact_sq_distances(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return np.einsum("nq,nq->n", diff, diff)
 
 
+def _same_where(rows: np.ndarray, order: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """Whether `rows[order]` equals the next row, compared only where `tied`
+    (False elsewhere)."""
+    same = np.zeros_like(tied)
+    at = np.flatnonzero(tied)
+    same[at] = (rows[order[at + 1]] == rows[order[at]]).all(axis=1)
+    return same
+
+
 def _first_copies(rows: np.ndarray, key: np.ndarray) -> np.ndarray | None:
     """The index of the first row equal to each row, or None when no two
     rows are equal; `key` holds one value per row that equal rows share.
@@ -250,22 +259,22 @@ def _first_copies(rows: np.ndarray, key: np.ndarray) -> np.ndarray | None:
     from -x (the two residuals of a 2-point k-means cluster share their
     squared norm), and only where rows of one key and one last component
     still differ do all the components. At K=1024, q=32 that two-key sort
-    costs about 85 us, against 1.8 ms for the sort on every component.
+    costs about 85 us, against 1.8 ms for the sort on every component. Only
+    the adjacent rows whose sort keys tie are gathered and compared.
     """
     ranked = np.sort(key)
-    tied = ranked[1:] == ranked[:-1]
-    if not tied.any():
+    key_tied = ranked[1:] == ranked[:-1]
+    if not key_tied.any():
         return None
     order = np.argsort(key, kind="stable")
-    ranked_rows = rows[order]
-    same = (ranked_rows[1:] == ranked_rows[:-1]).all(axis=1)
+    tied, same = key_tied, _same_where(rows, order, key_tied)
     for sort_keys in ((rows[:, -1], key), (*rows.T[::-1], key)):
         if not (tied & ~same).any():
             break
         order = np.lexsort(sort_keys)
-        ranked_rows = rows[order]
-        same = (ranked_rows[1:] == ranked_rows[:-1]).all(axis=1)
-        tied &= ranked_rows[1:, -1] == ranked_rows[:-1, -1]
+        last = rows[order, -1]
+        tied = key_tied & (last[1:] == last[:-1])
+        same = _same_where(rows, order, tied)
     if not same.any():
         return None
     starts = np.concatenate(([True], ~same))

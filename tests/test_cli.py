@@ -762,6 +762,21 @@ class TestExitCodes:
         assert "finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_non_finite_codebook_is_data_error_naming_the_file(self, tmp_path, capsys):
+        book = tmp_path / "nan.rvqc"
+        save_quantizer(book, RvqQuantizer(layers=[Codebook.from_entries(np.eye(2))], latent_dim=2))
+        data = bytearray(book.read_bytes())
+        struct.pack_into("<f", data, 26, np.nan)  # the first entry
+        book.write_bytes(bytes(data))
+        vectors = tmp_path / "v.rvqv"
+        write_vectors(vectors, np.zeros((3, 2)))
+        code, _, err = run(
+            capsys, "encode", "--codebook", str(book), "--input", str(vectors),
+            "--out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == 3
+        assert err == f"error: {book}: layer 0: codebook entries must be finite\n"
+
     def test_decode_past_float32_range_is_exit_4(self, tmp_path, capsys):
         # Each entry fits float32; the sum of two does not.
         layer = Codebook.from_entries(np.full((2, 3), 3e38))

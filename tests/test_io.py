@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -18,9 +19,11 @@ from rvqkit import (
     ProjectionPair,
     RvqQuantizer,
     TokenStream,
+    ema_update,
     load_quantizer,
     read_token_streams,
     read_vectors,
+    restart_dead_codes,
     rvq_encode,
     save_quantizer,
     write_token_streams,
@@ -207,6 +210,70 @@ class TestCodebookFile:
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(FormatError):
             load_quantizer(path)
+
+    def test_load_holds_one_read_only_copy(self, tmp_path):
+        """A bench-shaped file (8 layers, K=1024, q=32) of 1 MiB: the load
+        peaked at 7.1 MiB when each layer copied its entries twice. Its
+        floor is the file's bytes and one float64 copy of the payload."""
+        rng = np.random.default_rng(110)
+        path = tmp_path / "cb.rvqc"
+        save_quantizer(path, plain_quantizer(rng, layers=8, k=1024, dim=32))
+        size = path.stat().st_size
+        load_quantizer(path)
+        tracemalloc.start()
+        try:
+            loaded = load_quantizer(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * (size + 2 * (size - 26))
+        for layer in loaded.layers:
+            for array in (layer.entries, layer.ema_cluster_size, layer.ema_embed_sum):
+                assert not array.flags.writeable
+        path = tmp_path / "pcb.rvqc"
+        save_quantizer(path, projected_quantizer(rng))
+        for pair in load_quantizer(path).projections:
+            assert not (pair.proj_in.flags.writeable or pair.proj_out.flags.writeable)
+
+    def test_loaded_codebook_updates_like_a_built_one(self, tmp_path):
+        rng = np.random.default_rng(111)
+        path = tmp_path / "cb.rvqc"
+        save_quantizer(path, plain_quantizer(rng, layers=1, k=16, dim=4))
+        loaded = load_quantizer(path).layers[0]
+        built = Codebook.from_entries(loaded.entries)
+        batch = rng.normal(size=(12, 4))
+        idx = rng.integers(0, 8, size=12)
+        used = np.zeros(16, dtype=bool)
+        used[idx] = True
+        results = []
+        for cb in (loaded, built):
+            updated = ema_update(cb, batch, idx, decay=0.9)
+            restarted, count = restart_dead_codes(updated, batch, used, rng=3)
+            results.append([count] + [
+                a.tobytes() for c in (updated, restarted)
+                for a in (c.entries, c.ema_cluster_size, c.ema_embed_sum)
+            ])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("scheme, offset, value", [
+        ("plain", 0, np.nan),
+        ("plain", 4 * 8 * 4 - 4, -np.inf),
+        ("projected", 0, np.nan),
+        ("projected", 4 * 6 * 3, np.inf),
+        ("projected", 4 * (6 * 3 + 8 * 3), np.nan),
+    ], ids=["entry-nan", "last-entry-inf", "proj-in-nan", "entry-inf", "proj-out-nan"])
+    def test_non_finite_value_is_a_format_error(self, tmp_path, scheme, offset, value):
+        # Each file has one layer of K=8; plain d=4, projected d=6, q=3.
+        rng = np.random.default_rng(112)
+        path = tmp_path / "cb.rvqc"
+        build = plain_quantizer if scheme == "plain" else projected_quantizer
+        save_quantizer(path, build(rng, layers=1))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<f", data, 26 + offset, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="must be finite") as caught:
+            load_quantizer(path)
+        assert str(caught.value).startswith(f"{path}: layer 0: ")
 
     def test_distinct_pairs_rejected(self, tmp_path):
         # One pair maps every layer: a file whose layer-2 pair differs from
@@ -524,6 +591,10 @@ class TestCompactCodesParser:
         (HEAD + '"codes":[[1,2][3,4]]}', False),
         (HEAD + '"codes":[[1,,2]]}', False),
         (HEAD + '"codes":[[1,2,3]]}', False),
+        # Far too short for its frames at the declared width: rejected
+        # before anything of that width is built.
+        ('{"id":"u","token_rate_hz":50.0,"layers":1000000000,"codebook_size":4,'
+         '"codes":[[1],[2],[3]]}', False),
         # Bad heads and bad metadata behind a compact codes member.
         ('{"id":"u","token_rate_hz":50.0,"layers":2.0,"codebook_size":4,"codes":[[1,2]]}', False),
         ('{"id":"u","token_rate_hz":50.0,"layers":0,"codebook_size":4,"codes":[[1,2]]}', False),
@@ -576,6 +647,79 @@ class TestCompactCodesParser:
             assert _read_outcome(path) == _reference_outcome(path), line
             fast += rvqkit.io._compact_record(line.strip()) is not None
         assert 100 < fast < 1400
+
+
+def _long_line(frames, seed):
+    """A one-line compact record of `frames` random 8-layer frames at K=1024,
+    and its codes."""
+    codes = np.random.default_rng(seed).integers(0, 1024, size=(frames, 8))
+    stream = TokenStream(frames=codes, token_rate_hz=75.0, codebook_size=1024, source_id="long")
+    return rvqkit.io._stream_record(stream), codes
+
+
+class TestLongLines:
+    """Codes text longer than one parse block: cut between frames, read in
+    bounded memory, and equal to the `json` path in frames and errors."""
+
+    LINE, CODES = _long_line(8192, 113)
+
+    @classmethod
+    def cuts(cls):
+        """Where the blocks of the codes text meet: the index in the line of
+        each `],[` whose comma two blocks share."""
+        value = cls.LINE.rfind('"codes":[') + len('"codes":')
+        spans = list(rvqkit.io._frame_blocks(cls.LINE[value:-1]))
+        return [value + start - 1 for start, _ in spans[1:]]
+
+    def test_valid_line_is_read_in_blocks(self, tmp_path):
+        assert len(self.cuts()) >= 3
+        assert rvqkit.io._compact_record(self.LINE) is not None
+        path = tmp_path / "t.jsonl"
+        path.write_text(self.LINE + "\n")
+        outcome = _read_outcome(path)
+        assert outcome == _reference_outcome(path)
+        np.testing.assert_array_equal(read_token_streams(path)[0].frames, self.CODES)
+
+    @pytest.mark.parametrize("where", ["last-cut", "last-frame"])
+    @pytest.mark.parametrize("fault", [
+        "leading-zero", "digit-after-bracket", "ten-digits", "short-frame", "non-ascii",
+    ])
+    def test_fault_late_in_the_line_matches_reference(self, tmp_path, where, fault):
+        line = self.LINE
+        # `],[` at p: the codes of the frame it opens start at p + 3.
+        p = self.cuts()[-1] if where == "last-cut" else line.rfind("],[")
+        code = p + 3
+        comma = line.index(",", code)
+        line = {
+            "leading-zero": line[:code] + "0" + line[code:],
+            "digit-after-bracket": line[:p + 1] + "5" + line[p + 1:],
+            "ten-digits": line[:code] + "1234567890" + line[comma:],
+            "short-frame": line[:code] + line[comma + 1:],
+            "non-ascii": line[:code] + "é" + line[code:],
+        }[fault]
+        assert rvqkit.io._compact_record(line) is None
+        path = tmp_path / "t.jsonl"
+        path.write_bytes((line + "\n").encode("utf-8"))
+        outcome = _read_outcome(path)
+        assert outcome[0] == "FormatError"
+        assert outcome == _reference_outcome(path)
+
+    def test_long_line_reads_in_bounded_memory(self, tmp_path):
+        """A 65,536-frame, 8-layer, K=1024 line, 2.2 MB: the whole-line pass
+        peaked at 34.1 MiB in int64 temporaries that grow with the line.
+        The line, its codes text and the int32 grid take 6.3 MiB."""
+        line, codes = _long_line(65536, 114)
+        path = tmp_path / "t.jsonl"
+        path.write_text(line + "\n")
+        read_token_streams(path)
+        tracemalloc.start()
+        try:
+            [stream] = read_token_streams(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        np.testing.assert_array_equal(stream.frames, codes)
 
 
 class TestAtomicity:

@@ -12,7 +12,9 @@ token file with empty streams among long ones. `lib/encode-batch-*` and
 one frame per call (codes and residual norms). The
 `tokens-*` cases decode and analyze one token file rewritten with spaces,
 reordered keys and `"codes"` inside the id or another key, and with a leading
-zero or a 10-digit code. `mlm-sim-blocks` runs masked generation at K=1024
+zero or a 10-digit code; `tokens-long-line*` decode and analyze one line
+whose codes span several parse blocks, as written and with a leading zero in
+its last frame. `mlm-sim-blocks` runs masked generation at K=1024
 on enough frames that each round samples in several row blocks. The
 `lib/generate-*` and `lib/text-to-tokens-*` cases run the schedulers on the
 toy oracles, the `lib/train-ngram-*` cases hash the
@@ -140,6 +142,7 @@ def _codebook_cases(fp: Fingerprint, rk, extra: list[Path]) -> None:
     _distinct_pairs_case(fp, books["projected"])
     _multi_stream_decode_case(fp, rk, books)
     _token_layout_cases(fp)
+    _long_line_cases(fp, rk)
 
 
 def _encode_cases(fp: Fingerprint, rk, name: str, quantizer) -> None:
@@ -209,6 +212,26 @@ def _token_layout_cases(fp: Fingerprint) -> None:
     for name, text in layouts.items():
         case, tokens = f"tokens-{name}", f"tokens-{name}.jsonl"
         (fp.work / tokens).write_text(text + "\n")
+        fp.emit(f"{case}/{tokens}", (fp.work / tokens).read_bytes())
+        fp.cli(f"{case}/decode", "decode", "--codebook", "plain.rvqc", "--tokens", tokens,
+               "--out", f"{case}.rvqv", outputs=(f"{case}.rvqv",))
+        fp.cli(f"{case}/analyze", "analyze", "--tokens", tokens, "--layer", "3")
+
+
+def _long_line_cases(fp: Fingerprint, rk) -> None:
+    """Decode and analyze of one seeded 32,768-frame line on `plain.rvqc`,
+    whose codes text spans several parse blocks, and of a copy with a
+    leading zero in the last frame, which the compact reader rejects."""
+    rng = np.random.default_rng(2026)
+    stream = rk.TokenStream(frames=rng.integers(0, 32, size=(32768, 3)), token_rate_hz=75.0,
+                            codebook_size=32, source_id="long")
+    rk.write_token_streams(str(fp.work / "long.jsonl"), [stream])
+    line = (fp.work / "long.jsonl").read_text()
+    last = line.rfind("],[") + 3
+    for name, text in (("long-line", line), ("long-line-leading-zero",
+                                              line[:last] + "0" + line[last:])):
+        case, tokens = f"tokens-{name}", f"tokens-{name}.jsonl"
+        (fp.work / tokens).write_text(text)
         fp.emit(f"{case}/{tokens}", (fp.work / tokens).read_bytes())
         fp.cli(f"{case}/decode", "decode", "--codebook", "plain.rvqc", "--tokens", tokens,
                "--out", f"{case}.rvqv", outputs=(f"{case}.rvqv",))
