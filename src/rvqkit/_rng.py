@@ -7,7 +7,8 @@ what a generation model returns, all three generators draw with
 fill layers 2..N with `greedy_layers`. The toy oracles check their inputs
 with `finite_margin` and `checked_truth` and build their logits with
 `peaked_logits`. `positive_finite` is the one check on every rate,
-temperature, learning rate, separation and smoothing value. `BLOCK_BYTES`
+temperature, learning rate, separation and smoothing value, and
+`integer_at_least` the one check on every count of a config. `BLOCK_BYTES`
 is the one working-set budget of the row-blocked passes: the lookup's score
 blocks and the masked generator's sampling blocks.
 """
@@ -82,6 +83,16 @@ def positive_finite(value, name: str) -> float:
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
     return float(value)
+
+
+def integer_at_least(value, name: str, floor: int = 1) -> int:
+    """`value` as an int; ValueError unless it is an integer (numpy's
+    included), not a bool, at or above `floor`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}")
+    return int(value)
 
 
 def checked_truth(truth, codebook_size: int, dtype) -> np.ndarray:

@@ -29,6 +29,7 @@ from ._rng import (
     checked_truth,
     finite_margin,
     greedy_layers,
+    integer_at_least,
     peaked_logits,
     positive_finite,
     sample_rows,
@@ -65,8 +66,7 @@ class GenConfig:
 
     def __post_init__(self):
         self.temperature = positive_finite(self.temperature, "temperature")
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be >= 1")
+        self.max_frames = integer_at_least(self.max_frames, "max_frames")
 
 
 @dataclass

@@ -13,8 +13,8 @@ Codebook file ("RVQC"):
     The projected scheme stores the same pair in every layer; a file whose
     pairs differ, or that holds a value that is not finite, is rejected
     (FormatError, exit 3). The loader converts the payload to float64 once;
-    every layer's entries, EMA sums and projection pair are read-only views
-    of that one copy.
+    every layer's entries and projection pair are read-only views of that
+    one copy.
 
 Token stream file: one JSON object per line with keys
     id, token_rate_hz, layers, codebook_size, codes
@@ -143,9 +143,9 @@ def save_quantizer(path: str, quantizer: RvqQuantizer) -> None:
 
 
 def load_quantizer(path: str) -> RvqQuantizer:
-    """Read a codebook file; EMA statistics are re-primed from the entries.
-    Every array of the quantizer is a read-only view of one float64 copy of
-    the payload; a non-finite entry or projection is a FormatError."""
+    """Read a codebook file. Every array of the quantizer is a read-only
+    view of one float64 copy of the payload; a non-finite entry or
+    projection is a FormatError."""
     with open(path, "rb") as handle:
         data = handle.read()
     if len(data) < _CODEBOOK_HEADER.size:
@@ -169,8 +169,6 @@ def load_quantizer(path: str) -> RvqQuantizer:
 
     floats = np.frombuffer(data, dtype="<f4", offset=_CODEBOOK_HEADER.size).astype(np.float64)
     floats.flags.writeable = False
-    sizes = np.ones(k)
-    sizes.flags.writeable = False
     pos = 0
 
     def take(n: int, shape: tuple[int, int]) -> np.ndarray:
@@ -190,9 +188,7 @@ def load_quantizer(path: str) -> RvqQuantizer:
                 projections.append(ProjectionPair(proj_in=proj_in, proj_out=proj_out))
             else:
                 entries = take(k * q, (k, q))
-            # The EMA statistics `Codebook.from_entries` gives: sums equal to
-            # the entries, cluster sizes 1.
-            codebooks.append(Codebook(entries, sizes, entries, metric))
+            codebooks.append(Codebook(entries, metric))
         except ValueError as exc:
             raise FormatError(f"{path}: layer {layer}: {exc}") from exc
 
@@ -246,19 +242,18 @@ _MAX_DIGITS = 9  # every 9-digit code fits an int32
 _BLOCK_CHARS = BLOCK_BYTES // 8
 
 
-def _frame_blocks(text: str):
-    """Spans (start, stop) that cover `text` in order, each cut right after
-    the first `],` that follows `_BLOCK_CHARS` chars of it, while more than
-    twice that remain. Adjacent spans share the cut's `,`; a text of at most
-    `2 * _BLOCK_CHARS` chars is one span."""
-    start = 0
-    while len(text) - start > 2 * _BLOCK_CHARS:
-        cut = text.find("],[", start + _BLOCK_CHARS)
+def _frame_blocks(line: str, start: int, stop: int):
+    """Spans (start, stop) that cover `line[start:stop]` in order, each cut
+    right after the first `],` that follows `_BLOCK_CHARS` chars of it,
+    while more than twice that remain. Adjacent spans share the cut's `,`; a
+    text of at most `2 * _BLOCK_CHARS` chars is one span."""
+    while stop - start > 2 * _BLOCK_CHARS:
+        cut = line.find("],[", start + _BLOCK_CHARS, stop)
         if cut < 0:
             break
         yield start, cut + 2
         start = cut + 1
-    yield start, len(text)
+    yield start, stop
 
 
 def _block_codes(data: bytes, layers: int, first: bool, last: bool) -> np.ndarray | None:
@@ -305,23 +300,26 @@ def _block_codes(data: bytes, layers: int, first: bool, last: bool) -> np.ndarra
     return values.reshape(frames, layers)
 
 
-def _compact_codes(text: str, layers: int) -> np.ndarray | None:
-    """The (T, layers) int32 grid spelled by `text` when it is exactly the
-    compact form `write_token_streams` writes, `[[1,2],[3,4]]` with T >= 1
-    and codes in canonical decimal of at most 9 digits; otherwise None.
+def _compact_codes(line: str, start: int, stop: int, layers: int) -> np.ndarray | None:
+    """The (T, layers) int32 grid spelled by the text `line[start:stop]`
+    when it is exactly the compact form `write_token_streams` writes,
+    `[[1,2],[3,4]]` with T >= 1 and codes in canonical decimal of at most 9
+    digits; otherwise None.
 
     The text is parsed in the blocks of whole frames `_frame_blocks` cuts,
-    so the temporaries stay within a few `BLOCK_BYTES` whatever its length;
-    a text of up to 128 KB is one block, whose grid is returned as it is.
-    Every cut is a `],[` between frames: when the whole text is compact,
-    each of its `],[` is one, and each block is compact; when every block
-    is, so is their concatenation."""
-    if not text.isascii():
-        return None
+    each taken from the line as one ASCII copy of its span, so the
+    temporaries stay within a few `BLOCK_BYTES` whatever its length; a text
+    of up to 128 KB is one block, whose grid is returned as it is. Every cut
+    is a `],[` between frames: when the whole text is compact, each of its
+    `],[` is one, and each block is compact; when every block is, so is
+    their concatenation."""
     blocks = []
-    for start, stop in _frame_blocks(text):
-        data = text[start:stop].encode("ascii")
-        block = _block_codes(data, layers, start == 0, stop == len(text))
+    for begin, end in _frame_blocks(line, start, stop):
+        try:
+            data = line[begin:end].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        block = _block_codes(data, layers, begin == start, end == stop)
         if block is None:
             return None
         blocks.append(block)
@@ -354,7 +352,7 @@ def _compact_record(line: str) -> dict | None:
     layers = record.get("layers")
     if type(layers) is not int or layers < 1:
         return None
-    codes = _compact_codes(line[value:-1], layers)
+    codes = _compact_codes(line, value, len(line) - 1, layers)
     if codes is None:
         return None
     record["codes"] = codes

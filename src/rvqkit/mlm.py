@@ -39,6 +39,7 @@ from ._rng import (
     checked_truth,
     finite_margin,
     greedy_layers,
+    integer_at_least,
     peaked_logits,
     positive_finite,
     sample_rows,
@@ -84,8 +85,7 @@ class DecodeSchedule:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.iterations_layer1 < 1:
-            raise ValueError("iterations_layer1 must be >= 1")
+        self.iterations_layer1 = integer_at_least(self.iterations_layer1, "iterations_layer1")
         self.temperature = positive_finite(self.temperature, "temperature")
         if not (math.isfinite(self.cfg_start) and math.isfinite(self.cfg_end)):
             raise ValueError("cfg_start and cfg_end must be finite")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import positive_finite
+from ._rng import integer_at_least, positive_finite
 from .vq import Codebook, ProjectionPair, _lookup
 from .vq import nearest_codes  # noqa: F401  # bench/tracing.py patches this name here
 
@@ -253,8 +253,8 @@ def rvq_decode_batch(codes, quantizer: RvqQuantizer, num_layers: int | None = No
         )
     if codes.size and (codes.min() < 0 or codes.max() >= quantizer.codebook_size):
         raise ValueError(f"code out of range [0, {quantizer.codebook_size})")
-    m = quantizer.num_layers if num_layers is None else num_layers
-    if not 1 <= m <= quantizer.num_layers:
+    m = quantizer.num_layers if num_layers is None else integer_at_least(num_layers, "num_layers")
+    if m > quantizer.num_layers:
         raise ValueError(f"num_layers must lie in [1, {quantizer.num_layers}]")
     out = entry_sum([layer.entries for layer in quantizer.layers[:m]], codes)
     if quantizer.scheme == PROJECTED:

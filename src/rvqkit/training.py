@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import as_generator, positive_finite
+from ._rng import as_generator, integer_at_least, positive_finite
 from .analytics import UtilizationReport
 from .errors import NumericalError
 from .rvq import PLAIN, PROJECTED, RvqQuantizer, entry_sum, residual_codes
@@ -71,29 +71,24 @@ class TrainConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if self.metric not in (None, *METRICS):
             raise ValueError(f"unknown metric {self.metric!r}")
-        for name in ("num_layers", "codebook_size", "latent_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in (
+            "num_layers", "codebook_size", "latent_dim", "steps", "batch_size", "restart_period"
+        ):
+            setattr(self, name, integer_at_least(getattr(self, name), name))
         if not 0.0 <= self.decay < 1.0:
             raise ValueError("decay must lie in [0, 1)")
         self.learning_rate = positive_finite(self.learning_rate, "learning_rate")
         if not (0 <= self.commitment_weight < math.inf and 0 <= self.codebook_weight < math.inf):
             raise ValueError("loss weights must be non-negative and finite")
+        if self.quant_dim is not None:
+            self.quant_dim = integer_at_least(self.quant_dim, "quant_dim")
         if self.scheme == SCHEME_PROJECTED:
             if self.quant_dim is None:
                 raise ValueError("projected scheme requires quant_dim")
-            if self.quant_dim < 1:
-                raise ValueError("quant_dim must be >= 1")
             if self.quant_dim > self.latent_dim:
                 raise ValueError("quant_dim must be <= latent_dim")
         elif self.quant_dim is not None and self.quant_dim != self.latent_dim:
             raise ValueError("quant_dim only applies to the projected scheme")
-        if self.restart_period < 1:
-            raise ValueError("restart_period must be >= 1")
         if self.quant_dim is None:
             self.quant_dim = self.latent_dim
         if self.metric is None:
@@ -111,13 +106,9 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_components < 1:
-            raise ValueError("num_components must be >= 1")
-        if self.dims < 1:
-            raise ValueError("dims must be >= 1")
+        for name in ("num_components", "dims", "count"):
+            setattr(self, name, integer_at_least(getattr(self, name), name))
         self.separation = positive_finite(self.separation, "separation")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
 
 
 @dataclass
@@ -246,29 +237,40 @@ def _init_layer_codebooks(
     sample: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
-    metric: str,
-) -> list[Codebook]:
-    """Per-layer codebook initialization over the init sample.
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Per-layer entry matrices over the init sample, with the EMA cluster
+    sizes and vector sums each layer starts from.
 
-    Each layer is built from what the previous layers left of the sample.
-    kmeans: k-means over that residual. random: per-dimension moment-matched
-    Gaussian noise at the residual's scale; codes start with no relation to
+    Each layer is built from what the previous layers left of the sample,
+    under its Euclidean assignment. kmeans: k-means over that residual,
+    whose statistics are each cluster's size and vector sum in that
+    assignment (the clusters of Lloyd's last centres). random:
+    per-dimension moment-matched Gaussian noise at the residual's scale,
+    with sizes 1 and sums the entries; codes start with no relation to
     individual data points, as when a codebook is trained from scratch
     alongside an encoder.
     """
-    layers = []
+    layers, sizes, sums = [], [], []
     residual = sample
     for _ in range(config.num_layers):
         if config.init == "random":
             std = residual.std(axis=0) + 1e-12
             noise = rng.standard_normal((config.codebook_size, residual.shape[1]))
-            cb = Codebook.from_entries(residual.mean(axis=0) + std * noise, metric=metric)
+            # A codebook's checks: noise at an overflowing scale is not finite.
+            entries = Codebook(residual.mean(axis=0) + std * noise).entries
         else:
-            cb = kmeans_init(residual, config.codebook_size, rng=rng, metric=metric)
-        idx = assign_batch(residual, cb.entries, EUCLIDEAN)
-        residual = residual - cb.entries[idx]
-        layers.append(cb)
-    return layers
+            entries = kmeans_init(residual, config.codebook_size, rng=rng).entries
+        idx = assign_batch(residual, entries, EUCLIDEAN)
+        if config.init == "random":
+            sizes.append(np.ones(config.codebook_size))
+            sums.append(entries.copy())
+        else:
+            sizes.append(np.bincount(idx, minlength=config.codebook_size).astype(np.float64))
+            sums.append(np.zeros_like(entries))
+            np.add.at(sums[-1], idx, residual)
+        residual = residual - entries[idx]
+        layers.append(entries)
+    return layers, sizes, sums
 
 
 def _layer_utilization(corpus: np.ndarray, quantizer: RvqQuantizer) -> np.ndarray:
@@ -292,7 +294,7 @@ def _check_finite(step: int, what: str, *values) -> None:
 def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator):
     metric = config.metric
     init_n = _init_sample_size(len(corpus), config)
-    layers = _init_layer_codebooks(corpus[:init_n], config, rng, metric)
+    entries, sizes, sums = _init_layer_codebooks(corpus[:init_n], config, rng)
 
     mse = np.empty(config.steps)
     with_restart = config.scheme == SCHEME_EMA_RESTART
@@ -301,7 +303,6 @@ def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator
     for step in range(config.steps):
         picks = rng.choice(len(corpus), size=config.batch_size, replace=False)
         batch = corpus[picks]
-        entries = [layer.entries for layer in layers]
         layer_inputs = []
 
         def nearest(residual, n):
@@ -313,14 +314,23 @@ def _train_ema(corpus: np.ndarray, config: TrainConfig, rng: np.random.Generator
         codes, residual = residual_codes(batch, entries, nearest)
         used[np.arange(config.num_layers), codes] = True
         for n in range(config.num_layers):
-            layers[n] = ema_update(layers[n], layer_inputs[n], codes[:, n], decay=config.decay)
+            entries[n], sizes[n], sums[n] = ema_update(
+                sizes[n], sums[n], layer_inputs[n], codes[:, n], decay=config.decay
+            )
         mse[step] = float((residual**2).sum()) / config.batch_size
         _check_finite(step, "quantization MSE", mse[step])
 
         if with_restart and (step + 1) % config.restart_period == 0:
             for n in range(config.num_layers):
-                layers[n], _ = restart_dead_codes(layers[n], layer_inputs[n], used[n], rng=rng)
+                cb, _ = restart_dead_codes(
+                    Codebook(entries[n], metric), layer_inputs[n], used[n], rng=rng
+                )
+                # A restarted code starts over at size 1, summing its new entry.
+                dead = ~used[n]
+                sizes[n][dead], sums[n][dead] = 1.0, cb.entries[dead]
+                entries[n] = cb.entries
 
+    layers = [Codebook(e, metric) for e in entries]
     quantizer = RvqQuantizer(layers=layers, latent_dim=config.latent_dim, scheme=PLAIN)
     # For the plain scheme the codebook term's value coincides with the MSE.
     return quantizer, mse, mse.copy()
@@ -333,10 +343,8 @@ def _train_projected(corpus: np.ndarray, config: TrainConfig, rng: np.random.Gen
     proj_out = rng.normal(0.0, 1.0 / np.sqrt(q), size=(q, d))
 
     init_n = _init_sample_size(len(corpus), config)
-    init_cbs = _init_layer_codebooks(corpus[:init_n] @ proj_in, config, rng, metric)
-    params = ProjectedParams(
-        proj_in=proj_in, proj_out=proj_out, entries=[cb.entries for cb in init_cbs]
-    )
+    entries, _, _ = _init_layer_codebooks(corpus[:init_n] @ proj_in, config, rng)
+    params = ProjectedParams(proj_in=proj_in, proj_out=proj_out, entries=entries)
 
     mse = np.empty(config.steps)
     cb_series = np.empty(config.steps)
@@ -375,7 +383,7 @@ def _train_projected(corpus: np.ndarray, config: TrainConfig, rng: np.random.Gen
         _check_finite(step, "parameters", params.proj_in, params.proj_out, *params.entries)
 
     pair = ProjectionPair(proj_in=params.proj_in, proj_out=params.proj_out)
-    layers = [Codebook.from_entries(e, metric=metric) for e in params.entries]
+    layers = [Codebook(e, metric) for e in params.entries]
     quantizer = RvqQuantizer(
         layers=layers,
         latent_dim=d,

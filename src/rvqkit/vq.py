@@ -1,12 +1,14 @@
 """Single-layer vector quantization.
 
-Codebooks hold raw (unnormalized) code vectors together with the EMA
-statistics that drive training-time updates. Lookups are exhaustive over the
-codebook under either squared-Euclidean or cosine distance; updates cover the
-EMA rule with Laplace-smoothed normalization (constant `EMA_EPSILON`) and
-the dead-code restart that resamples from a batch the entries a caller's
-boolean mask marks unused. A codebook keeps no record of which codes were
-assigned; the training loop that owns the restart window keeps that mask.
+A codebook is its raw (unnormalized) code vectors and the metric they are
+looked up under. Lookups are exhaustive over the codebook under either
+squared-Euclidean or cosine distance; updates cover the EMA rule with
+Laplace-smoothed normalization (constant `EMA_EPSILON`) and the dead-code
+restart that resamples from a batch the entries a caller's boolean mask
+marks unused. The EMA statistics (cluster sizes and vector sums) and the
+mask of assigned codes are not part of a codebook: EMA training in
+`training` keeps them, primes them, passes them through `ema_update` and
+resets them at each restart.
 
 Lookups (`nearest_codes`, each layer of `rvq` encoding, and training's
 `assign_batch`) run one lookup per metric, in one loop over row blocks of at
@@ -29,12 +31,10 @@ normal entries and queries at K=1024, q=32, the lookup costs about 0.92 us a
 row over 8,192 rows (1.5 us with a float64 GEMM). In a bench-shaped
 EMA-restart `train` (8 layers, K=1024, q=32, 60 steps of 256 rows), where
 deep layers hold hundreds of copies, the steps' lookups on tables with
-copies cost about 1.3 us a row, against 2.2 us when every copy kept a
-column that could never win (copy-free tables: 1.6-1.8 us), and lookups on
-an all-zero layer 0.08 us a row, against 1.2-1.5 us. A one-frame
-`rvq_encode` through 8 layers, which runs `_lookup` on each layer's cached
-tables, costs about 183 us a frame, against 230 us when every layer called
-`nearest_codes` and computed a distance it dropped. Cosine
+copies cost about 1.3 us a row (copy-free tables: 1.6-1.8 us), and lookups
+on an all-zero layer 0.08 us a row. A one-frame `rvq_encode` through 8
+layers, which runs `_lookup` on each layer's cached tables, costs about
+183 us a frame. Cosine
 (`_cosine_block`): the loop normalizes every query once, then each block is
 one GEMM of unit queries against a contiguous (q, K) table of unit entries,
 then the largest similarity, mapped to the first copy of its unit entry
@@ -55,7 +55,8 @@ exact update of every row and `rng.choice`.
 Lookups are pure functions of an immutable codebook and can run from any
 number of threads (the first computes the codebook's lookup tables and makes
 its entries read-only); `ema_update` and `restart_dead_codes` return new
-codebooks and never mutate their input, so the caller owns write ordering.
+arrays and codebooks and never mutate their input, so the caller owns write
+ordering.
 """
 
 from __future__ import annotations
@@ -92,33 +93,25 @@ _F32_SCALE_LIMIT = 2.0**120
 
 @dataclass
 class Codebook:
-    """One quantization layer: K code vectors plus their EMA statistics.
+    """One quantization layer: K code vectors and the metric they are looked
+    up under. EMA training keeps its statistics itself (see `ema_update`).
 
-    entries:          (K, q) code vectors in quantization space
-    ema_cluster_size: (K,) moving average of per-code assignment counts
-    ema_embed_sum:    (K, q) moving average of per-code assigned-vector sums
-    metric:           "euclidean" or "cosine"
+    entries: (K, q) code vectors in quantization space
+    metric:  "euclidean" or "cosine"
     """
 
     entries: np.ndarray
-    ema_cluster_size: np.ndarray
-    ema_embed_sum: np.ndarray
     metric: str = EUCLIDEAN
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
-        self.ema_cluster_size = np.asarray(self.ema_cluster_size, dtype=np.float64)
-        self.ema_embed_sum = np.asarray(self.ema_embed_sum, dtype=np.float64)
         self.validate()
 
     @classmethod
     def from_entries(cls, entries, metric: str = EUCLIDEAN) -> "Codebook":
-        """Build a codebook around fixed entries, with neutral EMA statistics."""
-        entries = np.array(entries, dtype=np.float64)
-        if entries.ndim != 2:
-            raise ValueError("entries must be a (K, q) matrix")
-        return cls(entries, np.ones(len(entries)), entries.copy(), metric)
+        """Build a codebook around a writeable copy of `entries`."""
+        return cls(np.array(entries, dtype=np.float64), metric)
 
     @property
     def num_codes(self) -> int:
@@ -155,12 +148,6 @@ class Codebook:
             raise ValueError(f"unknown metric {self.metric!r}")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("codebook entries must be finite")
-        if self.ema_cluster_size.shape != (k,):
-            raise ValueError("ema_cluster_size must have shape (K,)")
-        if np.any(self.ema_cluster_size < 0):
-            raise ValueError("ema_cluster_size entries must be non-negative")
-        if self.ema_embed_sum.shape != (k, q):
-            raise ValueError("ema_embed_sum must have shape (K, q)")
 
 
 @dataclass
@@ -523,52 +510,57 @@ def assign_batch(queries: np.ndarray, entries: np.ndarray, metric: str) -> np.nd
 
 
 def ema_update(
-    codebook: Codebook,
+    cluster_size,
+    embed_sum,
     vectors,
     indices,
     *,
     decay: float = DEFAULT_DECAY,
-) -> Codebook:
-    """Fold one batch of (vector, assigned index) pairs into the codebook.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold one batch of (vector, assigned index) pairs into a layer's EMA
+    statistics: `cluster_size`, the (K,) moving average of each code's
+    assignment count, and `embed_sum`, the (K, q) one of the vectors
+    assigned to it.
 
-    Cluster sizes and embedding sums are blended with weight `decay`; entries
-    are then recomputed as ema_embed_sum / smoothed cluster size, where the
-    smoothing is Laplace over sizes: (size_i + eps) / (N + K*eps) * N with
-    eps the fixed constant `EMA_EPSILON` (1e-5) and N the total EMA mass.
-    Returns a new codebook.
+    Sizes and sums are blended with weight `decay`; entries are then
+    recomputed as embed_sum / smoothed cluster size, where the smoothing is
+    Laplace over sizes: (size_i + eps) / (N + K*eps) * N with eps the fixed
+    constant `EMA_EPSILON` (1e-5) and N the total EMA mass. Returns new
+    (entries, cluster_size, embed_sum) arrays and leaves the inputs as they
+    are. Entries that are not finite raise ValueError.
     """
+    cluster_size = np.asarray(cluster_size, dtype=np.float64)
+    embed_sum = np.asarray(embed_sum, dtype=np.float64)
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     indices = np.asarray(indices, dtype=np.int64).ravel()
+    if embed_sum.ndim != 2 or cluster_size.shape != embed_sum.shape[:1]:
+        raise ValueError("cluster_size and embed_sum must have shapes (K,) and (K, q)")
+    if np.any(cluster_size < 0):
+        raise ValueError("cluster sizes must be non-negative")
     if len(vectors) == 0:
         raise ValueError("ema_update requires a non-empty batch")
     if len(vectors) != len(indices):
         raise ValueError("vectors and indices must have matching lengths")
-    if vectors.shape[1] != codebook.code_dim:
-        raise ValueError(
-            f"batch dim {vectors.shape[1]} does not match codebook dim {codebook.code_dim}"
-        )
-    k = codebook.num_codes
+    k, q = embed_sum.shape
+    if vectors.shape[1] != q:
+        raise ValueError(f"batch dim {vectors.shape[1]} does not match codebook dim {q}")
     if np.any(indices < 0) or np.any(indices >= k):
         raise ValueError(f"assigned index out of range [0, {k})")
     if not 0.0 <= decay < 1.0:
         raise ValueError("decay must lie in [0, 1)")
 
     counts = np.bincount(indices, minlength=k).astype(np.float64)
-    sums = np.zeros_like(codebook.ema_embed_sum)
+    sums = np.zeros_like(embed_sum)
     np.add.at(sums, indices, vectors)
 
-    new_size = decay * codebook.ema_cluster_size + (1.0 - decay) * counts
-    new_sum = decay * codebook.ema_embed_sum + (1.0 - decay) * sums
+    new_size = decay * cluster_size + (1.0 - decay) * counts
+    new_sum = decay * embed_sum + (1.0 - decay) * sums
     total = new_size.sum()
     smoothed = (new_size + EMA_EPSILON) / (total + k * EMA_EPSILON) * total
     entries = new_sum / smoothed[:, None]
-
-    return Codebook(
-        entries=entries,
-        ema_cluster_size=new_size,
-        ema_embed_sum=new_sum,
-        metric=codebook.metric,
-    )
+    if not np.isfinite(entries).all():
+        raise ValueError("codebook entries must be finite")
+    return entries, new_size, new_sum
 
 
 def restart_dead_codes(
@@ -582,9 +574,9 @@ def restart_dead_codes(
     every code its steps have assigned since the codebook was built.
 
     Replacement entries are drawn uniformly from `batch` (without replacement
-    while the batch lasts). Each restarted code gets EMA statistics (1, entry);
-    untouched codes keep theirs. Returns the new codebook and the number of
-    restarts.
+    while the batch lasts); the other codes keep theirs. Returns the new
+    codebook and the number of restarts. EMA training then resets each
+    restarted code's statistics to (1, its new entry).
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if len(batch) == 0:
@@ -603,11 +595,9 @@ def restart_dead_codes(
 
     rng = as_generator(rng)
     picks = rng.choice(len(batch), size=dead.size, replace=dead.size > len(batch))
-    entries, sums = codebook.entries.copy(), codebook.ema_embed_sum.copy()
-    sizes = codebook.ema_cluster_size.copy()
-    entries[dead] = sums[dead] = batch[picks]
-    sizes[dead] = 1.0
-    return Codebook(entries, sizes, sums, codebook.metric), int(dead.size)
+    entries = codebook.entries.copy()
+    entries[dead] = batch[picks]
+    return Codebook(entries, codebook.metric), int(dead.size)
 
 
 def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -655,21 +645,16 @@ def kmeans_init(
     num_codes: int,
     iterations: int = 10,
     rng=0,
-    metric: str = EUCLIDEAN,
 ) -> Codebook:
-    """Build a codebook with seeded k-means++ plus Lloyd refinement.
-
-    EMA statistics are primed from the final clustering (per-cluster size and
-    vector sum), so a subsequent EMA update continues smoothly from the
-    k-means solution. Empty clusters keep their centroid. Non-finite data,
-    and data so large that its squared distances overflow, raise
-    ValueError.
+    """Build a Euclidean codebook with seeded k-means++ plus Lloyd
+    refinement. Empty clusters keep their centroid. Non-finite data, and
+    data so large that its squared distances overflow, raise ValueError.
 
     `iterations` is an upper bound on the Lloyd passes. The loop stops at
     the first pass whose assignments equal the previous pass's, and that is
-    exact: the centres, counts and sums are functions of the assignments
-    (empty clusters keep their centroid), so every later pass would repeat
-    them bit for bit. K-means++ likewise stops its D^2 updates once the
+    exact: the centres are a function of the assignments (empty clusters
+    keep their centroid), so every later pass would repeat them bit for
+    bit. K-means++ likewise stops its D^2 updates once the
     weights sum to 0, drawing each remaining centre as before.
 
     Each new centre c rescores only the rows it might move. One GEMV gives
@@ -685,8 +670,7 @@ def kmeans_init(
     `Generator.choice(n, p=d2 / total)` runs: cumulative sum of the
     weights, scaled to end at 1, then `searchsorted` of one `random()`
     draw, which leaves the generator's stream as `choice` does. So the
-    entries, EMA statistics and the state `rng` is left in are those of
-    the full loops.
+    entries and the state `rng` is left in are those of the full loops.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if num_codes < 1:
@@ -700,23 +684,14 @@ def kmeans_init(
 
     rng = as_generator(rng)
     centers = _kmeans_plus_plus(data, num_codes, rng)
-    # Lloyd iterations, then one last pass that primes the EMA statistics.
     idx = None
-    for i in range(iterations + 1):
+    for _ in range(iterations):
         previous, idx = idx, assign_batch(data, centers, EUCLIDEAN)
         if previous is not None and np.array_equal(idx, previous):
-            break  # a fixed point: the last pass's counts and sums stand
+            break  # a fixed point: the centres stand
         counts = np.bincount(idx, minlength=num_codes).astype(np.float64)
         sums = np.zeros_like(centers)
         np.add.at(sums, idx, data)
-        if i == iterations:
-            break
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-
-    return Codebook(
-        entries=centers,
-        ema_cluster_size=counts,
-        ema_embed_sum=sums,
-        metric=metric,
-    )
+    return Codebook(centers)

@@ -317,10 +317,14 @@ class TestDecode:
                 rvq_decode_batch([[1, 0]], qz),
             )
 
-    @pytest.mark.parametrize("num_layers", [0, 4])
-    def test_batch_layer_count_out_of_range(self, num_layers):
+    @pytest.mark.parametrize(
+        "num_layers, message",
+        [(0, "num_layers must be >= 1"), (4, r"num_layers must lie in \[1, 3\]")],
+        ids=["0", "4"],
+    )
+    def test_batch_layer_count_out_of_range(self, num_layers, message):
         qz = random_plain_quantizer(np.random.default_rng(25), num_layers=3, k=8)
-        with pytest.raises(ValueError, match=r"num_layers must lie in \[1, 3\]"):
+        with pytest.raises(ValueError, match=message):
             rvq_decode_batch(np.zeros((2, 3), dtype=np.int64), qz, num_layers=num_layers)
 
     def test_identity_projection_reduces_to_plain(self):

@@ -60,6 +60,19 @@ def test_non_finite_corpus_rejected_up_front(scheme, init):
         train_quantizer(corpus, config)
 
 
+@pytest.mark.parametrize("scheme", ["ema", "ema_restart", "projected"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_random_init_at_an_overflowing_scale_is_rejected(scheme):
+    # Finite data whose spread overflows: the noise entries are not finite.
+    corpus = np.random.default_rng(13).choice([-1.0, 1.0], size=(300, 4)) * 1.5e308
+    config = TrainConfig(
+        scheme=scheme, init="random", codebook_size=8, latent_dim=4,
+        quant_dim=2 if scheme == "projected" else None, steps=3, batch_size=16,
+    )
+    with pytest.raises(ValueError, match="codebook entries must be finite"):
+        train_quantizer(corpus, config)
+
+
 class TestEmaTraining:
     def test_exact_corpus_of_k_points(self):
         rng = np.random.default_rng(40)
@@ -118,28 +131,84 @@ class TestEmaTraining:
         _, restart = train_quantizer(corpus, TrainConfig(scheme="ema_restart", **base))
         assert restart.utilization[0] >= plain.utilization[0]
 
+    @pytest.mark.parametrize("init", ["kmeans", "random"])
+    def test_statistics_start_from_the_init_clusters(self, init, monkeypatch):
+        """The EMA statistics the first step folds into: under k-means each
+        code's cluster size and vector sum in the init sample's Euclidean
+        assignment, the clusters of Lloyd's last centres; under random init
+        sizes 1 and sums equal to the entries."""
+        import rvqkit.training as training
+        from rvqkit.vq import assign_batch
+
+        real_ema = training.ema_update
+        num_layers, k = 3, 16
+        first = []
+
+        def ema_spy(sizes, sums, vectors, indices, **kwargs):
+            if len(first) < num_layers:
+                first.append((sizes.copy(), sums.copy()))
+            return real_ema(sizes, sums, vectors, indices, **kwargs)
+
+        monkeypatch.setattr(training, "ema_update", ema_spy)
+        corpus = make_corpus(CorpusSpec(num_components=6, dims=4, count=600, seed=46))
+        config = TrainConfig(
+            scheme="ema", init=init, num_layers=num_layers, codebook_size=k, latent_dim=4,
+            steps=1, batch_size=32, seed=46,
+        )
+        train_quantizer(corpus, config)
+
+        # The init entries: training's first draws, from a generator seeded alike.
+        residual = corpus[: training._init_sample_size(len(corpus), config)]
+        entries, _, _ = training._init_layer_codebooks(
+            residual, config, np.random.default_rng(config.seed)
+        )
+        assert len(first) == num_layers
+        for layer_entries, (sizes, sums) in zip(entries, first):
+            idx = assign_batch(residual, layer_entries, "euclidean")
+            if init == "kmeans":
+                np.testing.assert_array_equal(sizes, np.bincount(idx, minlength=k))
+                cluster_sums = np.array([residual[idx == c].sum(axis=0) for c in range(k)])
+                np.testing.assert_allclose(sums, cluster_sums, rtol=1e-12, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(sizes, np.ones(k))
+                np.testing.assert_array_equal(sums, layer_entries)
+            residual = residual - layer_entries[idx]
+
     def test_restart_checks_see_every_code_assigned_so_far(self, monkeypatch):
         # Dead means no step has assigned the code since the codebook was
         # built: each check's `used` is the union of every code that the
         # layer's EMA updates up to that step were given, so a code assigned
         # once stays alive, and a restarted code stays dead until assigned.
+        # Each restarted code's statistics start over at (1, new entry);
+        # every other code keeps those of the layer's last update.
         import rvqkit.training as training
 
         real_ema, real_restart = training.ema_update, training.restart_dead_codes
         num_layers, k = 2, 64
         assigned = [np.zeros(k, dtype=bool) for _ in range(num_layers)]
+        latest = [None] * num_layers  # each layer's statistics after its last update
         calls = {"ema": 0}
         checks = []
+        resets = []  # per check: layer, dead mask, statistics before and after
 
-        def ema_spy(codebook, vectors, indices, **kwargs):
-            assigned[calls["ema"] % num_layers][indices] = True
+        def ema_spy(sizes, sums, vectors, indices, **kwargs):
+            layer = calls["ema"] % num_layers
             calls["ema"] += 1
-            return real_ema(codebook, vectors, indices, **kwargs)
+            for reset in resets:
+                if reset["layer"] == layer and "after" not in reset:
+                    reset["after"] = (sizes.copy(), sums.copy())
+            assigned[layer][indices] = True
+            out = real_ema(sizes, sums, vectors, indices, **kwargs)
+            latest[layer] = (out[1].copy(), out[2].copy())
+            return out
 
         def restart_spy(codebook, batch, used, rng=0):
             layer = len(checks) % num_layers
             checks.append((layer, used.copy(), assigned[layer].copy()))
-            return real_restart(codebook, batch, used, rng=rng)
+            out = real_restart(codebook, batch, used, rng=rng)
+            resets.append({"layer": layer, "dead": ~used, "before": latest[layer],
+                           "entries": out[0].entries.copy()})
+            return out
 
         monkeypatch.setattr(training, "ema_update", ema_spy)
         monkeypatch.setattr(training, "restart_dead_codes", restart_spy)
@@ -160,6 +229,15 @@ class TestEmaTraining:
         # checks, so the masks exercise both outcomes.
         assert any(not used.all() for _, used, _ in checks)
         assert not np.array_equal(checks[0][1], checks[-2][1])
+        # The last check of each layer has no update after it.
+        followed = [reset for reset in resets if "after" in reset]
+        assert len(followed) == 5 * num_layers
+        for reset in followed:
+            dead, (sizes, sums), (old_sizes, old_sums) = reset["dead"], reset["after"], reset["before"]
+            np.testing.assert_array_equal(sizes[dead], 1.0)
+            np.testing.assert_array_equal(sums[dead], reset["entries"][dead])
+            np.testing.assert_array_equal(sizes[~dead], old_sizes[~dead])
+            np.testing.assert_array_equal(sums[~dead], old_sums[~dead])
 
     def test_reported_utilization_is_that_of_encode(self):
         # Training looks codes up with the encoder's kernel, so the utilization

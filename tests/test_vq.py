@@ -586,49 +586,65 @@ class TestExactKernel:
             assert codes[:, 0].tolist() == [0, 0]
 
 
+def neutral_stats(entries):
+    """Cluster sizes 1 and sums equal to the entries: the statistics EMA
+    training starts a randomly initialized codebook from."""
+    entries = np.array(entries, dtype=np.float64)
+    return np.ones(len(entries)), entries
+
+
 class TestEmaUpdate:
     @pytest.mark.parametrize(
-        "vectors, indices, kwargs, message",
+        "stats, vectors, indices, kwargs, message",
         [
-            (np.eye(3), [0, 1, 2], {"decay": 1.0}, r"decay must lie in \[0, 1\)"),
-            (np.eye(3), [0, 1, 2], {"decay": -0.1}, r"decay must lie in \[0, 1\)"),
-            (np.eye(3), [0, 1], {}, "vectors and indices must have matching lengths"),
+            (neutral_stats(np.eye(3)), np.eye(3), [0, 1, 2], {"decay": 1.0},
+             r"decay must lie in \[0, 1\)"),
+            (neutral_stats(np.eye(3)), np.eye(3), [0, 1, 2], {"decay": -0.1},
+             r"decay must lie in \[0, 1\)"),
+            (neutral_stats(np.eye(3)), np.eye(3), [0, 1], {},
+             "vectors and indices must have matching lengths"),
+            ((np.ones(2), np.eye(3)), np.eye(3), [0, 1, 2], {}, r"shapes \(K,\) and \(K, q\)"),
+            ((np.ones(3), np.ones(3)), np.eye(3), [0, 1, 2], {}, r"shapes \(K,\) and \(K, q\)"),
+            ((np.array([1.0, -1.0, 1.0]), np.eye(3)), np.eye(3), [0, 1, 2], {},
+             "cluster sizes must be non-negative"),
+            (neutral_stats(np.eye(3)), np.eye(2), [0, 1], {}, "batch dim 2 does not match"),
+            ((np.ones(2), np.full((2, 1), 1e308)), np.full((2, 1), 1e308), [0, 0],
+             {"decay": 0.5}, "codebook entries must be finite"),
         ],
-        ids=["decay-one", "decay-negative", "length-mismatch"],
+        ids=["decay-one", "decay-negative", "length-mismatch", "sizes-shape", "sums-1d",
+             "negative-size", "dim-mismatch", "non-finite-entries"],
     )
-    def test_rejects_bad_arguments(self, vectors, indices, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            ema_update(Codebook.from_entries(np.eye(3)), vectors, indices, **kwargs)
+    def test_rejects_bad_arguments(self, stats, vectors, indices, kwargs, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                ema_update(*stats, vectors, indices, **kwargs)
 
     def test_converges_to_constant_batch(self):
         # Fixed point of the recurrence: with every vector equal to v and
         # assigned to code 0, entries[0] must approach v. Statistics start
-        # at zero (fresh codebook, nothing accumulated yet); primed
-        # statistics would retain the old entry with weight decay^t.
+        # at zero (nothing accumulated yet); primed statistics would retain
+        # the old entry with weight decay^t.
         v = np.array([2.0, -1.0, 0.5])
-        cb = Codebook(
-            entries=np.full((4, 3), 9.0),
-            ema_cluster_size=np.zeros(4),
-            ema_embed_sum=np.zeros((4, 3)),
-        )
+        sizes, sums = np.zeros(4), np.zeros((4, 3))
         batch = np.tile(v, (8, 1))
         idx = np.zeros(8, dtype=int)
         for _ in range(200):
-            cb = ema_update(cb, batch, idx, decay=0.99)
-        assert np.abs(cb.entries[0] - v).max() < 1e-4
+            entries, sizes, sums = ema_update(sizes, sums, batch, idx, decay=0.99)
+        assert np.abs(entries[0] - v).max() < 1e-4
 
     def test_matches_hand_rolled_recurrence(self):
         # Oracle: iterate the stated update rule directly on raw arrays.
         rng = np.random.default_rng(5)
         k, q, decay, eps = 3, 2, 0.9, 1e-5
         entries = rng.normal(size=(k, q))
-        cb = Codebook.from_entries(entries)
+        got_size, got_sum = neutral_stats(entries)
         size = np.ones(k)
         esum = entries.copy()
         for step in range(10):
             batch = rng.normal(size=(6, q))
             idx = rng.integers(0, k, size=6)
-            cb = ema_update(cb, batch, idx, decay=decay)
+            got, got_size, got_sum = ema_update(got_size, got_sum, batch, idx, decay=decay)
 
             counts = np.bincount(idx, minlength=k).astype(float)
             sums = np.zeros((k, q))
@@ -639,45 +655,46 @@ class TestEmaUpdate:
             total = size.sum()
             smoothed = (size + eps) / (total + k * eps) * total
             expected = esum / smoothed[:, None]
-            np.testing.assert_allclose(cb.entries, expected, rtol=1e-12)
+            np.testing.assert_allclose(got, expected, rtol=1e-12)
+            np.testing.assert_allclose(got_size, size, rtol=1e-12)
+            np.testing.assert_allclose(got_sum, esum, rtol=1e-12)
 
     def test_untouched_code_drift_bounded_by_smoothing(self):
-        cb = Codebook.from_entries(np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0]]))
-        before = cb.entries[2].copy()
+        before = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
         batch = np.array([[1.1, 0.0], [0.9, 0.1]])
-        updated = ema_update(cb, batch, [0, 0], decay=0.99)
+        entries, _, _ = ema_update(*neutral_stats(before), batch, [0, 0], decay=0.99)
         # No new mass for code 2: sum and size decay together, so the entry
         # moves only by the Laplace-smoothing correction factor.
-        drift = np.abs(updated.entries[2] - before).max()
-        assert drift < 1e-3 * np.abs(before).max()
+        drift = np.abs(entries[2] - before[2]).max()
+        assert drift < 1e-3 * np.abs(before[2]).max()
 
     def test_decay_zero_gives_batch_mean(self):
-        cb = Codebook.from_entries(np.zeros((2, 2)) + 5.0)
         batch = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
         idx = [0, 0, 1]
-        updated = ema_update(cb, batch, idx, decay=0.0)
-        np.testing.assert_allclose(updated.entries[0], [2.0, 3.0], rtol=1e-4)
-        np.testing.assert_allclose(updated.entries[1], [0.0, 0.0], atol=1e-4)
+        entries, _, _ = ema_update(*neutral_stats(np.zeros((2, 2)) + 5.0), batch, idx, decay=0.0)
+        np.testing.assert_allclose(entries[0], [2.0, 3.0], rtol=1e-4)
+        np.testing.assert_allclose(entries[1], [0.0, 0.0], atol=1e-4)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(0)
-        cb = Codebook.from_entries(rng.normal(size=(5, 3)))
+        sizes, sums = neutral_stats(rng.normal(size=(5, 3)))
+        before = (sizes.copy(), sums.copy())
         batch = rng.normal(size=(17, 3))
         idx = rng.integers(0, 5, size=17)
         decay = 0.97
-        updated = ema_update(cb, batch, idx, decay=decay)
-        expected_total = decay * cb.ema_cluster_size.sum() + (1 - decay) * 17
-        assert updated.ema_cluster_size.sum() == pytest.approx(expected_total)
+        _, new_sizes, _ = ema_update(sizes, sums, batch, idx, decay=decay)
+        expected_total = decay * sizes.sum() + (1 - decay) * 17
+        assert new_sizes.sum() == pytest.approx(expected_total)
+        np.testing.assert_array_equal(sizes, before[0])
+        np.testing.assert_array_equal(sums, before[1])
 
     def test_index_out_of_range_raises(self):
-        cb = Codebook.from_entries(np.eye(2))
         with pytest.raises(ValueError):
-            ema_update(cb, np.eye(2), [0, 5])
+            ema_update(*neutral_stats(np.eye(2)), np.eye(2), [0, 5])
 
     def test_empty_batch_raises(self):
-        cb = Codebook.from_entries(np.eye(2))
         with pytest.raises(ValueError):
-            ema_update(cb, np.empty((0, 2)), [])
+            ema_update(*neutral_stats(np.eye(2)), np.empty((0, 2)), [])
 
 
 class TestRestartDeadCodes:
@@ -711,23 +728,20 @@ class TestRestartDeadCodes:
         batch_rows = {tuple(row) for row in batch}
         assert tuple(out.entries[2]) in batch_rows
         assert tuple(out.entries[3]) in batch_rows
-        # Restarted statistics are reset to (1, entry).
-        assert out.ema_cluster_size[2] == 1.0
-        np.testing.assert_array_equal(out.ema_embed_sum[2], out.entries[2])
 
     def test_live_codes_untouched(self):
         # Whatever the EMA statistics say, the mask alone decides: code 1,
         # whose cluster size has decayed to nothing, is kept, and code 2,
         # the heaviest, is restarted.
-        cb = Codebook.from_entries(np.eye(4))
-        cb = ema_update(cb, np.tile(np.eye(4)[2], (8, 1)), np.full(8, 2), decay=0.0)
-        assert cb.ema_cluster_size[1] == 0.0
+        entries, sizes, _ = ema_update(
+            *neutral_stats(np.eye(4)), np.tile(np.eye(4)[2], (8, 1)), np.full(8, 2), decay=0.0
+        )
+        assert sizes[1] == 0.0
+        cb = Codebook(entries)
         used = np.array([True, True, False, False])
         out, n = restart_dead_codes(cb, np.ones((3, 4)), used, rng=0)
         assert n == 2
         np.testing.assert_array_equal(out.entries[used], cb.entries[used])
-        np.testing.assert_array_equal(out.ema_cluster_size[used], cb.ema_cluster_size[used])
-        np.testing.assert_array_equal(out.ema_embed_sum[used], cb.ema_embed_sum[used])
         np.testing.assert_array_equal(out.entries[~used], np.ones((2, 4)))
 
     def test_seeded_determinism(self):
@@ -748,12 +762,10 @@ class TestRestartDeadCodes:
 
     def test_does_not_mutate_input(self):
         cb = Codebook.from_entries(np.eye(3) * 2.0)
-        before = (cb.entries.copy(), cb.ema_cluster_size.copy(), cb.ema_embed_sum.copy())
+        before = cb.entries.copy()
         used = np.array([True, False, False])
         restart_dead_codes(cb, np.ones((2, 3)), used, rng=0)
-        np.testing.assert_array_equal(cb.entries, before[0])
-        np.testing.assert_array_equal(cb.ema_cluster_size, before[1])
-        np.testing.assert_array_equal(cb.ema_embed_sum, before[2])
+        np.testing.assert_array_equal(cb.entries, before)
         assert used.tolist() == [True, False, False]
 
 
@@ -765,7 +777,7 @@ class TestProjections:
 
 def reference_kmeans_init(data, num_codes, iterations=10, rng=0):
     """K-means++ with a D^2 update after every centre, then all
-    `iterations + 1` Lloyd passes: `kmeans_init` with no early stop."""
+    `iterations` Lloyd passes: `kmeans_init` with no early stop."""
     data = np.asarray(data, dtype=np.float64)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n = len(data)
@@ -780,20 +792,14 @@ def reference_kmeans_init(data, num_codes, iterations=10, rng=0):
             pick = int(rng.choice(n, p=d2 / total))
         centers[j] = data[pick]
         d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
-    for i in range(iterations + 1):
+    for _ in range(iterations):
         idx = assign_batch(data, centers, "euclidean")
         counts = np.bincount(idx, minlength=num_codes).astype(np.float64)
         sums = np.zeros_like(centers)
         np.add.at(sums, idx, data)
-        if i == iterations:
-            break
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-    return Codebook(
-        entries=centers,
-        ema_cluster_size=counts,
-        ema_embed_sum=sums,
-    )
+    return Codebook(centers)
 
 
 def _few_distinct_rows():
@@ -821,12 +827,6 @@ KMEANS_CASES = {
     "tiny": (3e-162 * np.random.default_rng(22).normal(size=(150, 3)), 16, 10, False),
     "few-distinct-rows-at-offset": (1e155 + 1e150 * _few_distinct_rows(), 20, 10, True),
 }
-
-
-def assert_same_codebooks(got, want):
-    np.testing.assert_array_equal(got.entries, want.entries)
-    np.testing.assert_array_equal(got.ema_cluster_size, want.ema_cluster_size)
-    np.testing.assert_array_equal(got.ema_embed_sum, want.ema_embed_sum)
 
 
 class TestKmeansInit:
@@ -866,14 +866,6 @@ class TestKmeansInit:
         a = kmeans_init(data, 8, iterations=5, rng=77)
         b = kmeans_init(data, 8, iterations=5, rng=77)
         np.testing.assert_array_equal(a.entries, b.entries)
-        np.testing.assert_array_equal(a.ema_cluster_size, b.ema_cluster_size)
-
-    def test_ema_stats_match_clusters(self):
-        rng = np.random.default_rng(14)
-        data = rng.normal(size=(30, 2))
-        cb = kmeans_init(data, 4, iterations=10, rng=2)
-        assert cb.ema_cluster_size.sum() == pytest.approx(30.0)
-        np.testing.assert_allclose(cb.ema_embed_sum.sum(axis=0), data.sum(axis=0), rtol=1e-9)
 
     def test_too_few_points_raises(self):
         with pytest.raises(ValueError):
@@ -899,41 +891,47 @@ class TestKmeansInit:
 
     @pytest.mark.parametrize("case", sorted(KMEANS_CASES))
     def test_equals_the_full_loops(self, case, monkeypatch):
-        """Entries, EMA statistics and the generator's state are bit-equal to
-        those of the loops without early stops."""
+        """Entries and the generator's state are bit-equal to those of the
+        loops without early stops."""
         data, k, iterations, converges = KMEANS_CASES[case]
         want_rng = np.random.default_rng(21)
         want = reference_kmeans_init(data, k, iterations, rng=want_rng)
         passes = []
 
         def counting(*args):
-            passes.append(1)
-            return assign_batch(*args)
+            passes.append(assign_batch(*args))
+            return passes[-1]
 
         monkeypatch.setattr(vq, "assign_batch", counting)
         got_rng = np.random.default_rng(21)
         got = kmeans_init(data, k, iterations=iterations, rng=got_rng)
-        assert_same_codebooks(got, want)
+        np.testing.assert_array_equal(got.entries, want.entries)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        # The cases cover both ends of the Lloyd loop.
-        assert (len(passes) < iterations + 1) == converges
+        # At most one lookup a Lloyd pass, and the cases cover both ends of
+        # the loop: a fixed point, where the last two passes agree, and the
+        # iteration cap.
+        assert len(passes) <= iterations
+        fixed_point = len(passes) > 1 and np.array_equal(passes[-1], passes[-2])
+        assert fixed_point == converges
 
     def test_layer_init_leaves_the_generator_as_the_full_loops(self, monkeypatch):
         """Six layers over 32 rows: the deepest layers fit an all-zero residual."""
         config = training.TrainConfig(num_layers=6, codebook_size=16, latent_dim=8, batch_size=8)
         sample = np.random.default_rng(5).normal(size=(32, 8))
         got_rng = np.random.default_rng(1)
-        got = training._init_layer_codebooks(sample, config, got_rng, "euclidean")
-        def reference(data, k, rng, metric):
+        got = training._init_layer_codebooks(sample, config, got_rng)
+        def reference(data, k, rng):
             return reference_kmeans_init(data, k, rng=rng)
 
         monkeypatch.setattr(training, "kmeans_init", reference)
         want_rng = np.random.default_rng(1)
-        want = training._init_layer_codebooks(sample, config, want_rng, "euclidean")
-        for layer, reference in zip(got, want):
-            assert_same_codebooks(layer, reference)
+        want = training._init_layer_codebooks(sample, config, want_rng)
+        for got_arrays, want_arrays in zip(got, want):  # entries, sizes, sums
+            for layer, reference_layer in zip(got_arrays, want_arrays):
+                np.testing.assert_array_equal(layer, reference_layer)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        assert not got[-1].entries.any() and not got[-2].entries.any()
+        entries = got[0]
+        assert not entries[-1].any() and not entries[-2].any()
 
 
 class TestCodebookValidation:

@@ -375,15 +375,21 @@ def _training_cases(fp: Fingerprint, rk) -> None:
     # Also an all-zero sample and one with fewer distinct rows than K, where
     # k-means++ runs out of D^2 weight, an integer lattice at 1e8, where its
     # expanded distances err by more than the gaps between exact ones, and
-    # a sample whose squares are a few subnormal units; the generator's next
-    # draw shows whether it was left where it was.
+    # a sample whose squares are a few subnormal units. Each case hashes the
+    # entries, the size and vector sum of each entry's cluster in the
+    # sample's lookup (the EMA statistics training starts from), and the
+    # generator's next draw, which shows whether it was left where it was.
     samples = {"": corpus, "-all-zero": np.zeros((256, 8)),
                "-few-distinct": corpus[np.arange(1024) % 40],
                "-offset-lattice": 1e8 + np.round(corpus), "-tiny": 3e-162 * corpus}
     for suffix, sample in samples.items():
         gen = np.random.default_rng(1)
         cb = rk.kmeans_init(sample, 64, rng=gen)
-        fp.arrays(f"lib/kmeans-init{suffix}", cb.entries, cb.ema_cluster_size, cb.ema_embed_sum,
+        idx, _ = rk.nearest_codes(sample, cb)
+        sums = np.zeros_like(cb.entries)
+        np.add.at(sums, idx, sample)
+        fp.arrays(f"lib/kmeans-init{suffix}", cb.entries,
+                  np.bincount(idx, minlength=64).astype(np.float64), sums,
                   gen.integers(2**63, size=1))
     for scheme, extra in (("ema", {}), ("ema_restart", {"restart_period": 20}),
                           ("projected", {"quant_dim": 4, "init": "random"})):
