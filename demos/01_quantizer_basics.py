@@ -52,7 +52,7 @@ print(f"  target was {target}\n")
 # A code is dead if no update has assigned it; the caller tracks that.
 print(f"codes assigned during the EMA run: {used}")
 batch = target + 0.05 * rng.standard_normal((32, 2))
-cb2, revived = restart_dead_codes(Codebook(entries), batch, used, rng=7)
+entries, revived = restart_dead_codes(entries, batch, used, rng=7)
 print(f"restart revived {revived} dead codes; their entries are now batch members:")
 for i in (1, 2, 3):
-    print(f"  code {i}: {np.round(cb2.entries[i], 4)}")
+    print(f"  code {i}: {np.round(entries[i], 4)}")

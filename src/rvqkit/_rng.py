@@ -7,10 +7,11 @@ what a generation model returns, all three generators draw with
 fill layers 2..N with `greedy_layers`. The toy oracles check their inputs
 with `finite_margin` and `checked_truth` and build their logits with
 `peaked_logits`. `positive_finite` is the one check on every rate,
-temperature, learning rate, separation and smoothing value, and
-`integer_at_least` the one check on every count of a config. `BLOCK_BYTES`
-is the one working-set budget of the row-blocked passes: the lookup's score
-blocks and the masked generator's sampling blocks.
+temperature, learning rate, separation and smoothing value,
+`integer_at_least` the one check on every count, and `checked_seed` the one
+check on every seed. `BLOCK_BYTES` is the one working-set budget of the
+blocked passes: the lookup's score blocks, the masked generator's sampling
+blocks and the logits check's blocks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,15 @@ def as_generator(seed) -> np.random.Generator:
     """Return `seed` unchanged if it is already a Generator, else seed a fresh one."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(checked_seed(seed, "seed"))
+
+
+def checked_seed(seed, name: str):
+    """`seed` unchanged if it is a Generator, else as an int; ValueError
+    unless it is an integer (numpy's included), not a bool, at or above 0."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return integer_at_least(seed, name, 0)
 
 
 def checked_logits(raw, shape: tuple, what: str) -> np.ndarray:
@@ -50,7 +59,10 @@ def checked_logits(raw, shape: tuple, what: str) -> np.ndarray:
     logits = np.asarray(raw, dtype=np.float64)
     if logits.shape != shape:
         raise ValueError(f"{what} logits have shape {logits.shape}, expected {shape}")
-    if not np.isfinite(logits).all():
+    # In blocks of `BLOCK_BYTES` of logits, each bool temporary stays in cache,
+    # where one (frames, K) array would land on fresh pages.
+    flat, step = logits.reshape(-1), BLOCK_BYTES // 8
+    if not all(np.isfinite(flat[lo : lo + step]).all() for lo in range(0, flat.size, step)):
         raise NumericalError(f"{what} logits contain non-finite values")
     return logits
 

@@ -26,6 +26,7 @@ import numpy as np
 from ._rng import (
     as_generator,
     checked_logits,
+    checked_seed,
     checked_truth,
     finite_margin,
     greedy_layers,
@@ -67,6 +68,7 @@ class GenConfig:
     def __post_init__(self):
         self.temperature = positive_finite(self.temperature, "temperature")
         self.max_frames = integer_at_least(self.max_frames, "max_frames")
+        self.rng_seed = checked_seed(self.rng_seed, "rng_seed")
 
 
 @dataclass
@@ -156,11 +158,9 @@ class NgramArModel:
     """
 
     def __init__(self, order: int, smoothing: float, codebook_size: int, counts: dict):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = order
+        self.order = integer_at_least(order, "order")
         self.smoothing = positive_finite(smoothing, "smoothing")
-        self.codebook_size = codebook_size
+        self.codebook_size = integer_at_least(codebook_size, "codebook_size")
         self._counts = counts
 
     def _context(self, prompt_codes: np.ndarray, generated_prefix: np.ndarray) -> tuple:
@@ -200,8 +200,7 @@ def train_ngram_ar(streams: list[TokenStream], order: int = 2, smoothing: float 
     """
     if not streams:
         raise ValueError("train_ngram_ar requires at least one stream")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = integer_at_least(order, "order")
     k = streams[0].codebook_size
     if any(s.codebook_size != k for s in streams):
         raise ValueError("streams must share codebook_size")
@@ -255,8 +254,8 @@ class OracleArModel:
     stops the AR stage at once, truth `arange(n) % K` cycles through the codes."""
 
     def __init__(self, truth_codes, codebook_size: int, margin: float = 50.0):
-        self.truth = checked_truth(truth_codes, codebook_size, np.int64).ravel()
-        self.codebook_size = codebook_size
+        self.codebook_size = integer_at_least(codebook_size, "codebook_size")
+        self.truth = checked_truth(truth_codes, self.codebook_size, np.int64).ravel()
         self.margin = finite_margin(margin)
 
     def next_logits(self, condition, prompt_codes, generated_prefix) -> np.ndarray:
@@ -269,10 +268,10 @@ class OracleNarModel:
     """Peaked at a fixed ground-truth grid, layer by layer."""
 
     def __init__(self, truth_grid, codebook_size: int, margin: float = 50.0):
-        self.truth = checked_truth(truth_grid, codebook_size, np.int64)
+        self.codebook_size = integer_at_least(codebook_size, "codebook_size")
+        self.truth = checked_truth(truth_grid, self.codebook_size, np.int64)
         if self.truth.ndim != 2:
             raise ValueError("truth grid must be (frames, layers)")
-        self.codebook_size = codebook_size
         self.margin = finite_margin(margin)
 
     def layer_logits(self, condition, prompt, decoded_layers, target_layer) -> np.ndarray:

@@ -36,6 +36,7 @@ from ._rng import (
     BLOCK_BYTES,
     as_generator,
     checked_logits,
+    checked_seed,
     checked_truth,
     finite_margin,
     greedy_layers,
@@ -87,6 +88,7 @@ class DecodeSchedule:
     def __post_init__(self):
         self.iterations_layer1 = integer_at_least(self.iterations_layer1, "iterations_layer1")
         self.temperature = positive_finite(self.temperature, "temperature")
+        self.rng_seed = checked_seed(self.rng_seed, "rng_seed")
         if not (math.isfinite(self.cfg_start) and math.isfinite(self.cfg_end)):
             raise ValueError("cfg_start and cfg_end must be finite")
 
@@ -241,11 +243,11 @@ class OracleScoreModel:
         margin: float = 50.0,
         noise_seed: int | None = None,
     ):
-        self.truth = checked_truth(truth, codebook_size, np.int32)
+        self.codebook_size = integer_at_least(codebook_size, "codebook_size")
+        self.truth = checked_truth(truth, self.codebook_size, np.int32)
         if self.truth.ndim != 2:
             raise ValueError("truth grid must be (frames, layers)")
         self.margin = finite_margin(margin)
-        self.codebook_size = codebook_size
         self._noise = None
         if noise_seed is not None:
             rng = as_generator(noise_seed)

@@ -46,6 +46,7 @@ class RvqQuantizer:
     projections: list[ProjectionPair] | None = None
 
     def __post_init__(self):
+        self.latent_dim = integer_at_least(self.latent_dim, "latent_dim")
         self.validate()
 
     @property

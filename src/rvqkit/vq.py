@@ -1,14 +1,10 @@
-"""Single-layer vector quantization.
+"""Single-layer vector quantization: the codebook and its exact lookup.
 
 A codebook is its raw (unnormalized) code vectors and the metric they are
 looked up under. Lookups are exhaustive over the codebook under either
-squared-Euclidean or cosine distance; updates cover the EMA rule with
-Laplace-smoothed normalization (constant `EMA_EPSILON`) and the dead-code
-restart that resamples from a batch the entries a caller's boolean mask
-marks unused. The EMA statistics (cluster sizes and vector sums) and the
-mask of assigned codes are not part of a codebook: EMA training in
-`training` keeps them, primes them, passes them through `ema_update` and
-resets them at each restart.
+squared-Euclidean or cosine distance. Every rule that changes entries
+(k-means initialization, the EMA update and dead-code restarts) is in
+`training`, which looks codes up through `assign_batch`.
 
 Lookups (`nearest_codes`, each layer of `rvq` encoding, and training's
 `assign_batch`) run one lookup per metric, in one loop over row blocks of at
@@ -45,18 +41,9 @@ transposed view of the unit entries. A zero vector has no direction: it
 normalizes to zero, so its cosine with every vector is 0 (the `F.normalize`
 convention of DAC).
 
-K-means++ seeding (`kmeans_init`) computes one GEMV per new centre and
-recomputes the exact D^2 only of the rows a rounding bound cannot rule out.
-On the 2,048-row init sample of an 8-layer, K=1024, d=32 quantizer that is
-a median of 2 rows a centre (9 at the 90th percentile); with BLAS on one
-thread a first-layer centre costs 56-84 us, against 195-265 us for the
-exact update of every row and `rng.choice`.
-
 Lookups are pure functions of an immutable codebook and can run from any
 number of threads (the first computes the codebook's lookup tables and makes
-its entries read-only); `ema_update` and `restart_dead_codes` return new
-arrays and codebooks and never mutate their input, so the caller owns write
-ordering.
+its entries read-only).
 """
 
 from __future__ import annotations
@@ -66,18 +53,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import BLOCK_BYTES, as_generator
+from ._rng import BLOCK_BYTES
 
 EUCLIDEAN = "euclidean"
 COSINE = "cosine"
 METRICS = (EUCLIDEAN, COSINE)
 
 MAX_CODES = 65536  # exhaustive lookup only; no approximate indexing
-DEFAULT_DECAY = 0.99
-EMA_EPSILON = 1e-5  # Laplace smoothing of the EMA cluster sizes in `ema_update`
 
 # Unit roundoff and the smallest subnormal of float64 and of float32, for the
-# rounding bound of the Euclidean lookup (see `_euclidean_block`).
+# rounding bounds of the Euclidean lookup (see `_euclidean_block`) and k-means++.
 _UNIT_ROUNDOFF = 2.0**-53
 _SUBNORMAL = 2.0**-1074
 _F32_UNIT_ROUNDOFF = 2.0**-24
@@ -94,7 +79,7 @@ _F32_SCALE_LIMIT = 2.0**120
 @dataclass
 class Codebook:
     """One quantization layer: K code vectors and the metric they are looked
-    up under. EMA training keeps its statistics itself (see `ema_update`).
+    up under. EMA training keeps its statistics (see `training.ema_update`).
 
     entries: (K, q) code vectors in quantization space
     metric:  "euclidean" or "cosine"
@@ -507,191 +492,3 @@ def assign_batch(queries: np.ndarray, entries: np.ndarray, metric: str) -> np.nd
     under both metrics, as they do in `nearest_codes`.
     """
     return _lookup(queries, _build_tables(entries, metric), metric)[0]
-
-
-def ema_update(
-    cluster_size,
-    embed_sum,
-    vectors,
-    indices,
-    *,
-    decay: float = DEFAULT_DECAY,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold one batch of (vector, assigned index) pairs into a layer's EMA
-    statistics: `cluster_size`, the (K,) moving average of each code's
-    assignment count, and `embed_sum`, the (K, q) one of the vectors
-    assigned to it.
-
-    Sizes and sums are blended with weight `decay`; entries are then
-    recomputed as embed_sum / smoothed cluster size, where the smoothing is
-    Laplace over sizes: (size_i + eps) / (N + K*eps) * N with eps the fixed
-    constant `EMA_EPSILON` (1e-5) and N the total EMA mass. Returns new
-    (entries, cluster_size, embed_sum) arrays and leaves the inputs as they
-    are. Entries that are not finite raise ValueError.
-    """
-    cluster_size = np.asarray(cluster_size, dtype=np.float64)
-    embed_sum = np.asarray(embed_sum, dtype=np.float64)
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    indices = np.asarray(indices, dtype=np.int64).ravel()
-    if embed_sum.ndim != 2 or cluster_size.shape != embed_sum.shape[:1]:
-        raise ValueError("cluster_size and embed_sum must have shapes (K,) and (K, q)")
-    if np.any(cluster_size < 0):
-        raise ValueError("cluster sizes must be non-negative")
-    if len(vectors) == 0:
-        raise ValueError("ema_update requires a non-empty batch")
-    if len(vectors) != len(indices):
-        raise ValueError("vectors and indices must have matching lengths")
-    k, q = embed_sum.shape
-    if vectors.shape[1] != q:
-        raise ValueError(f"batch dim {vectors.shape[1]} does not match codebook dim {q}")
-    if np.any(indices < 0) or np.any(indices >= k):
-        raise ValueError(f"assigned index out of range [0, {k})")
-    if not 0.0 <= decay < 1.0:
-        raise ValueError("decay must lie in [0, 1)")
-
-    counts = np.bincount(indices, minlength=k).astype(np.float64)
-    sums = np.zeros_like(embed_sum)
-    np.add.at(sums, indices, vectors)
-
-    new_size = decay * cluster_size + (1.0 - decay) * counts
-    new_sum = decay * embed_sum + (1.0 - decay) * sums
-    total = new_size.sum()
-    smoothed = (new_size + EMA_EPSILON) / (total + k * EMA_EPSILON) * total
-    entries = new_sum / smoothed[:, None]
-    if not np.isfinite(entries).all():
-        raise ValueError("codebook entries must be finite")
-    return entries, new_size, new_sum
-
-
-def restart_dead_codes(
-    codebook: Codebook,
-    batch,
-    used,
-    rng=0,
-) -> tuple[Codebook, int]:
-    """Replace the dead codes: those whose entry in the (K,) boolean mask
-    `used` is False. The caller decides what counts as used; training marks
-    every code its steps have assigned since the codebook was built.
-
-    Replacement entries are drawn uniformly from `batch` (without replacement
-    while the batch lasts); the other codes keep theirs. Returns the new
-    codebook and the number of restarts. EMA training then resets each
-    restarted code's statistics to (1, its new entry).
-    """
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if len(batch) == 0:
-        raise ValueError("restart_dead_codes requires a non-empty batch")
-    if batch.shape[1] != codebook.code_dim:
-        raise ValueError(
-            f"batch dim {batch.shape[1]} does not match codebook dim {codebook.code_dim}"
-        )
-    used = np.asarray(used)
-    if used.dtype != np.bool_ or used.shape != (codebook.num_codes,):
-        raise ValueError(f"used must be a boolean mask of shape ({codebook.num_codes},)")
-
-    dead = np.flatnonzero(~used)
-    if dead.size == 0:
-        return codebook, 0
-
-    rng = as_generator(rng)
-    picks = rng.choice(len(batch), size=dead.size, replace=dead.size > len(batch))
-    entries = codebook.entries.copy()
-    entries[dead] = batch[picks]
-    return Codebook(entries, codebook.metric), int(dead.size)
-
-
-def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n, q = data.shape
-    centers = np.empty((k, q), dtype=np.float64)
-    centers[0] = data[int(rng.integers(n))]
-    # Rows whose bound says a new centre cannot move them are skipped (see
-    # `kmeans_init`). tol = 8(q+2)u M + 10q eta with M = |x|^2 + |c|^2, as
-    # (q+2)u (8|x|^2 + 8|c|^2): a term is +inf, and so is the bar, wherever
-    # M may exceed a quarter of the float range.
-    slack = (q + 2) * _UNIT_ROUNDOFF
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2 = ((data - centers[0]) ** 2).sum(axis=1)
-        sq_norms = np.einsum("nq,nq->n", data, data)
-        row_tol = slack * (8.0 * sq_norms) + 10 * q * _SUBNORMAL
-        for j in range(1, k):
-            total = d2.sum()
-            if not math.isfinite(total):
-                raise ValueError("k-means++ squared distances overflow: the data are too large")
-            if total <= 0.0:
-                # The D^2 weights are spent, and a minimum with 0 stays 0.
-                # The remaining centres are uniform draws, one `integers`
-                # call each, so the generator's stream is the one a full
-                # loop would leave.
-                for rest in range(j, k):
-                    centers[rest] = data[int(rng.integers(n))]
-                break
-            # What `rng.choice(n, p=d2 / total)` runs, without its checks.
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            c = centers[j] = data[int(cdf.searchsorted(rng.random(), side="right"))]
-            c_sq = c @ c
-            approx = data @ (-2.0 * c)
-            approx += sq_norms
-            approx += c_sq  # |x|^2 - 2x.c + |c|^2
-            bar = d2 + row_tol
-            bar += slack * (8.0 * c_sq)
-            rows = np.flatnonzero(~(approx > bar))  # NaN is never above
-            d2[rows] = np.minimum(d2[rows], ((data[rows] - c) ** 2).sum(axis=1))
-    return centers
-
-
-def kmeans_init(
-    data,
-    num_codes: int,
-    iterations: int = 10,
-    rng=0,
-) -> Codebook:
-    """Build a Euclidean codebook with seeded k-means++ plus Lloyd
-    refinement. Empty clusters keep their centroid. Non-finite data, and
-    data so large that its squared distances overflow, raise ValueError.
-
-    `iterations` is an upper bound on the Lloyd passes. The loop stops at
-    the first pass whose assignments equal the previous pass's, and that is
-    exact: the centres are a function of the assignments (empty clusters
-    keep their centroid), so every later pass would repeat them bit for
-    bit. K-means++ likewise stops its D^2 updates once the
-    weights sum to 0, drawing each remaining centre as before.
-
-    Each new centre c rescores only the rows it might move. One GEMV gives
-    every row's expanded distance |x|^2 - 2x.c + |c|^2, within (2q+4)uM +
-    4q eta of |x - c|^2 (M = |x|^2 + |c|^2, u the unit roundoff, eta the
-    smallest subnormal), and the exact D^2 `sum((x - c)^2)` is within
-    (q+2)u(2M) + q eta of it, as in `_euclidean_block`. A row whose
-    expanded distance exceeds its current D^2 by more than twice the sum of
-    the two has an exact D^2 above its current one, so the minimum keeps
-    it; every other row, and every row whose M may overflow or whose
-    expanded distance is NaN, gets the exact D^2 as before (summing a
-    subset of rows gives each row the same bits). The draw runs the steps
-    `Generator.choice(n, p=d2 / total)` runs: cumulative sum of the
-    weights, scaled to end at 1, then `searchsorted` of one `random()`
-    draw, which leaves the generator's stream as `choice` does. So the
-    entries and the state `rng` is left in are those of the full loops.
-    """
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    if num_codes < 1:
-        raise ValueError("num_codes must be >= 1")
-    if len(data) < num_codes:
-        raise ValueError(f"k-means needs at least {num_codes} vectors, got {len(data)}")
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    if not np.isfinite(data).all():
-        raise ValueError("k-means data must be finite")
-
-    rng = as_generator(rng)
-    centers = _kmeans_plus_plus(data, num_codes, rng)
-    idx = None
-    for _ in range(iterations):
-        previous, idx = idx, assign_batch(data, centers, EUCLIDEAN)
-        if previous is not None and np.array_equal(idx, previous):
-            break  # a fixed point: the centres stand
-        counts = np.bincount(idx, minlength=num_codes).astype(np.float64)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, idx, data)
-        nonempty = counts > 0
-        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-    return Codebook(centers)

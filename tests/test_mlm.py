@@ -442,6 +442,35 @@ class TestBlockedLayerOne:
         assert errors[0] == errors[1]
 
 
+class TestCheckedLogits:
+    # Four blocks of logits, the last one partial.
+    SHAPE = (3 * BLOCK_BYTES // (8 * 1024) + 1, 1024)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, BLOCK_BYTES // 8, -1], ids=["first", "second", "last"])
+    def test_non_finite_in_any_block_raises(self, bad, at):
+        logits = np.zeros(self.SHAPE)
+        logits.reshape(-1)[at] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            checked_logits(logits, self.SHAPE, "test")
+
+    def test_empty_logits_are_accepted(self):
+        assert checked_logits(np.empty((0, 4)), (0, 4), "test").shape == (0, 4)
+
+    def test_holds_no_grid_sized_temporary(self):
+        """2,048 frames at K=1024: a (frames, K) bool array is 2 MiB; each
+        block's is 64 KB."""
+        shape = (2048, 1024)
+        logits = np.zeros(shape)
+        tracemalloc.start()
+        try:
+            checked_logits(logits, shape, "test")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < logits.size / 8
+
+
 class TestWorkingMemory:
     @staticmethod
     def _peak_bytes(run):

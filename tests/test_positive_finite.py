@@ -1,7 +1,9 @@
 """One rule for every rate, temperature, learning rate, separation and
 smoothing value: a real number that is not a bool, in (0, inf), kept as a
-float. And one for every count of a config, and `rvq_decode`'s layer count:
-an integer that is not a bool, at least 1, kept as an int."""
+float. One for every count: an integer that is not a bool, at least 1, kept
+as an int (k-means' `iterations` at least 0). And one for every seed: an
+integer that is not a bool, at least 0, kept as an int, or a Generator.
+Each is checked when its object is built or its function is called."""
 
 from fractions import Fraction
 
@@ -14,12 +16,18 @@ from rvqkit import (
     DecodeSchedule,
     GenConfig,
     NgramArModel,
+    OracleArModel,
+    OracleNarModel,
+    OracleScoreModel,
     RvqQuantizer,
     TokenStream,
     TrainConfig,
     bitrate_bps,
+    kmeans_init,
+    restart_dead_codes,
     rvq_decode,
     sample_with_temperature,
+    train_ngram_ar,
 )
 
 QUANTIZER = RvqQuantizer(layers=[Codebook.from_entries(np.eye(2))], latent_dim=2)
@@ -53,6 +61,8 @@ def test_value_is_kept_as_a_float(site, value):
 
 
 THREE_LAYERS = RvqQuantizer(layers=[Codebook.from_entries(np.eye(2))] * 3, latent_dim=2)
+STREAM = TokenStream(np.zeros((3, 1), dtype=np.int32), 50.0, 4)
+GRID = np.zeros((2, 2), dtype=np.int64)
 
 COUNT_SITES = {
     **{
@@ -73,6 +83,16 @@ COUNT_SITES = {
         iterations_layer1=v
     ).iterations_layer1,
     "rvq_decode.num_layers": lambda v: rvq_decode(np.zeros(3, dtype=int), THREE_LAYERS, v),
+    "RvqQuantizer.latent_dim": lambda v: RvqQuantizer(
+        layers=[Codebook.from_entries(np.eye(2))], latent_dim=v
+    ).latent_dim,
+    "NgramArModel.order": lambda v: NgramArModel(v, 0.1, 4, {}).order,
+    "NgramArModel.codebook_size": lambda v: NgramArModel(2, 0.1, v, {}).codebook_size,
+    "train_ngram_ar.order": lambda v: train_ngram_ar([STREAM], order=v).order,
+    "OracleArModel.codebook_size": lambda v: OracleArModel([0], v).codebook_size,
+    "OracleNarModel.codebook_size": lambda v: OracleNarModel(GRID, v).codebook_size,
+    "OracleScoreModel.codebook_size": lambda v: OracleScoreModel(GRID, v).codebook_size,
+    "kmeans_init.num_codes": lambda v: kmeans_init(np.eye(4), v),
 }
 
 
@@ -97,7 +117,12 @@ def test_count_below_one_is_rejected(site, value):
         COUNT_SITES[site](value)
 
 
-@pytest.mark.parametrize("site", [site for site in COUNT_SITES if not site.startswith("rvq")])
+# Sites that return something other than the count: a decoded vector, a
+# codebook's centres, or a quantizer whose codebook fixes latent_dim at 2.
+NOT_RETURNED = ("rvq_decode.num_layers", "kmeans_init.num_codes", "RvqQuantizer.latent_dim")
+
+
+@pytest.mark.parametrize("site", [site for site in COUNT_SITES if site not in NOT_RETURNED])
 @pytest.mark.parametrize("value", [2, np.int64(3), np.uint8(2)])
 def test_count_is_kept_as_an_int(site, value):
     kept = COUNT_SITES[site](value)
@@ -109,3 +134,55 @@ def test_numpy_layer_count_decodes_like_an_int():
     np.testing.assert_array_equal(
         rvq_decode(frame, THREE_LAYERS, np.int64(2)), rvq_decode(frame, THREE_LAYERS, 2)
     )
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.0, "iterations must be an integer"), (True, "iterations must be an integer"),
+    (-1, "iterations must be >= 0"),
+])
+def test_kmeans_iterations_is_an_integer_at_least_zero(value, message):
+    with pytest.raises(ValueError, match=message):
+        kmeans_init(np.eye(4), 2, iterations=value)
+    assert kmeans_init(np.eye(4), 4, iterations=0).shape == (4, 4)
+
+
+CONFIG_SEED_SITES = {
+    "TrainConfig.seed": lambda v: TrainConfig(seed=v).seed,
+    "CorpusSpec.seed": lambda v: CorpusSpec(seed=v).seed,
+    "GenConfig.rng_seed": lambda v: GenConfig(rng_seed=v).rng_seed,
+    "DecodeSchedule.rng_seed": lambda v: DecodeSchedule(rng_seed=v).rng_seed,
+}
+SEED_SITES = {
+    **CONFIG_SEED_SITES,
+    # Functions that take a seed check it when they turn it into a generator.
+    "kmeans_init.rng": lambda v: kmeans_init(np.eye(4), 2, rng=v),
+    "restart_dead_codes.rng": lambda v: restart_dead_codes(
+        np.eye(2), np.eye(2), np.zeros(2, dtype=bool), rng=v
+    ),
+    "OracleScoreModel.noise_seed": lambda v: OracleScoreModel(GRID, 2, noise_seed=v),
+}
+
+
+@pytest.mark.parametrize("site, kind", [
+    (site, kind) for site in SEED_SITES for kind in NON_INTEGERS
+    if not (kind == "none" and site == "OracleScoreModel.noise_seed")  # None: no noise
+])
+def test_non_integer_seed_is_rejected(site, kind):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SEED_SITES[site](NON_INTEGERS[kind])
+
+
+@pytest.mark.parametrize("site", SEED_SITES)
+@pytest.mark.parametrize("value", [-1, np.int64(-3)], ids=["negative", "numpy-negative"])
+def test_negative_seed_is_rejected(site, value):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        SEED_SITES[site](value)
+
+
+@pytest.mark.parametrize("site", CONFIG_SEED_SITES)
+def test_seed_is_kept_as_an_int_or_a_generator(site):
+    kept = SEED_SITES[site](np.int64(7))
+    assert type(kept) is int and kept == 7
+    assert SEED_SITES[site](0) == 0
+    generator = np.random.default_rng(7)
+    assert SEED_SITES[site](generator) is generator

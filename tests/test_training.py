@@ -174,6 +174,30 @@ class TestEmaTraining:
                 np.testing.assert_array_equal(sums, layer_entries)
             residual = residual - layer_entries[idx]
 
+    def test_every_lookup_runs_through_assign_batch(self, monkeypatch):
+        """A spy on `training.assign_batch` sees every lookup of a run with
+        k-means init, Lloyd's passes included: one call per `vq._lookup`."""
+        import rvqkit.training as training
+        import rvqkit.vq as vq
+
+        calls = {"assign_batch": 0, "_lookup": 0}
+        for module, name in ((training, "assign_batch"), (vq, "_lookup")):
+            def spy(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        corpus = make_corpus(CorpusSpec(num_components=6, dims=4, count=600, seed=47))
+        config = TrainConfig(
+            scheme="ema", num_layers=2, codebook_size=16, latent_dim=4, steps=3,
+            batch_size=32, seed=47,
+        )
+        train_quantizer(corpus, config)
+        # Besides Lloyd's passes, each layer is looked up once after its
+        # init, once a step and once for the reported utilization.
+        outside_lloyd = config.num_layers * (config.steps + 2)
+        assert calls["assign_batch"] == calls["_lookup"] > outside_lloyd
+
     def test_restart_checks_see_every_code_assigned_so_far(self, monkeypatch):
         # Dead means no step has assigned the code since the codebook was
         # built: each check's `used` is the union of every code that the
@@ -202,12 +226,12 @@ class TestEmaTraining:
             latest[layer] = (out[1].copy(), out[2].copy())
             return out
 
-        def restart_spy(codebook, batch, used, rng=0):
+        def restart_spy(entries, batch, used, rng=0):
             layer = len(checks) % num_layers
             checks.append((layer, used.copy(), assigned[layer].copy()))
-            out = real_restart(codebook, batch, used, rng=rng)
+            out = real_restart(entries, batch, used, rng=rng)
             resets.append({"layer": layer, "dead": ~used, "before": latest[layer],
-                           "entries": out[0].entries.copy()})
+                           "entries": out[0].copy()})
             return out
 
         monkeypatch.setattr(training, "ema_update", ema_spy)

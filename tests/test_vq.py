@@ -699,35 +699,39 @@ class TestEmaUpdate:
 
 class TestRestartDeadCodes:
     @pytest.mark.parametrize(
-        "batch, used, message",
+        "entries, batch, used, message",
         [
-            (np.empty((0, 3)), np.ones(3, dtype=bool), "requires a non-empty batch"),
-            (np.eye(3), np.ones(4, dtype=bool), "boolean mask of shape"),
-            (np.eye(3), np.ones((1, 3), dtype=bool), "boolean mask of shape"),
-            (np.eye(3), np.array([1, 0, 1]), "boolean mask of shape"),
-            (np.eye(3), np.array([1.0, 0.0, 1.0]), "boolean mask of shape"),
+            (np.eye(3), np.empty((0, 3)), np.ones(3, dtype=bool), "requires a non-empty batch"),
+            (np.eye(3), np.eye(3), np.ones(4, dtype=bool), "boolean mask of shape"),
+            (np.eye(3), np.eye(3), np.ones((1, 3), dtype=bool), "boolean mask of shape"),
+            (np.eye(3), np.eye(3), np.array([1, 0, 1]), "boolean mask of shape"),
+            (np.eye(3), np.eye(3), np.array([1.0, 0.0, 1.0]), "boolean mask of shape"),
+            (np.ones(3), np.eye(3), np.ones(3, dtype=bool), r"\(K, q\) matrix"),
+            (np.eye(3), np.eye(2), np.ones(3, dtype=bool), "batch dim 2 does not match"),
+            (np.eye(3), np.diag([1.0, np.nan, 1.0]), np.ones(3, dtype=bool), "must be finite"),
         ],
-        ids=["empty-batch", "mask-too-long", "mask-2d", "mask-int", "mask-float"],
+        ids=["empty-batch", "mask-too-long", "mask-2d", "mask-int", "mask-float",
+             "entries-1d", "dim-mismatch", "non-finite-batch"],
     )
-    def test_rejects_bad_arguments(self, batch, used, message):
+    def test_rejects_bad_arguments(self, entries, batch, used, message):
         with pytest.raises(ValueError, match=message):
-            restart_dead_codes(Codebook.from_entries(np.eye(3)), batch, used)
+            restart_dead_codes(entries, batch, used)
 
     def test_no_dead_codes_unchanged(self):
-        cb = Codebook.from_entries(np.eye(3))
-        out, n = restart_dead_codes(cb, np.eye(3), np.ones(3, dtype=bool), rng=0)
+        entries = np.eye(3)
+        out, n = restart_dead_codes(entries, np.eye(3), np.ones(3, dtype=bool), rng=0)
         assert n == 0
-        assert out is cb
+        assert out is entries
 
     def test_dead_codes_resampled_from_batch(self):
         rng = np.random.default_rng(4)
-        cb = Codebook.from_entries(rng.normal(size=(4, 2)))
+        entries = rng.normal(size=(4, 2))
         batch = rng.normal(size=(10, 2))
-        out, n = restart_dead_codes(cb, batch, np.array([True, True, False, False]), rng=9)
+        out, n = restart_dead_codes(entries, batch, np.array([True, True, False, False]), rng=9)
         assert n == 2
         batch_rows = {tuple(row) for row in batch}
-        assert tuple(out.entries[2]) in batch_rows
-        assert tuple(out.entries[3]) in batch_rows
+        assert tuple(out[2]) in batch_rows
+        assert tuple(out[3]) in batch_rows
 
     def test_live_codes_untouched(self):
         # Whatever the EMA statistics say, the mask alone decides: code 1,
@@ -737,35 +741,33 @@ class TestRestartDeadCodes:
             *neutral_stats(np.eye(4)), np.tile(np.eye(4)[2], (8, 1)), np.full(8, 2), decay=0.0
         )
         assert sizes[1] == 0.0
-        cb = Codebook(entries)
         used = np.array([True, True, False, False])
-        out, n = restart_dead_codes(cb, np.ones((3, 4)), used, rng=0)
+        out, n = restart_dead_codes(entries, np.ones((3, 4)), used, rng=0)
         assert n == 2
-        np.testing.assert_array_equal(out.entries[used], cb.entries[used])
-        np.testing.assert_array_equal(out.entries[~used], np.ones((2, 4)))
+        np.testing.assert_array_equal(out[used], entries[used])
+        np.testing.assert_array_equal(out[~used], np.ones((2, 4)))
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(1)
-        cb = Codebook.from_entries(rng.normal(size=(6, 3)))
+        entries = rng.normal(size=(6, 3))
         batch = rng.normal(size=(20, 3))
         used = np.array([True, False, False, True, False, False])
-        a, na = restart_dead_codes(cb, batch, used, rng=42)
-        b, nb = restart_dead_codes(cb, batch, used, rng=42)
+        a, na = restart_dead_codes(entries, batch, used, rng=42)
+        b, nb = restart_dead_codes(entries, batch, used, rng=42)
         assert na == nb == 4
-        np.testing.assert_array_equal(a.entries, b.entries)
+        np.testing.assert_array_equal(a, b)
 
-    def test_preserves_shape_and_metric(self):
-        cb = Codebook.from_entries(np.eye(4), metric="cosine")
-        out, n = restart_dead_codes(cb, np.ones((3, 4)), np.zeros(4, dtype=bool), rng=0)
+    def test_preserves_shape(self):
+        out, n = restart_dead_codes(np.eye(4), np.ones((3, 4)), np.zeros(4, dtype=bool), rng=0)
         assert n == 4
-        assert out.num_codes == 4 and out.code_dim == 4 and out.metric == "cosine"
+        assert out.shape == (4, 4) and out.dtype == np.float64
 
     def test_does_not_mutate_input(self):
-        cb = Codebook.from_entries(np.eye(3) * 2.0)
-        before = cb.entries.copy()
+        entries = np.eye(3) * 2.0
+        before = entries.copy()
         used = np.array([True, False, False])
-        restart_dead_codes(cb, np.ones((2, 3)), used, rng=0)
-        np.testing.assert_array_equal(cb.entries, before)
+        restart_dead_codes(entries, np.ones((2, 3)), used, rng=0)
+        np.testing.assert_array_equal(entries, before)
         assert used.tolist() == [True, False, False]
 
 
@@ -799,7 +801,7 @@ def reference_kmeans_init(data, num_codes, iterations=10, rng=0):
         np.add.at(sums, idx, data)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-    return Codebook(centers)
+    return centers
 
 
 def _few_distinct_rows():
@@ -832,7 +834,7 @@ KMEANS_CASES = {
 class TestKmeansInit:
     @pytest.mark.parametrize(
         "num_codes, iterations, message",
-        [(0, 10, "num_codes must be >= 1"), (4, -1, "iterations must be non-negative")],
+        [(0, 10, "num_codes must be >= 1"), (4, -1, "iterations must be >= 0")],
         ids=["no-codes", "negative-iterations"],
     )
     def test_rejects_bad_arguments(self, num_codes, iterations, message):
@@ -843,8 +845,8 @@ class TestKmeansInit:
     def test_k_points_recovered(self):
         rng = np.random.default_rng(6)
         points = rng.normal(size=(5, 3)) * 10
-        cb = kmeans_init(points, num_codes=5, iterations=3, rng=0)
-        found = {tuple(np.round(row, 9)) for row in cb.entries}
+        centres = kmeans_init(points, num_codes=5, iterations=3, rng=0)
+        found = {tuple(np.round(row, 9)) for row in centres}
         expected = {tuple(np.round(row, 9)) for row in points}
         assert found == expected
 
@@ -854,8 +856,8 @@ class TestKmeansInit:
         blob_a = rng.normal(size=(n, 4)) + np.array([10.0, 0, 0, 0])
         blob_b = rng.normal(size=(n, 4)) - np.array([10.0, 0, 0, 0])
         data = np.concatenate([blob_a, blob_b])
-        cb = kmeans_init(data, num_codes=2, iterations=20, rng=1)
-        centers = cb.entries[np.argsort(cb.entries[:, 0])]
+        centers = kmeans_init(data, num_codes=2, iterations=20, rng=1)
+        centers = centers[np.argsort(centers[:, 0])]
         tol = 3.0 / np.sqrt(n)
         assert np.abs(centers[1] - blob_a.mean(axis=0)).max() < tol
         assert np.abs(centers[0] - blob_b.mean(axis=0)).max() < tol
@@ -865,7 +867,7 @@ class TestKmeansInit:
         data = rng.normal(size=(64, 5))
         a = kmeans_init(data, 8, iterations=5, rng=77)
         b = kmeans_init(data, 8, iterations=5, rng=77)
-        np.testing.assert_array_equal(a.entries, b.entries)
+        np.testing.assert_array_equal(a, b)
 
     def test_too_few_points_raises(self):
         with pytest.raises(ValueError):
@@ -902,10 +904,10 @@ class TestKmeansInit:
             passes.append(assign_batch(*args))
             return passes[-1]
 
-        monkeypatch.setattr(vq, "assign_batch", counting)
+        monkeypatch.setattr(training, "assign_batch", counting)
         got_rng = np.random.default_rng(21)
         got = kmeans_init(data, k, iterations=iterations, rng=got_rng)
-        np.testing.assert_array_equal(got.entries, want.entries)
+        np.testing.assert_array_equal(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         # At most one lookup a Lloyd pass, and the cases cover both ends of
         # the loop: a fixed point, where the last two passes agree, and the

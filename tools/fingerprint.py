@@ -384,7 +384,9 @@ def _training_cases(fp: Fingerprint, rk) -> None:
                "-offset-lattice": 1e8 + np.round(corpus), "-tiny": 3e-162 * corpus}
     for suffix, sample in samples.items():
         gen = np.random.default_rng(1)
-        cb = rk.kmeans_init(sample, 64, rng=gen)
+        # kmeans_init returns a Codebook in older checkouts and an array since.
+        centres = rk.kmeans_init(sample, 64, rng=gen)
+        cb = rk.Codebook(getattr(centres, "entries", centres))
         idx, _ = rk.nearest_codes(sample, cb)
         sums = np.zeros_like(cb.entries)
         np.add.at(sums, idx, sample)
